@@ -21,7 +21,6 @@ from .tensor_ops import (
     gradient_check,
     layer_norm,
     layer_norm_backward,
-    matmul,
     maxpool1d,
     maxpool1d_backward,
     sigmoid,

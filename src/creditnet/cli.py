@@ -18,17 +18,23 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .data import (
+    MISSING_DEFAULT,
+    SYNTH_PRESETS,
+    FeatureFrame,
+    PreprocessStats,
     SchemaConfig,
+    Splits,
     SplitSpec,
     apply_preprocess,
     load_csv,
     prepare_splits,
+    read_header,
     synth_generate,
     synth_preset,
-    SYNTH_PRESETS,
 )
 from .errors import (
     ConfigError,
@@ -39,8 +45,8 @@ from .errors import (
     UndefinedMetricError,
 )
 from .importance import permutation_importance
-from .metrics import evaluate_scores
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .metrics import auc, evaluate_scores
+from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import (
     TrainConfig,
     ablate,
@@ -107,54 +113,36 @@ def load_frame(path: Path, cfg: dict):
     if not Path(path).is_file():
         raise DataError(f"no such data file: {path}")
     section = cfg.get("schema") or {}
-    subsample = (cfg.get("data") or {}).get("subsample")
-    sub_seed = int((cfg.get("data") or {}).get("subsample_seed", 0))
+    data = cfg.get("data") or {}
     if section.get("feature_columns"):
         schema = SchemaConfig.from_dict(section)
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        header = [h.strip().strip('"') for h in header]
-        label = section.get("label_column", "label")
-        imputation = section.get("imputation", "median")
         markers = section.get("missing_markers")
-        if markers is None:
-            schema = SchemaConfig.infer(header, label, imputation=imputation)
-        else:
-            schema = SchemaConfig.infer(header, label, markers, imputation)
-    frame = load_csv(path, schema, subsample=subsample, seed=sub_seed)
+        schema = SchemaConfig.infer(read_header(path), section.get("label_column", "label"),
+                                    MISSING_DEFAULT if markers is None else markers,
+                                    section.get("imputation", "median"))
+    frame = load_csv(path, schema, subsample=data.get("subsample"),
+                     seed=int(data.get("subsample_seed", 0)))
     return frame, schema
 
 
-def build_model_config(cfg: dict, n_features: int, seed_override=None) -> ModelConfig:
-    section = dict(cfg.get("model") or {})
-    section["n_features"] = n_features
+def seeded_section(cfg: dict, name: str, seed_override) -> dict:
+    """A copy of config section ``name`` with its seed replaced by ``--seed``."""
+    section = dict(cfg.get(name) or {})
     if seed_override is not None:
         section["seed"] = int(seed_override)
-    return ModelConfig.from_dict(section)
-
-
-def build_train_config(cfg: dict, seed_override=None) -> TrainConfig:
-    section = dict(cfg.get("train") or {})
-    if seed_override is not None:
-        section["seed"] = int(seed_override)
-    return TrainConfig.from_dict(section)
-
-
-def build_split_spec(cfg: dict, seed_override=None) -> SplitSpec:
-    section = dict(cfg.get("split") or {})
-    if seed_override is not None:
-        section["seed"] = int(seed_override)
-    fractions = tuple(section.get("fractions", (0.7, 0.15, 0.15)))
-    return SplitSpec(fractions=fractions, seed=int(section.get("seed", 0)),
-                     stratified=bool(section.get("stratified", True)))
+    return section
 
 
 def winsor_quantiles(cfg: dict):
     section = cfg.get("winsorize")
     if not section:
         return None
-    return (float(section["lower_quantile"]), float(section["upper_quantile"]))
+    try:
+        return (float(section["lower_quantile"]), float(section["upper_quantile"]))
+    except KeyError as exc:
+        raise ConfigError(f"winsorize needs lower_quantile and upper_quantile; "
+                          f"{exc} is missing") from None
 
 
 def sha256_file(path: Path) -> str:
@@ -191,12 +179,58 @@ def prepare_out_dir(args) -> Path:
     return out
 
 
-def prepared_splits_from_args(args, cfg):
+# ---------------------------------------------------------------------------
+# the two command skeletons: train from a CSV, or score a checkpoint on one
+# ---------------------------------------------------------------------------
+
+class TrainingInputs(NamedTuple):
+    t0: float
+    cfg: dict
+    out: Path
+    data_path: Path
+    schema: SchemaConfig
+    split_spec: SplitSpec
+    splits: Splits
+    pre_stats: PreprocessStats
+    model_cfg: ModelConfig
+    train_cfg: TrainConfig
+
+
+def training_inputs(args) -> TrainingInputs:
+    """Config, out dir, prepared splits and seeded model/train configs."""
+    t0 = time.perf_counter()
+    cfg = read_config_file(args.config)
+    out = prepare_out_dir(args)
     data_path = resolve_data_path(args)
     frame, schema = load_frame(data_path, cfg)
-    split_spec = build_split_spec(cfg, args.seed)
+    split = seeded_section(cfg, "split", args.seed)
+    split_spec = SplitSpec(fractions=tuple(split.get("fractions", (0.7, 0.15, 0.15))),
+                           seed=int(split.get("seed", 0)),
+                           stratified=bool(split.get("stratified", True)))
     splits, pre_stats = prepare_splits(frame, schema, split_spec, winsor_quantiles(cfg))
-    return data_path, frame, schema, split_spec, splits, pre_stats
+    model_cfg = ModelConfig.from_dict({**seeded_section(cfg, "model", args.seed),
+                                       "n_features": frame.n_features})
+    train_cfg = TrainConfig.from_dict(seeded_section(cfg, "train", args.seed))
+    return TrainingInputs(t0, cfg, out, data_path, schema, split_spec, splits,
+                          pre_stats, model_cfg, train_cfg)
+
+
+def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, FeatureFrame]:
+    """Checkpoint model plus the CSV pushed through its preprocessing; the
+    checkpoint's schema applies unless the config names feature columns."""
+    t0 = time.perf_counter()
+    cfg = read_config_file(args.config)
+    out = prepare_out_dir(args)
+    model, header = load_checkpoint(args.checkpoint)
+    if header.get("preprocess") is None:
+        raise ConfigError(f"checkpoint {args.checkpoint} lacks preprocessing statistics")
+    schema_dict = (header.get("extra") or {}).get("schema")
+    if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):
+        cfg = {**cfg, "schema": schema_dict}
+    data_path = resolve_data_path(args)
+    frame, schema = load_frame(data_path, cfg)
+    prepared = apply_preprocess(frame, PreprocessStats.from_dict(header["preprocess"]))
+    return t0, out, model, data_path, schema, prepared
 
 
 # ---------------------------------------------------------------------------
@@ -204,58 +238,78 @@ def prepared_splits_from_args(args, cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
-    data_path, frame, schema, split_spec, splits, pre_stats = \
-        prepared_splits_from_args(args, cfg)
+    inputs = training_inputs(args)
+    model, report = train(inputs.model_cfg, inputs.train_cfg, inputs.splits)
 
-    model_cfg = build_model_config(cfg, frame.n_features, args.seed)
-    train_cfg = build_train_config(cfg, args.seed)
-    model, report = train(model_cfg, train_cfg, splits)
-
-    write_json(out / "report.json", {"kind": "train", **report.to_dict()})
-    write_curves_csv(report, out / "curves.csv")
-    save_checkpoint(out / "checkpoint.bin", model,
-                    preprocess=pre_stats.to_dict(),
-                    extra={"schema": schema.to_dict()})
+    write_json(inputs.out / "report.json", {"kind": "train", **report.to_dict()})
+    write_curves_csv(report, inputs.out / "curves.csv")
+    save_checkpoint(inputs.out / "checkpoint.bin", model,
+                    preprocess=inputs.pre_stats.to_dict(),
+                    extra={"schema": inputs.schema.to_dict()})
     resolved = {
-        "model": model_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
-        "schema": schema.to_dict(),
-        "split": {"fractions": list(split_spec.fractions),
-                  "seed": split_spec.seed, "stratified": split_spec.stratified},
-        "winsorize": cfg.get("winsorize"),
-        "data": cfg.get("data") or {},
+        "model": inputs.model_cfg.to_dict(),
+        "train": inputs.train_cfg.to_dict(),
+        "schema": inputs.schema.to_dict(),
+        "split": {"fractions": list(inputs.split_spec.fractions),
+                  "seed": inputs.split_spec.seed,
+                  "stratified": inputs.split_spec.stratified},
+        "winsorize": inputs.cfg.get("winsorize"),
+        "data": inputs.cfg.get("data") or {},
     }
-    write_manifest(out, "train", args, resolved, data_path, t0)
+    write_manifest(inputs.out, "train", args, resolved, inputs.data_path, inputs.t0)
     test = report.final["test"]
     print(f"train: done in {report.epochs_run} epochs; "
           f"test acc={test.acc:.4f} auc={test.auc:.4f} ks={test.ks:.4f}")
     return EXIT_OK
 
 
-def _load_checkpoint_with_preprocess(path):
-    model, header = load_checkpoint(path)
-    pre = header.get("preprocess")
-    if pre is None:
-        raise ConfigError(f"checkpoint {path} lacks preprocessing statistics")
-    from .data import PreprocessStats
+def _parse_float_list(text: str, what: str) -> list[float]:
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"bad {what} list: {text!r}") from None
+    if not values:
+        raise UsageError(f"empty {what} list")
+    return values
 
-    schema_dict = (header.get("extra") or {}).get("schema")
-    return model, PreprocessStats.from_dict(pre), schema_dict
+
+def _lr_rows(args, model_cfg, train_cfg, splits):
+    lrs = _parse_float_list(args.lrs, "learning-rate")
+    return sweep_lr(model_cfg, train_cfg, lrs, splits), {"lrs": lrs}
+
+
+def _opt_rows(args, model_cfg, train_cfg, splits):
+    lrs = _parse_float_list(args.lrs, "learning-rate")
+    optimizers = [tok.strip() for tok in args.optimizers.split(",") if tok.strip()]
+    rows = sweep_optimizer(model_cfg, train_cfg, lrs, splits, optimizers)
+    return rows, {"lrs": lrs, "optimizers": optimizers}
+
+
+def _ablate_rows(args, model_cfg, train_cfg, splits):
+    return ablate(model_cfg, train_cfg, splits), {}
+
+
+# command -> runner returning (rows, extra manifest fields)
+ROW_COMMANDS = {"sweep-lr": _lr_rows, "sweep-opt": _opt_rows, "ablate": _ablate_rows}
+
+
+def cmd_rows(args) -> int:
+    """sweep-lr, sweep-opt and ablate: one training run per report row."""
+    inputs = training_inputs(args)
+    rows, extra = ROW_COMMANDS[args.command](args, inputs.model_cfg,
+                                             inputs.train_cfg, inputs.splits)
+    write_json(inputs.out / "report.json", {"kind": args.command, "rows": rows})
+    write_manifest(inputs.out, args.command, args,
+                   {"model": inputs.model_cfg.to_dict(),
+                    "train": inputs.train_cfg.to_dict(), **extra},
+                   inputs.data_path, inputs.t0)
+    for row in rows:
+        _print_row(row)
+    return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
-    model, pre_stats, schema_dict = _load_checkpoint_with_preprocess(args.checkpoint)
-    if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):
-        cfg = {**cfg, "schema": schema_dict}
-    data_path = resolve_data_path(args)
-    frame, schema = load_frame(data_path, cfg)
-    prepared = apply_preprocess(frame, pre_stats)
+    t0, out, model, data_path, schema, prepared = checkpoint_inputs(args)
     probs = predict_probs(model, prepared.X)
     loss, _ = bce_loss(probs, prepared.y)
     metrics = evaluate_scores(probs, prepared.y)
@@ -273,83 +327,8 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"bad {what} list: {text!r}") from None
-    if not values:
-        raise UsageError(f"empty {what} list")
-    return values
-
-
-def cmd_sweep_lr(args) -> int:
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
-    data_path, frame, schema, split_spec, splits, _ = \
-        prepared_splits_from_args(args, cfg)
-    model_cfg = build_model_config(cfg, frame.n_features, args.seed)
-    train_cfg = build_train_config(cfg, args.seed)
-    lrs = _parse_float_list(args.lrs, "learning-rate")
-    rows = sweep_lr(model_cfg, train_cfg, lrs, splits)
-    write_json(out / "report.json", {"kind": "sweep-lr", "rows": rows})
-    write_manifest(out, "sweep-lr", args,
-                   {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
-                    "lrs": lrs}, data_path, t0)
-    for row in rows:
-        _print_sweep_row(row, f"lr={row['lr']}")
-    return EXIT_OK
-
-
-def cmd_sweep_opt(args) -> int:
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
-    data_path, frame, schema, split_spec, splits, _ = \
-        prepared_splits_from_args(args, cfg)
-    model_cfg = build_model_config(cfg, frame.n_features, args.seed)
-    train_cfg = build_train_config(cfg, args.seed)
-    lrs = _parse_float_list(args.lrs, "learning-rate")
-    optimizers = [tok.strip() for tok in args.optimizers.split(",") if tok.strip()]
-    rows = sweep_optimizer(model_cfg, train_cfg, lrs, splits, optimizers)
-    write_json(out / "report.json", {"kind": "sweep-opt", "rows": rows})
-    write_manifest(out, "sweep-opt", args,
-                   {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
-                    "lrs": lrs, "optimizers": optimizers}, data_path, t0)
-    for row in rows:
-        _print_sweep_row(row, f"{row['optimizer']} lr={row['lr']}")
-    return EXIT_OK
-
-
-def cmd_ablate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
-    data_path, frame, schema, split_spec, splits, _ = \
-        prepared_splits_from_args(args, cfg)
-    model_cfg = build_model_config(cfg, frame.n_features, args.seed)
-    train_cfg = build_train_config(cfg, args.seed)
-    rows = ablate(model_cfg, train_cfg, splits)
-    write_json(out / "report.json", {"kind": "ablate", "rows": rows})
-    write_manifest(out, "ablate", args,
-                   {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
-                   data_path, t0)
-    for row in rows:
-        _print_sweep_row(row, row["variant"])
-    return EXIT_OK
-
-
 def cmd_importance(args) -> int:
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
-    model, pre_stats, schema_dict = _load_checkpoint_with_preprocess(args.checkpoint)
-    if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):
-        cfg = {**cfg, "schema": schema_dict}
-    data_path = resolve_data_path(args)
-    frame, schema = load_frame(data_path, cfg)
-    prepared = apply_preprocess(frame, pre_stats)
+    t0, out, model, data_path, _, prepared = checkpoint_inputs(args)
     report = permutation_importance(model, prepared, metric=args.metric,
                                     repeats=args.repeats,
                                     seed=0 if args.seed is None else args.seed)
@@ -378,7 +357,6 @@ def cmd_synth(args) -> int:
             cells = [repr(float(v)) for v in frame.X[i]]
             fh.write(",".join([*cells, str(int(frame.y[i]))]) + "\n")
 
-    from .metrics import auc as auc_fn
     meta = {
         "n": args.n,
         "n_features": args.n_features,
@@ -389,7 +367,7 @@ def cmd_synth(args) -> int:
             "pairs": [list(p) for p in spec.pairs],
             "motifs": [list(m) for m in spec.motifs],
         },
-        "bayes_auc": auc_fn(bayes, frame.y) if 0 < frame.y.sum() < frame.n_rows else None,
+        "bayes_auc": auc(bayes, frame.y) if 0 < frame.y.sum() < frame.n_rows else None,
         "positive_rate": float(frame.y.mean()),
     }
     write_json(Path(str(out_path) + ".meta.json"), meta)
@@ -398,12 +376,18 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _print_sweep_row(row: dict, label: str) -> None:
+def row_label(row: dict) -> str:
+    """A sweep or ablation row's name, as the commands and ``report`` print it."""
+    return row.get("variant") or " ".join(
+        f"{k}={row[k]}" for k in ("optimizer", "lr") if k in row)
+
+
+def _print_row(row: dict) -> None:
     if row.get("status") != "ok":
-        print(f"{label}: FAILED ({row.get('error', 'unknown')})")
+        print(f"{row_label(row)}: FAILED ({row.get('error', 'unknown')})")
         return
     m = row["metrics"]["test"]
-    print(f"{label}: acc={m['acc']:.4f} auc={m['auc']:.4f} ks={m['ks']:.4f}")
+    print(f"{row_label(row)}: acc={m['acc']:.4f} auc={m['auc']:.4f} ks={m['ks']:.4f}")
 
 
 def cmd_report(args) -> int:
@@ -418,11 +402,9 @@ def cmd_report(args) -> int:
             print(f"{split_name:6s} acc={m['acc']:.4f} auc={m['auc']:.4f} "
                   f"ks={m['ks']:.4f} (n_pos={m['n_pos']}, n_neg={m['n_neg']})")
         print(f"epochs_run={payload['epochs_run']} best_epoch={payload['best_epoch']}")
-    elif kind in ("sweep-lr", "sweep-opt", "ablate"):
+    elif kind in ROW_COMMANDS:
         for row in payload["rows"]:
-            label = row.get("variant") or " ".join(
-                f"{k}={row[k]}" for k in ("optimizer", "lr") if k in row)
-            _print_sweep_row(row, label)
+            _print_row(row)
     elif kind == "eval":
         m = payload["metrics"]
         print(f"n={payload['n_rows']} loss={payload['loss']:.4f} "
@@ -466,17 +448,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep-lr", help="learning-rate sensitivity table")
     common(p)
     p.add_argument("--lrs", default=",".join(str(x) for x in DEFAULT_LR_GRID))
-    p.set_defaults(func=cmd_sweep_lr)
+    p.set_defaults(func=cmd_rows)
 
     p = sub.add_parser("sweep-opt", help="optimizer x learning-rate grid")
     common(p)
     p.add_argument("--lrs", default=",".join(str(x) for x in DEFAULT_LR_GRID))
     p.add_argument("--optimizers", default="sgd,adam")
-    p.set_defaults(func=cmd_sweep_opt)
+    p.set_defaults(func=cmd_rows)
 
     p = sub.add_parser("ablate", help="cnn_only / transformer_only / hybrid table")
     common(p)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_rows)
 
     p = sub.add_parser("importance", help="permutation feature importance")
     common(p)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -108,15 +109,11 @@ class SchemaConfig:
             imputation = imputation.get("kind", "constant")
         return cls(
             label_column=d["label_column"],
-            feature_columns=tuple(d.get("feature_columns", ())) or cls._need_features(d),
+            feature_columns=tuple(d.get("feature_columns", ())),
             missing_markers=tuple(d.get("missing_markers", MISSING_DEFAULT)),
             imputation=imputation,
             constant_value=constant_value,
         )
-
-    @staticmethod
-    def _need_features(d):
-        raise SchemaError("schema dict is missing feature_columns")
 
     @classmethod
     def from_json(cls, path) -> "SchemaConfig":
@@ -171,34 +168,40 @@ class Splits(NamedTuple):
 # CSV loading
 # ---------------------------------------------------------------------------
 
+def read_header(path) -> list[str]:
+    """Column names from the first row of a CSV file, blanks stripped."""
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        try:
+            return [name.strip() for name in next(csv.reader(fh))]
+        except StopIteration:
+            raise SchemaError(f"{path} is empty") from None
+
+
 def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
              seed: int = 0) -> FeatureFrame:
     """Parse a comma-separated UTF-8 file with a header row.
 
     Cells matching ``schema.missing_markers`` become NaN and are flagged for
-    later imputation. Any other unparseable cell raises ``DataError`` with
-    its line number. ``subsample`` keeps a seeded random subset of rows.
+    later imputation. Any other unparseable or non-finite cell, and any label
+    other than exactly 0 or 1, raises ``DataError`` naming its line (and
+    column). ``subsample`` keeps a seeded random subset of rows.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     markers = set(schema.missing_markers)
+    col_index = {name: i for i, name in enumerate(read_header(path))}
+    for needed in (schema.label_column, *schema.feature_columns):
+        if needed not in col_index:
+            raise SchemaError(f"column {needed!r} not found in header of {path}")
+    label_i = col_index[schema.label_column]
+    feat_is = [col_index[c] for c in schema.feature_columns]
+    width = max(label_i, *feat_is) + 1
 
+    rows, labels, miss, line_nos = [], array("d"), [], array("q")
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path} is empty") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        for needed in (schema.label_column, *schema.feature_columns):
-            if needed not in col_index:
-                raise SchemaError(f"column {needed!r} not found in header of {path}")
-        label_i = col_index[schema.label_column]
-        feat_is = [col_index[c] for c in schema.feature_columns]
-
-        width = max(label_i, *feat_is) + 1
-        rows, labels, miss = [], [], []
+        next(reader)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -207,7 +210,7 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
                                 f"got {len(row)}")
             cell = row[label_i].strip()
             try:
-                label = int(float(cell))
+                labels.append(float(cell))
             except ValueError:
                 raise DataError(f"line {line_no}: bad label {cell!r}") from None
             values = np.empty(len(feat_is))
@@ -226,14 +229,24 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
                             f"{schema.feature_columns[j]!r}"
                         ) from None
             rows.append(values)
-            labels.append(label)
             miss.append(missing_row)
+            line_nos.append(line_no)
 
     if not rows:
         raise DataError(f"{path} contains a header but no data rows")
     X = np.vstack(rows)
     y = np.asarray(labels)
     missing = np.vstack(miss)
+    bad = np.column_stack([~(np.isfinite(X) | missing), (y != 0) & (y != 1)])
+    if np.any(bad):
+        r, c = np.argwhere(bad)[0]
+        is_label = c == len(feat_is)
+        raise DataError(
+            f"line {line_nos[r]}, column "
+            f"{(*schema.feature_columns, schema.label_column)[c]!r}: "
+            f"{'label must be 0 or 1' if is_label else 'non-finite value'}, "
+            f"got {float(y[r] if is_label else X[r, c])!r}"
+        )
 
     if subsample is not None and subsample < X.shape[0]:
         rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ class SchemaError(CreditNetError):
     """A dataset does not match the declared column schema."""
 
 
-class DataError(CreditNetError):
+class DataError(CreditNetError, ValueError):
     """A row or column of the dataset is unusable (bad cell, all-missing column)."""
 
 

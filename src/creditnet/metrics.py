@@ -1,7 +1,11 @@
 """Binary-classifier evaluation: accuracy, ROC-AUC, and the KS statistic.
 
-AUC uses the Mann-Whitney convention (ties get half credit), which equals the
-trapezoidal area under the tie-grouped ROC curve. KS is the maximum vertical
+All three curve metrics read one threshold sweep: a single stable sort of the
+scores, descending, with cumulative class counts at the end of each tie
+group. AUC uses the Mann-Whitney convention (ties get half credit), which
+equals the trapezoidal area under that tie-grouped ROC curve (Hanley &
+McNeil 1982); it is computed in integer counts, so it matches the rank-sum
+formula bit for bit. KS is the maximum vertical
 gap between the per-class score CDFs, equivalently max |TPR - FPR| over
 thresholds; the maximum always occurs at a distinct score value, so only
 those are swept.
@@ -13,7 +17,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ShapeError, UndefinedMetricError
+from .errors import DataError, ShapeError, UndefinedMetricError
 
 
 @dataclass
@@ -52,95 +56,75 @@ def _validate(scores, labels):
             f"scores ({scores.shape[0]}) and labels ({labels.shape[0]}) differ in length"
         )
     if scores.shape[0] == 0:
-        raise ValueError("empty input")
-    uniq = np.unique(labels)
-    if not np.all(np.isin(uniq, (0, 1))):
-        raise ValueError(f"labels must be 0/1, got values {uniq!r}")
+        raise DataError("empty input")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise DataError(f"labels must be 0/1, got values {np.unique(labels)!r}")
     return scores, labels.astype(np.int64)
+
+
+def _accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
+    return float(np.mean((scores >= threshold) == labels))
 
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:
     """Fraction of samples where (score >= threshold) matches the label."""
-    scores, labels = _validate(scores, labels)
-    predicted = (scores >= threshold).astype(np.int64)
-    return float(np.mean(predicted == labels))
+    return _accuracy(*_validate(scores, labels), threshold)
 
 
-def _class_counts(labels: np.ndarray) -> tuple[int, int]:
-    n_pos = int(np.sum(labels == 1))
-    n_neg = labels.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError(
-            f"metric undefined with n_pos={n_pos}, n_neg={n_neg}"
-        )
-    return n_pos, n_neg
-
-
-def _rank_average(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average rank of their block."""
-    n = scores.shape[0]
-    order = np.argsort(scores, kind="stable")
+def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (negative, positive) counts at the end of each tie group,
+    thresholds descending: one stable sort serves AUC, KS and the ROC curve."""
+    order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    is_new = np.empty(n, dtype=bool)
-    is_new[0] = True
-    is_new[1:] = sorted_scores[1:] != sorted_scores[:-1]
-    group = np.cumsum(is_new) - 1
-    first = np.flatnonzero(is_new)
-    counts = np.diff(np.append(first, n))
-    avg = first + (counts + 1) / 2.0  # first is 0-based, ranks are 1-based
-    ranks = np.empty(n)
-    ranks[order] = avg[group]
-    return ranks
+    last = np.empty(scores.shape[0], dtype=bool)
+    last[-1] = True
+    last[:-1] = sorted_scores[1:] != sorted_scores[:-1]
+    tp = np.cumsum(labels[order])[last]
+    fp = np.flatnonzero(last) + 1 - tp
+    if tp[-1] == 0 or fp[-1] == 0:
+        raise UndefinedMetricError(
+            f"metric undefined with n_pos={tp[-1]}, n_neg={fp[-1]}"
+        )
+    return fp, tp
+
+
+def _auc(fp: np.ndarray, tp: np.ndarray) -> float:
+    # Trapezoid area in integer counts: each group's negatives times the
+    # summed true positives before and after it, over 2 * n_pos * n_neg.
+    # One correctly rounded division, so it equals the rank-sum value exactly.
+    neg = np.diff(fp, prepend=0)
+    tp_before = np.append(0, tp[:-1])
+    return int(np.sum(neg * (tp_before + tp))) / (2 * int(tp[-1]) * int(fp[-1]))
+
+
+def _ks(fp: np.ndarray, tp: np.ndarray) -> float:
+    return float(np.max(np.abs(tp / tp[-1] - fp / fp[-1])))
 
 
 def auc(scores, labels) -> float:
     """Probability a random positive outranks a random negative (ties half-credited)."""
-    scores, labels = _validate(scores, labels)
-    n_pos, n_neg = _class_counts(labels)
-    ranks = _rank_average(scores)
-    u = np.sum(ranks[labels == 1]) - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
-def _threshold_sweep(scores: np.ndarray, labels: np.ndarray):
-    """Cumulative (fpr, tpr) after each distinct threshold, descending."""
-    n_pos, n_neg = _class_counts(labels)
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    cum_pos = np.cumsum(sorted_labels == 1)
-    cum_neg = np.cumsum(sorted_labels == 0)
-    # keep only the last index of each tie block
-    last = np.empty(scores.shape[0], dtype=bool)
-    last[-1] = True
-    last[:-1] = sorted_scores[1:] != sorted_scores[:-1]
-    tpr = cum_pos[last] / n_pos
-    fpr = cum_neg[last] / n_neg
-    return fpr, tpr
-
-
-def roc_points(scores, labels) -> RocCurve:
-    """ROC curve with one point per distinct threshold, plus the (0,0) origin."""
-    scores, labels = _validate(scores, labels)
-    fpr, tpr = _threshold_sweep(scores, labels)
-    return RocCurve(fpr=np.append(0.0, fpr), tpr=np.append(0.0, tpr))
+    return _auc(*_sweep(*_validate(scores, labels)))
 
 
 def ks(scores, labels) -> float:
     """Max over thresholds of |TPR - FPR| (Kolmogorov-Smirnov separation)."""
-    scores, labels = _validate(scores, labels)
-    fpr, tpr = _threshold_sweep(scores, labels)
-    return float(np.max(np.abs(tpr - fpr)))
+    return _ks(*_sweep(*_validate(scores, labels)))
+
+
+def roc_points(scores, labels) -> RocCurve:
+    """ROC curve with one point per distinct threshold, plus the (0,0) origin."""
+    fp, tp = _sweep(*_validate(scores, labels))
+    return RocCurve(fpr=np.append(0.0, fp / fp[-1]), tpr=np.append(0.0, tp / tp[-1]))
 
 
 def evaluate_scores(scores, labels, threshold: float = 0.5) -> MetricsRecord:
-    """Compute the full metric triple on one split."""
+    """Compute the full metric triple on one split: one validation, one sort."""
     scores, labels = _validate(scores, labels)
-    n_pos, n_neg = _class_counts(labels)
+    fp, tp = _sweep(scores, labels)
     return MetricsRecord(
-        acc=accuracy(scores, labels, threshold),
-        auc=auc(scores, labels),
-        ks=ks(scores, labels),
-        n_pos=n_pos,
-        n_neg=n_neg,
+        acc=_accuracy(scores, labels, threshold),
+        auc=_auc(fp, tp),
+        ks=_ks(fp, tp),
+        n_pos=int(tp[-1]),
+        n_neg=int(fp[-1]),
     )

@@ -16,7 +16,8 @@ carried in a ``ForwardTrace`` that ``Model.backward`` consumes exactly once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -152,13 +153,20 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        if "conv" in d and isinstance(d["conv"], dict):
-            d["conv"] = ConvSpec(**d["conv"])
-        if "attn" in d and isinstance(d["attn"], dict):
-            d["attn"] = AttnSpec(**d["attn"])
-        if "mlp_hidden" in d:
-            d["mlp_hidden"] = tuple(d["mlp_hidden"])
-        return cls(**d)
+        for key, spec in (("conv", ConvSpec), ("attn", AttnSpec)):
+            if isinstance(d.get(key), dict):
+                d[key] = config_from_dict(spec, d[key])
+        return config_from_dict(cls, d)
+
+
+def config_from_dict(cls, d: dict):
+    """``cls(**d)`` for a config dataclass, rejecting keys it does not define."""
+    allowed = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} key(s) {unknown}; "
+                          f"allowed: {', '.join(allowed)}")
+    return cls(**d)
 
 
 def conv_out_len(length: int, window: int, stride: int) -> int:
@@ -663,23 +671,39 @@ def save_checkpoint(path, model: Model, preprocess: Optional[dict] = None,
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Read a checkpoint back into a Model; returns ``(model, header)``."""
+    """Read a checkpoint back into a Model; returns ``(model, header)``.
+
+    The header must be version 1 and list exactly the parameters, in order
+    and shape, that its config builds, and the payload must hold exactly
+    their values; anything else is a ``ConfigError``.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"not a checkpoint file: {path}") from exc
-        if header.get("format") != CHECKPOINT_MAGIC:
-            raise ConfigError(f"unrecognized checkpoint format in {path}")
-        config = ModelConfig.from_dict(header["config"])
-        store = ParamStore()
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ConfigError(f"truncated checkpoint payload in {path}")
-            value = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            store.add(entry["name"], value)
+        payload = fh.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"not a checkpoint file: {path}") from exc
+    if header.get("format") != CHECKPOINT_MAGIC:
+        raise ConfigError(f"unrecognized checkpoint format in {path}")
+    if header.get("version") != 1:
+        raise ConfigError(f"unsupported checkpoint version {header.get('version')!r} "
+                          f"in {path}")
+    config = ModelConfig.from_dict(header["config"])
+    store = init_params(config)
+    found = [(e.get("name"), e.get("shape")) for e in header.get("params", [])]
+    expected = [(p.name, list(p.value.shape)) for p in store]
+    for got, want in zip_longest(found, expected):
+        if got != want:
+            raise ConfigError(f"checkpoint {path} lists parameter {got} where its "
+                              f"config expects {want}")
+    n_bytes = 8 * store.total_parameters()
+    if len(payload) != n_bytes:
+        raise ConfigError(f"checkpoint {path} payload is {len(payload)} bytes, "
+                          f"expected {n_bytes}")
+    values = np.frombuffer(payload, dtype="<f8")
+    offset = 0
+    for p in store:
+        p.value[...] = values[offset: offset + p.size].reshape(p.value.shape)
+        offset += p.size
     return Model(config, store), header

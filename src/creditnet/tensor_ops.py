@@ -76,21 +76,6 @@ class OpCache:
 
 
 # ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain 2-D matrix product C[i,j] = sum_t A[i,t] B[t,j]."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-# ---------------------------------------------------------------------------
 # conv1d (cross-correlation, valid padding)
 # ---------------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MetricsRecord, accuracy, auc, evaluate_scores
-from .model import Model, ModelConfig, ParamStore
+from .model import PROB_CLAMP, Model, ModelConfig, ParamStore, config_from_dict
 from .tensor_ops import as_f64, sigmoid
 
 PROB_EPS = 1e-12  # cross-entropy clamp
@@ -70,34 +70,14 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in (0,1), got {b}")
 
     def to_dict(self) -> dict:
-        d = {
-            "optimizer": self.optimizer,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "shuffle": self.shuffle,
-            "early_stop": None if self.early_stop is None else
-                          {"metric": self.early_stop.metric,
-                           "patience": self.early_stop.patience},
-            "pos_weight": self.pos_weight,
-        }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        es = d.get("early_stop", "unset")
-        if es is None:
-            d["early_stop"] = None
-        elif isinstance(es, dict):
-            d["early_stop"] = EarlyStop(**es)
-        elif es == "unset":
-            d.pop("early_stop", None)
-        return cls(**d)
+        if isinstance(d.get("early_stop"), dict):
+            d["early_stop"] = config_from_dict(EarlyStop, d["early_stop"])
+        return config_from_dict(cls, d)
 
 
 def canonical_json(obj) -> str:
@@ -348,7 +328,7 @@ class LogisticModel:
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ShapeError(f"expected [B, {self.n_features}] batch, got {X.shape}")
         z = X @ self.params["weight"].value + self.params["bias"].value[0]
-        probs = np.clip(sigmoid(z), 1e-15, 1.0 - 1e-15)
+        probs = np.clip(sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
         return probs, {"X": X, "probs": probs}
 
     def backward(self, trace, grad_probs):

@@ -235,3 +235,68 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run(["train", "--config", str(path), "--data", workspace["csv"],
                     "--out", str(tmp_path / "x")]) == 2
+
+
+def _set_cell(csv_text, line, column, value):
+    """``csv_text`` with the cell at 1-based file ``line`` and header ``column`` replaced."""
+    lines = csv_text.split("\n")
+    col = lines[0].split(",").index(column)
+    cells = lines[line - 1].split(",")
+    cells[col] = value
+    lines[line - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _transpose_first(params):
+    first = {**params[0], "shape": params[0]["shape"][::-1]}
+    return [first, *params[1:]]
+
+
+# (case, where the fault goes, the change, exit code, stderr fragment)
+FAULTS = [
+    ("train-key", "config", {"train": {"epoch": 3}}, 1, "unknown TrainConfig key(s) ['epoch']"),
+    ("model-key", "config", {"model": {"dembed": 3}}, 1, "unknown ModelConfig key(s) ['dembed']"),
+    ("conv-key", "config", {"model": {"conv": {"chanels": 4}}}, 1, "ConvSpec key(s) ['chanels']"),
+    ("attn-key", "config", {"model": {"attn": {"heads": 2}}}, 1, "AttnSpec key(s) ['heads']"),
+    ("early-stop-key", "config", {"train": {"early_stop": {"patiense": 3}}}, 1,
+     "EarlyStop key(s) ['patiense']"),
+    ("winsor-quantile", "config", {"winsorize": {"upper_quantile": 0.99}}, 1,
+     "'lower_quantile' is missing"),
+    ("fractional-label", "csv", (5, "label", "0.5"), 2,
+     "line 5, column 'label': label must be 0 or 1, got 0.5"),
+    ("inf-cell", "csv", (7, "f2", "inf"), 2, "line 7, column 'f2': non-finite value, got inf"),
+    ("trailing-bytes", "checkpoint", lambda h, p: (h, p + bytes(16)), 1, "payload is"),
+    ("version-99", "checkpoint", lambda h, p: ({**h, "version": 99}, p), 1,
+     "unsupported checkpoint version 99"),
+    ("dropped-parameter", "checkpoint", lambda h, p: ({**h, "params": h["params"][1:]}, p), 1,
+     "where its config expects ('embed.weight'"),
+    ("transposed-shape", "checkpoint",
+     lambda h, p: ({**h, "params": _transpose_first(h["params"])}, p), 1,
+     "lists parameter ('embed.weight', [4, 6]) where its config expects ('embed.weight', [6, 4])"),
+]
+
+
+class TestFaults:
+    """Every bad input ends as its documented exit code; ``run`` never raises."""
+
+    @pytest.mark.parametrize("where, change, code, fragment",
+                             [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
+    def test_fault_exit_code(self, where, change, code, fragment,
+                             workspace, trained, tmp_path, capsys):
+        config, data = workspace["config"], workspace["csv"]
+        if where == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**FAST_CONFIG, **change}))
+        elif where == "csv":
+            data = tmp_path / "bad.csv"
+            with open(workspace["csv"]) as fh:
+                data.write_text(_set_cell(fh.read(), *change))
+        command = ["train", "--config", str(config)]
+        if where == "checkpoint":
+            header_line, payload = (trained / "checkpoint.bin").read_bytes().split(b"\n", 1)
+            header, payload = change(json.loads(header_line), payload)
+            checkpoint = tmp_path / "checkpoint.bin"
+            checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+            command = ["eval", "--checkpoint", str(checkpoint)]
+        assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == code
+        assert fragment in capsys.readouterr().err

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from creditnet.errors import ShapeError, UndefinedMetricError
+import creditnet.metrics as metrics
+from creditnet.errors import DataError, ShapeError, UndefinedMetricError
 from creditnet.metrics import (
     MetricsRecord,
     accuracy,
@@ -37,6 +38,42 @@ def ks_enumeration_oracle(scores, labels):
         fpr = np.sum(scores[labels == 0] >= t) / n_neg
         best = max(best, abs(tpr - fpr))
     return best
+
+
+def auc_rank_sum_reference(scores, labels):
+    """The earlier rank-sum AUC: average ranks for ties, then Mann-Whitney U."""
+    scores = np.asarray(scores, float)
+    labels = np.asarray(labels)
+    n = scores.shape[0]
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    is_new = np.empty(n, dtype=bool)
+    is_new[0] = True
+    is_new[1:] = sorted_scores[1:] != sorted_scores[:-1]
+    group = np.cumsum(is_new) - 1
+    first = np.flatnonzero(is_new)
+    counts = np.diff(np.append(first, n))
+    ranks = np.empty(n)
+    ranks[order] = (first + (counts + 1) / 2.0)[group]
+    n_pos = int(np.sum(labels == 1))
+    n_neg = n - n_pos
+    u = np.sum(ranks[labels == 1]) - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def ks_threshold_reference(scores, labels):
+    """The earlier KS: its own descending sort and per-class cumulative rates."""
+    scores = np.asarray(scores, float)
+    labels = np.asarray(labels)
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    last = np.empty(scores.shape[0], dtype=bool)
+    last[-1] = True
+    last[:-1] = sorted_scores[1:] != sorted_scores[:-1]
+    tpr = np.cumsum(sorted_labels == 1)[last] / np.sum(labels == 1)
+    fpr = np.cumsum(sorted_labels == 0)[last] / np.sum(labels == 0)
+    return float(np.max(np.abs(tpr - fpr)))
 
 
 def random_instance(rng, max_n=200):
@@ -77,6 +114,10 @@ class TestAccuracy:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             accuracy([], [])
+
+    def test_non_binary_labels_are_data_errors(self):
+        with pytest.raises(DataError, match="labels must be 0/1"):
+            accuracy([0.5, 0.5], [0, 2])
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -183,6 +224,43 @@ class TestOracleEquivalence:
                 auc_pairwise_oracle(scores, labels), abs=1e-12)
             assert ks(scores, labels) == pytest.approx(
                 ks_enumeration_oracle(scores, labels), abs=1e-12)
+
+
+class TestReferenceEquality:
+    """The one-sort sweep reproduces the earlier rank-sum AUC and KS exactly."""
+
+    @staticmethod
+    def assert_exact(scores, labels):
+        ref_auc = auc_rank_sum_reference(scores, labels)
+        ref_ks = ks_threshold_reference(scores, labels)
+        rec = evaluate_scores(scores, labels)
+        assert auc(scores, labels) == ref_auc and rec.auc == ref_auc
+        assert ks(scores, labels) == ref_ks and rec.ks == ref_ks
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(321)
+        for _ in range(300):
+            self.assert_exact(*random_instance(rng, max_n=2000))
+
+    def test_150k_rows(self):
+        rng = np.random.default_rng(7)
+        scores = np.round(rng.random(150_000), 4)
+        labels = (rng.random(150_000) < 0.07).astype(np.int64)
+        self.assert_exact(scores, labels)
+
+    def test_one_validation_and_one_sort(self, monkeypatch):
+        calls = {"validate": 0, "argsort": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(metrics, "_validate", counting("validate", metrics._validate))
+        monkeypatch.setattr(np, "argsort", counting("argsort", np.argsort))
+        evaluate_scores(np.linspace(0.0, 1.0, 50), np.arange(50) % 2)
+        assert calls == {"validate": 1, "argsort": 1}
 
 
 class TestEvaluateScores:

@@ -445,6 +445,8 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(29)
         model = Model(SMALL)
+        for p in model.params:  # values a fresh init could not reproduce
+            p.value += rng.standard_normal(p.value.shape)
         pre = {"impute": {"fill_values": [0.0] * 8, "fitted_on": "train"}}
         path = tmp_path / "model.bin"
         save_checkpoint(path, model, preprocess=pre, extra={"note": "fixture"})

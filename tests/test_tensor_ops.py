@@ -14,17 +14,17 @@ from creditnet.tensor_ops import (
     gradient_check,
     layer_norm,
     layer_norm_backward,
-    matmul,
     maxpool1d,
     maxpool1d_backward,
     sigmoid,
     softmax_rows,
     softmax_rows_backward,
 )
+from creditnet.model import linear
 
 
 def matmul_oracle(a, b):
-    """Triple-loop summation, the independent reference for matmul."""
+    """Triple-loop summation, the independent reference for a matrix product."""
     a, b = np.asarray(a, float), np.asarray(b, float)
     m, k = a.shape
     k2, n = b.shape
@@ -83,34 +83,36 @@ class TestParameter:
 
 
 class TestMatmul:
+    """``model.linear`` without a bias is the model's matrix product."""
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.eye(2)), a)
+        assert np.array_equal(linear(a, np.eye(2))[0], a)
 
     def test_against_triple_loop_oracle(self):
         a = [[1.0, 2.0], [3.0, 4.0]]
         b = [[5.0, 6.0], [7.0, 8.0]]
         expected = matmul_oracle(a, b)
         assert np.array_equal(expected, [[19.0, 22.0], [43.0, 50.0]])
-        assert np.allclose(matmul(a, b), expected, atol=0.0)
+        assert np.allclose(linear(a, b)[0], expected, atol=0.0)
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             a = rng.standard_normal((4, 5))
             b = rng.standard_normal((5, 3))
-            assert np.allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
+            assert np.allclose(linear(a, b)[0], matmul_oracle(a, b), atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"input width 3 != weight rows 2"):
+            linear(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_associativity(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
+            left = linear(linear(a, b)[0], c)[0]
+            right = linear(a, linear(b, c)[0])[0]
             assert np.max(np.abs(left - right)) < 1e-10
 
 
