@@ -46,7 +46,8 @@ from .errors import (
 )
 from .importance import permutation_importance
 from .metrics import auc, evaluate_scores
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import (Model, ModelConfig, config_from_dict, load_checkpoint,
+                    reject_unknown_keys, save_checkpoint)
 from .training import (
     TrainConfig,
     ablate,
@@ -108,11 +109,16 @@ def resolve_data_path(args) -> Path:
     )
 
 
+# the keys SchemaConfig.to_dict writes and SchemaConfig.from_dict reads
+SCHEMA_KEYS = ("label_column", "feature_columns", "missing_markers", "imputation")
+
+
 def load_frame(path: Path, cfg: dict):
     """Load a CSV resolving the schema (explicit, partial, or inferred)."""
     if not Path(path).is_file():
         raise DataError(f"no such data file: {path}")
     section = cfg.get("schema") or {}
+    reject_unknown_keys("schema", section, SCHEMA_KEYS)
     data = cfg.get("data") or {}
     if section.get("feature_columns"):
         schema = SchemaConfig.from_dict(section)
@@ -203,10 +209,7 @@ def training_inputs(args) -> TrainingInputs:
     out = prepare_out_dir(args)
     data_path = resolve_data_path(args)
     frame, schema = load_frame(data_path, cfg)
-    split = seeded_section(cfg, "split", args.seed)
-    split_spec = SplitSpec(fractions=tuple(split.get("fractions", (0.7, 0.15, 0.15))),
-                           seed=int(split.get("seed", 0)),
-                           stratified=bool(split.get("stratified", True)))
+    split_spec = config_from_dict(SplitSpec, seeded_section(cfg, "split", args.seed))
     splits, pre_stats = prepare_splits(frame, schema, split_spec, winsor_quantiles(cfg))
     model_cfg = ModelConfig.from_dict({**seeded_section(cfg, "model", args.seed),
                                        "n_features": frame.n_features})

@@ -16,9 +16,11 @@ carried in a ``ForwardTrace`` that ``Model.backward`` consumes exactly once.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+import re
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import zip_longest
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -159,13 +161,46 @@ class ModelConfig:
         return config_from_dict(cls, d)
 
 
-def config_from_dict(cls, d: dict):
-    """``cls(**d)`` for a config dataclass, rejecting keys it does not define."""
-    allowed = [f.name for f in fields(cls)]
+def reject_unknown_keys(what: str, d: dict, allowed) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} key(s) {unknown}; "
+        raise ConfigError(f"unknown {what} key(s) {unknown}; "
                           f"allowed: {', '.join(allowed)}")
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON-decoded ``value`` fits a config field's type hint."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_fits(a, value) for a in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(items) == len(value) and all(map(_fits, items, value))
+    return isinstance(value, hint)
+
+
+def config_from_dict(cls, d: dict):
+    """``cls(**d)`` for a config dataclass, rejecting keys it does not define,
+    missing required keys and values of the wrong type."""
+    reject_unknown_keys(cls.__name__, d, [f.name for f in fields(cls)])
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing {cls.__name__} key(s) {missing}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        hint = hints[key]
+        if not _fits(hint, value):
+            # "Optional[creditnet.training.EarlyStop]" -> "Optional[EarlyStop]"
+            expected = re.sub(r"\w+\.", "", str(hint)) if get_origin(hint) else hint.__name__
+            raise ConfigError(f"{cls.__name__} key {key!r} must be {expected}, "
+                              f"got {value!r}")
     return cls(**d)
 
 
@@ -178,15 +213,37 @@ def conv_out_len(length: int, window: int, stride: int) -> int:
 # ---------------------------------------------------------------------------
 
 class ParamStore:
-    """Ordered collection of named Parameters."""
+    """Ordered collection of named Parameters over two flat buffers.
+
+    ``values`` and ``grads`` are contiguous float64 vectors holding every
+    parameter in insertion order, which is also the checkpoint manifest
+    order; each Parameter's ``value`` and ``grad`` are views into them, so
+    whole-store operations (optimizer steps, zeroing, snapshots, checkpoint
+    I/O) are single vector operations. ``add`` reallocates both buffers and
+    re-points every Parameter, so views taken before an ``add`` go stale.
+    """
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self.values = np.zeros(0)
+        self.grads = np.zeros(0)
+
+    def _views(self, offset: int, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+        end = offset + math.prod(shape)
+        return (self.values[offset:end].reshape(shape),
+                self.grads[offset:end].reshape(shape))
 
     def add(self, name: str, value: np.ndarray) -> Parameter:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        p = Parameter(name=name, value=value)
+        value = as_f64(value)
+        self.values = np.concatenate((self.values, value.reshape(-1)))
+        self.grads = np.concatenate((self.grads, np.zeros(value.size)))
+        offset = 0
+        for p in self:
+            p.value, p.grad = self._views(offset, p.value.shape)
+            offset += p.size
+        p = Parameter(name, *self._views(offset, value.shape))
         self._params[name] = p
         return p
 
@@ -206,18 +263,16 @@ class ParamStore:
         return list(self._params)
 
     def total_parameters(self) -> int:
-        return sum(p.size for p in self)
+        return self.values.size
 
     def zero_grads(self) -> None:
-        for p in self:
-            p.zero_grad()
+        self.grads.fill(0.0)
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value.copy() for p in self}
+    def snapshot(self) -> np.ndarray:
+        return self.values.copy()
 
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for p in self:
-            p.value[...] = snap[p.name]
+    def restore(self, snap: np.ndarray) -> None:
+        self.values[...] = snap
 
 
 def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -315,7 +370,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None):
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight rows {w.shape[0]}")
     out = x @ w
     if b is not None:
-        out = out + as_f64(b)
+        out += as_f64(b)
     return out, OpCache("linear", {"x": x, "w": w, "has_bias": b is not None})
 
 
@@ -345,7 +400,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     if d_k < 1:
         raise ShapeError("attention requires d_k >= 1")
     scale = 1.0 / np.sqrt(d_k)
-    logits = (q @ np.swapaxes(k, -1, -2)) * scale
+    logits = q @ np.swapaxes(k, -1, -2)
+    logits *= scale
     weights = softmax_rows(logits)
     out = weights @ v
     cache = OpCache("attention",
@@ -362,8 +418,10 @@ def attention_backward(cache: OpCache, g_out: np.ndarray):
     g_v = np.swapaxes(weights, -1, -2) @ g_out
     g_weights = g_out @ np.swapaxes(v, -1, -2)
     g_logits = softmax_rows_backward(weights, g_weights)
-    g_q = (g_logits @ k) * scale
-    g_k = (np.swapaxes(g_logits, -1, -2) @ q) * scale
+    g_q = g_logits @ k
+    g_q *= scale
+    g_k = np.swapaxes(g_logits, -1, -2) @ q
+    g_k *= scale
     return g_q, g_k, g_v
 
 
@@ -383,22 +441,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: int):
     """Self-attention with ``n_heads`` parallel heads, concatenated and
-    recombined by the output projection ``wo``. Projections are bias-free."""
+    recombined by the output projection ``wo``. Projections are bias-free;
+    Q, K and V come from one ``linear`` over ``[wq | wk | wv]``."""
     tokens = as_f64(tokens)
     d_model = tokens.shape[-1]
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
-    q, q_cache = linear(tokens, wq)
-    k, k_cache = linear(tokens, wk)
-    v, v_cache = linear(tokens, wv)
-    att_out, att_cache = attention(
-        _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
-    )
+    qkv, qkv_cache = linear(tokens, np.concatenate((wq, wk, wv), axis=1))
+    q, k, v = (_split_heads(part, n_heads) for part in np.split(qkv, 3, axis=-1))
+    att_out, att_cache = attention(q, k, v)
     concat = _merge_heads(att_out)
     out, o_cache = linear(concat, wo)
     cache = OpCache("multi_head", {
-        "q_cache": q_cache, "k_cache": k_cache, "v_cache": v_cache,
-        "att_cache": att_cache, "o_cache": o_cache, "n_heads": n_heads,
+        "qkv_cache": qkv_cache, "att_cache": att_cache, "o_cache": o_cache,
+        "n_heads": n_heads,
     })
     return out, cache
 
@@ -408,13 +464,14 @@ def multi_head_attention_backward(cache: OpCache, g_out: np.ndarray):
     saved = cache.expect("multi_head")
     n_heads = saved["n_heads"]
     g_concat, g_wo, _ = linear_backward(saved["o_cache"], g_out)
-    g_att = _split_heads(g_concat, n_heads)
-    g_q_h, g_k_h, g_v_h = attention_backward(saved["att_cache"], g_att)
-    g_tokens_q, g_wq, _ = linear_backward(saved["q_cache"], _merge_heads(g_q_h))
-    g_tokens_k, g_wk, _ = linear_backward(saved["k_cache"], _merge_heads(g_k_h))
-    g_tokens_v, g_wv, _ = linear_backward(saved["v_cache"], _merge_heads(g_v_h))
-    g_tokens = g_tokens_q + g_tokens_k + g_tokens_v
-    return g_tokens, g_wq, g_wk, g_wv, g_wo
+    g_heads = attention_backward(saved["att_cache"], _split_heads(g_concat, n_heads))
+    d_model = g_concat.shape[-1]
+    g_qkv = np.empty((*g_concat.shape[:-1], 3, n_heads, d_model // n_heads))
+    for i, g in enumerate(g_heads):
+        g_qkv[..., i, :, :] = np.swapaxes(g, -2, -3)  # [..., h, s, d_k] -> [..., s, h, d_k]
+    g_tokens, g_w, _ = linear_backward(
+        saved["qkv_cache"], g_qkv.reshape(*g_concat.shape[:-1], 3 * d_model))
+    return (g_tokens, *np.split(g_w, 3, axis=1), g_wo)
 
 
 _BLOCK_WEIGHTS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo",
@@ -666,8 +723,7 @@ def save_checkpoint(path, model: Model, preprocess: Optional[dict] = None,
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for p in model.params:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        fh.write(model.params.values.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
@@ -701,9 +757,5 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     if len(payload) != n_bytes:
         raise ConfigError(f"checkpoint {path} payload is {len(payload)} bytes, "
                           f"expected {n_bytes}")
-    values = np.frombuffer(payload, dtype="<f8")
-    offset = 0
-    for p in store:
-        p.value[...] = values[offset: offset + p.size].reshape(p.value.shape)
-        offset += p.size
+    store.values[...] = np.frombuffer(payload, dtype="<f8")
     return Model(config, store), header

@@ -1,6 +1,6 @@
 """Dense float64 tensor primitives with hand-written forward/backward pairs.
 
-Values are plain C-contiguous ``numpy.float64`` arrays. Every differentiable
+Values are plain ``numpy.float64`` arrays, views included. Every differentiable
 operation returns ``(output, OpCache)`` and has a matching ``*_backward``
 function that consumes the cache and the upstream gradient and returns exact
 analytic gradients. There is no autodiff graph: callers chain the backward
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError, StateError
 
@@ -24,8 +23,8 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def as_f64(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(x, dtype=np.float64)
+    """Coerce to a float64 array; float64 arrays and views pass through uncopied."""
+    return np.asarray(x, dtype=np.float64)
 
 
 def check_finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -43,11 +42,12 @@ class Parameter:
     grad: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.value = as_f64(self.value)
+        # contiguous, so that value.reshape(-1) writes through (gradient_check)
+        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
         else:
-            self.grad = as_f64(self.grad)
+            self.grad = np.ascontiguousarray(self.grad, dtype=np.float64)
             if self.grad.shape != self.value.shape:
                 raise ShapeError(
                     f"grad shape {self.grad.shape} != value shape {self.value.shape} "
@@ -80,7 +80,7 @@ class OpCache:
 # ---------------------------------------------------------------------------
 
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
-    """Valid cross-correlation over the last axis.
+    """Valid cross-correlation over the last axis, as im2col plus one GEMM.
 
     Args:
         x: input of shape ``[..., c_in, L]``.
@@ -90,7 +90,8 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
 
     Returns:
         ``(out, cache)`` with ``out`` of shape ``[..., c_out, L_out]`` where
-        ``L_out = (L - K) // stride + 1``.
+        ``L_out = (L - K) // stride + 1``; ``out`` is a channel-last array
+        seen through a transposed view.
     """
     x, w, b = as_f64(x), as_f64(w), as_f64(b)
     if not isinstance(stride, int) or stride < 1:
@@ -108,10 +109,16 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
     length = x.shape[-1]
     if k > length:
         raise ShapeError(f"kernel size {k} exceeds input length {length}")
-    # windows: [..., c_in, L_out, K]
-    windows = sliding_window_view(x, k, axis=-1)[..., ::stride, :]
-    out = np.einsum("...ilk,oik->...ol", windows, w, optimize=True) + b[:, None]
-    cache = OpCache("conv1d", {"x_shape": x.shape, "windows": windows, "w": w,
+    l_out = (length - k) // stride + 1
+    span = (l_out - 1) * stride + 1
+    # cols[..., l, i, t] = x[..., i, l * stride + t]
+    cols = np.empty((*x.shape[:-2], l_out, c_in, k))
+    for t in range(k):
+        cols[..., t] = np.swapaxes(x[..., t: t + span: stride], -1, -2)
+    out = cols.reshape(-1, c_in * k) @ w.reshape(c_out, c_in * k).T
+    out += b
+    out = np.swapaxes(out.reshape(*cols.shape[:-2], c_out), -1, -2)
+    cache = OpCache("conv1d", {"x_shape": x.shape, "cols": cols, "w": w,
                                "stride": stride})
     return out, cache
 
@@ -123,20 +130,19 @@ def conv1d_backward(cache: OpCache, g_out: np.ndarray):
     """
     saved = cache.expect("conv1d")
     g_out = as_f64(g_out)
-    windows, w, stride = saved["windows"], saved["w"], saved["stride"]
+    cols, w, stride = saved["cols"], saved["w"], saved["stride"]
     c_out, c_in, k = w.shape
     l_out = g_out.shape[-1]
 
-    # flatten any leading batch axes so reductions over them are explicit
-    win_flat = windows.reshape(-1, c_in, l_out, k)
-    g_flat = g_out.reshape(-1, c_out, l_out)
-    g_b = g_flat.sum(axis=(0, 2))
-    g_w = np.einsum("bilk,bol->oik", win_flat, g_flat, optimize=True)
+    g_rows = np.swapaxes(g_out, -1, -2).reshape(-1, c_out)  # [N * L_out, c_out]
+    g_b = g_rows.sum(axis=0)
+    g_w = (g_rows.T @ cols.reshape(-1, c_in * k)).reshape(w.shape)
+    g_cols = (g_rows @ w.reshape(c_out, c_in * k)).reshape(cols.shape)
     g_x = np.zeros(saved["x_shape"])
-    # each kernel tap t contributes to input positions i*stride + t
+    # each kernel tap t contributes to input positions l * stride + t
+    span = (l_out - 1) * stride + 1
     for t in range(k):
-        span = slice(t, t + (l_out - 1) * stride + 1, stride)
-        g_x[..., :, span] += np.einsum("...ol,oi->...il", g_out, w[:, :, t], optimize=True)
+        g_x[..., t: t + span: stride] += np.swapaxes(g_cols[..., t], -1, -2)
     return g_x, g_w, g_b
 
 
@@ -149,7 +155,8 @@ def maxpool1d(x: np.ndarray, window: int, stride: int):
 
     Returns ``(out, cache)`` with ``out`` of shape ``[..., c, L_out]``. Ties
     within a window resolve to the lowest index, so backward routes each
-    upstream gradient to exactly one input position.
+    upstream gradient to exactly one input position. The max is taken one
+    window tap at a time over strided slices of ``x``.
     """
     x = as_f64(x)
     if not isinstance(window, int) or window < 1:
@@ -159,11 +166,15 @@ def maxpool1d(x: np.ndarray, window: int, stride: int):
     length = x.shape[-1]
     if window > length:
         raise ShapeError(f"pool window {window} exceeds input length {length}")
-    views = sliding_window_view(x, window, axis=-1)[..., ::stride, :]
-    offsets = np.argmax(views, axis=-1)  # first occurrence wins on ties
-    out = np.take_along_axis(views, offsets[..., None], axis=-1)[..., 0]
+    span = (length - window) // stride * stride + 1
+    out = x[..., :span:stride].copy(order="K")  # keeps the memory layout of x
+    offsets = np.zeros_like(out, dtype=np.intp)
+    for t in range(1, window):
+        tap = x[..., t: t + span: stride]
+        np.copyto(offsets, t, where=tap > out)  # strict: an earlier tap keeps a tie
+        np.maximum(out, tap, out=out)  # propagates NaN as a reduction would
     cache = OpCache("maxpool1d", {"x_shape": x.shape, "offsets": offsets,
-                                  "stride": stride})
+                                  "window": window, "stride": stride})
     return out, cache
 
 
@@ -171,16 +182,10 @@ def maxpool1d_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
     saved = cache.expect("maxpool1d")
     g_out = as_f64(g_out)
     offsets, stride = saved["offsets"], saved["stride"]
-    x_shape = saved["x_shape"]
-    l_out = offsets.shape[-1]
-
-    positions = offsets + stride * np.arange(l_out)  # [..., L_out] absolute indices
-    g_x = np.zeros(x_shape)
-    flat_g = g_x.reshape(-1, x_shape[-1])
-    rows = np.broadcast_to(
-        np.arange(flat_g.shape[0])[:, None], (flat_g.shape[0], l_out)
-    )
-    np.add.at(flat_g, (rows, positions.reshape(-1, l_out)), g_out.reshape(-1, l_out))
+    span = (offsets.shape[-1] - 1) * stride + 1
+    g_x = np.zeros(saved["x_shape"])
+    for t in range(saved["window"]):
+        g_x[..., t: t + span: stride] += np.where(offsets == t, g_out, 0.0)
     return g_x
 
 
@@ -188,20 +193,32 @@ def maxpool1d_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
 # softmax
 # ---------------------------------------------------------------------------
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, keeping it as a length-1 axis."""
+    return np.einsum("...i->...", x)[..., None]
+
+
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
     x = as_f64(x)
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # rows are short (one per sequence position): a loop over the last axis
+    # beats a reduction that iterates over it per row
+    row_max = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(row_max, x[..., j], out=row_max)
+    e = x - row_max[..., None]
+    np.exp(e, out=e)
+    e /= _row_sums(e)
+    return e
 
 
 def softmax_rows_backward(y: np.ndarray, g_out: np.ndarray) -> np.ndarray:
     """Backward through softmax given its output ``y`` and upstream grad."""
     y = as_f64(y)
     g_out = as_f64(g_out)
-    inner = np.sum(g_out * y, axis=-1, keepdims=True)
-    return y * (g_out - inner)
+    g = g_out - np.einsum("...i,...i->...", g_out, y)[..., None]
+    g *= y
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +282,12 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
         raise ShapeError(
             f"gain/shift must have shape ({n},), got {gain.shape} and {shift.shape}"
         )
-    mean = np.mean(x, axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    xhat = x - _row_sums(x) / n
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gain + shift
+    xhat *= inv_std
+    out = xhat * gain
+    out += shift
     cache = OpCache("layer_norm", {"xhat": xhat, "inv_std": inv_std, "gain": gain})
     return out, cache
 
@@ -286,11 +303,9 @@ def layer_norm_backward(cache: OpCache, g_out: np.ndarray):
     g_gain = (g_out * xhat).reshape(-1, n).sum(axis=0)
     g_xhat = g_out * gain
     # d/dx of (x - mean)/sqrt(var + eps), all per row
-    g_x = inv_std * (
-        g_xhat
-        - np.mean(g_xhat, axis=-1, keepdims=True)
-        - xhat * np.mean(g_xhat * xhat, axis=-1, keepdims=True)
-    )
+    g_x = g_xhat - _row_sums(g_xhat) / n
+    g_x -= xhat * (np.einsum("...i,...i->...", g_xhat, xhat)[..., None] / n)
+    g_x *= inv_std
     return g_x, g_gain, g_shift
 
 

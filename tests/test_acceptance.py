@@ -8,6 +8,8 @@ is not present.
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -287,35 +289,68 @@ def test_criterion_7_lr_sweep_stability():
 # 8. determinism through the CLI
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_cli_determinism(tmp_path):
-    cfg = {
-        "model": {"d_embed": 4,
-                  "conv": {"channels": 6, "kernel": 3, "pool_window": 2,
-                           "pool_stride": 1},
-                  "attn": {"n_heads": 2, "d_model": 8, "n_blocks": 1},
-                  "ffn_dim": 8, "mlp_hidden": [6]},
-        "train": {"epochs": 6, "early_stop": None},
-    }
+CRITERION_8_CONFIG = {
+    "model": {"d_embed": 4,
+              "conv": {"channels": 6, "kernel": 3, "pool_window": 2,
+                       "pool_stride": 1},
+              "attn": {"n_heads": 2, "d_model": 8, "n_blocks": 1},
+              "ffn_dim": 8, "mlp_hidden": [6]},
+    "train": {"epochs": 6, "early_stop": None},
+}
+
+
+def _criterion_8_inputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(CRITERION_8_CONFIG))
     csv = tmp_path / "synth.csv"
     assert cli_run(["synth", "--n", "500", "--n-features", "6",
                     "--spec", "strong-single", "--seed", "9",
                     "--out", str(csv)]) == 0
+    return cfg_path, csv
+
+
+def _train_args(cfg_path, csv, out):
+    return ["train", "--config", str(cfg_path), "--data", str(csv),
+            "--out", str(out), "--seed", "11"]
+
+
+def _same_artifacts(a, b):
+    return tuple((a / name).read_bytes() == (b / name).read_bytes()
+                 for name in ("report.json", "checkpoint.bin"))
+
+
+def test_criterion_8_cli_determinism(tmp_path):
+    cfg_path, csv = _criterion_8_inputs(tmp_path)
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / f"run_{tag}"
-        assert cli_run(["train", "--config", str(cfg_path), "--data", str(csv),
-                        "--out", str(out), "--seed", "11"]) == 0
+        assert cli_run(_train_args(cfg_path, csv, out)) == 0
         outs.append(out)
-    same_report = (outs[0] / "report.json").read_bytes() == \
-                  (outs[1] / "report.json").read_bytes()
-    same_ckpt = (outs[0] / "checkpoint.bin").read_bytes() == \
-                (outs[1] / "checkpoint.bin").read_bytes()
+    same_report, same_ckpt = _same_artifacts(*outs)
     report("criterion-8 cli-determinism",
            same_report and same_ckpt,
            f"report.json byte-identical: {same_report}; "
            f"checkpoint.bin byte-identical: {same_ckpt}")
+
+
+def test_criterion_8_determinism_per_blas_thread_count(tmp_path):
+    """Criterion 8's training, each run in a fresh process, twice with one
+    OpenBLAS thread and twice with two."""
+    cfg_path, csv = _criterion_8_inputs(tmp_path)
+    src = str(REPO_ROOT / "src")
+    results = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        outs = [tmp_path / f"threads{threads}_{tag}" for tag in ("a", "b")]
+        for out in outs:
+            subprocess.run([sys.executable, "-m", "creditnet.cli",
+                            *_train_args(cfg_path, csv, out)], env=env, check=True)
+        results[threads] = _same_artifacts(*outs)
+    report("criterion-8 determinism per BLAS thread count",
+           all(all(same) for same in results.values()),
+           "; ".join(f"OPENBLAS_NUM_THREADS={t}: report.json, checkpoint.bin "
+                     f"byte-identical {same}" for t, same in results.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,18 @@ FAULTS = [
      "EarlyStop key(s) ['patiense']"),
     ("winsor-quantile", "config", {"winsorize": {"upper_quantile": 0.99}}, 1,
      "'lower_quantile' is missing"),
+    ("negative-pos-weight", "config", {"train": {"epochs": 2, "pos_weight": -1}}, 1,
+     "pos_weight must be finite positive, got -1"),
+    ("zero-adam-eps", "config", {"train": {"epochs": 2, "adam_eps": 0}}, 1,
+     "adam_eps must be finite positive, got 0"),
+    ("string-epochs", "config", {"train": {"epochs": "2"}}, 1,
+     "TrainConfig key 'epochs' must be int, got '2'"),
+    ("string-d-embed", "config", {"model": {"d_embed": "abc"}}, 1,
+     "ModelConfig key 'd_embed' must be int, got 'abc'"),
+    ("split-key", "config", {"split": {"fraction": [0.5, 0.25, 0.25]}}, 1,
+     "unknown SplitSpec key(s) ['fraction']; allowed: fractions, seed, stratified"),
+    ("schema-key", "config", {"schema": {"label": "label"}}, 1,
+     "unknown schema key(s) ['label']; allowed: label_column, feature_columns"),
     ("fractional-label", "csv", (5, "label", "0.5"), 2,
      "line 5, column 'label': label must be 0 or 1, got 0.5"),
     ("inf-cell", "csv", (7, "f2", "inf"), 2, "line 7, column 'f2': non-finite value, got inf"),

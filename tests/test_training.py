@@ -6,8 +6,7 @@ import pytest
 from creditnet.data import SchemaConfig, SplitSpec, Splits, standardize_apply, \
     standardize_fit, synth_generate, synth_preset, prepare_splits
 from creditnet.errors import ConfigError, NumericError, ShapeError
-from creditnet.model import Model, ModelConfig, AttnSpec, ConvSpec
-from creditnet.tensor_ops import Parameter
+from creditnet.model import Model, ModelConfig, AttnSpec, ConvSpec, ParamStore
 from creditnet.training import (
     AdamState,
     EarlyStop,
@@ -94,56 +93,61 @@ class TestBceLoss:
             bce_loss([0.5], [1, 0])
 
 
+def one_param(value):
+    """A ParamStore holding one parameter ``p``; returns ``(store, p)``."""
+    store = ParamStore()
+    return store, store.add("p", np.array(value, dtype=float))
+
+
 class TestSgd:
     def test_zero_gradient_no_change(self):
-        p = Parameter("p", np.array([1.0, 2.0]))
-        sgd_step([p], 0.5)
+        store, p = one_param([1.0, 2.0])
+        sgd_step(store, 0.5)
         assert np.array_equal(p.value, [1.0, 2.0])
 
     def test_quadratic_contraction_closed_form(self):
         # f(p) = p^2/2, grad = p, lr = 0.1: p_k = 0.9^k
-        p = Parameter("p", np.array([1.0]))
+        store, p = one_param([1.0])
         for k in range(1, 11):
             p.zero_grad()
             p.grad += p.value
-            sgd_step([p], 0.1)
+            sgd_step(store, 0.1)
             assert p.value[0] == pytest.approx(0.9 ** k, abs=1e-15)
 
     def test_nonfinite_gradient_rejected(self):
-        p = Parameter("p", np.array([1.0]))
+        store, p = one_param([1.0])
         p.grad += np.inf
         with pytest.raises(NumericError):
-            sgd_step([p], 0.1)
+            sgd_step(store, 0.1)
 
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
-        state = AdamState()
         for g in (0.3, -2.0, 1e-4):
-            p = Parameter("p", np.array([5.0]))
+            store, p = one_param([5.0])
             p.grad += g
             st = AdamState()
-            adam_step([p], 1e-3, st)
+            adam_step(store, 1e-3, st)
             # bias correction makes mhat/sqrt(vhat) = sign(g) up to eps
             assert abs(abs(p.value[0] - 5.0) - 1e-3) < 1e-6
 
     def test_state_persists_and_t_increments(self):
-        p = Parameter("p", np.array([1.0]))
+        store, p = one_param([1.0])
         state = AdamState()
         for t in range(1, 4):
             p.zero_grad()
             p.grad += p.value
-            adam_step([p], 0.01, state)
+            adam_step(store, 0.01, state)
             assert state.t == t
-        assert "p" in state.m and "p" in state.v
+        assert state.m.shape == state.v.shape == store.values.shape
 
     def test_converges_on_quadratic(self):
-        p = Parameter("p", np.array([3.0]))
+        store, p = one_param([3.0])
         state = AdamState()
         for _ in range(2000):
             p.zero_grad()
             p.grad += p.value
-            adam_step([p], 0.05, state)
+            adam_step(store, 0.05, state)
         assert abs(p.value[0]) < 1e-3
 
 
@@ -243,6 +247,17 @@ class TestTrainLoop:
         _, again = evaluate(model, splits.test)
         assert report.final["test"].auc == again.auc
         assert report.final["test"].acc == again.acc
+
+    def test_final_metrics_equal_fresh_passes_on_restored_parameters(self):
+        # the val/test probabilities kept from the best epoch stand in for
+        # fresh passes; they must be exactly what a fresh pass gives
+        splits = small_splits(seed=8, n=400)
+        cfg = TrainConfig(seed=3, epochs=60, early_stop=EarlyStop(patience=3))
+        model, report = train(SMALL_MODEL, cfg, splits)
+        assert report.best_epoch < report.epochs_run - 1  # parameters were restored
+        for name, frame in zip(("train", "val", "test"), splits):
+            _, again = evaluate(model, frame)
+            assert report.final[name].to_dict() == again.to_dict()
 
     def test_trained_hybrid_tracks_bayes_on_strong_single(self):
         frame, bayes = synth_generate(4000, 6, 11, synth_preset("strong-single", 6))
