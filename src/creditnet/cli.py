@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .data import (
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .importance import permutation_importance
 from .metrics import auc, evaluate_scores
-from .model import (Model, ModelConfig, config_from_dict, load_checkpoint,
+from .model import (Model, ModelConfig, check_types, config_from_dict, load_checkpoint,
                     reject_unknown_keys, save_checkpoint)
 from .training import (
     TrainConfig,
@@ -83,6 +83,14 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 # ---------------------------------------------------------------------------
 
+# type hints of the config file's top-level keys and of the sections the CLI
+# reads itself (the others go through their config classes)
+CONFIG_SECTIONS = dict.fromkeys(
+    ("model", "train", "schema", "split", "winsorize", "data"), Optional[dict])
+DATA_KEYS = {"subsample": Optional[int], "subsample_seed": int}
+WINSOR_KEYS = {"lower_quantile": float, "upper_quantile": float}
+
+
 def read_config_file(path) -> dict:
     if path is None:
         return {}
@@ -95,7 +103,16 @@ def read_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    return cfg
+    return checked_section("config", cfg, CONFIG_SECTIONS)
+
+
+def checked_section(what: str, section, hints: dict) -> dict:
+    """``section`` (empty if null) after rejecting keys not in ``hints`` and
+    values that do not fit their type hint."""
+    section = section or {}
+    reject_unknown_keys(what, section, hints)
+    check_types(what, section, hints)
+    return section
 
 
 def resolve_data_path(args) -> Path:
@@ -119,7 +136,7 @@ def load_frame(path: Path, cfg: dict):
         raise DataError(f"no such data file: {path}")
     section = cfg.get("schema") or {}
     reject_unknown_keys("schema", section, SCHEMA_KEYS)
-    data = cfg.get("data") or {}
+    data = checked_section("data", cfg.get("data"), DATA_KEYS)
     if section.get("feature_columns"):
         schema = SchemaConfig.from_dict(section)
     else:
@@ -128,7 +145,7 @@ def load_frame(path: Path, cfg: dict):
                                     MISSING_DEFAULT if markers is None else markers,
                                     section.get("imputation", "median"))
     frame = load_csv(path, schema, subsample=data.get("subsample"),
-                     seed=int(data.get("subsample_seed", 0)))
+                     seed=data.get("subsample_seed", 0))
     return frame, schema
 
 
@@ -141,7 +158,7 @@ def seeded_section(cfg: dict, name: str, seed_override) -> dict:
 
 
 def winsor_quantiles(cfg: dict):
-    section = cfg.get("winsorize")
+    section = checked_section("winsorize", cfg.get("winsorize"), WINSOR_KEYS)
     if not section:
         return None
     try:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
-from array import array
+import math
+import warnings
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -181,24 +183,76 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
              seed: int = 0) -> FeatureFrame:
     """Parse a comma-separated UTF-8 file with a header row.
 
+    Cells are read as the ``csv`` module reads them (``"``-quoted, blank lines
+    skipped) and converted by Python's ``float`` after stripping blanks.
     Cells matching ``schema.missing_markers`` become NaN and are flagged for
     later imputation. Any other unparseable or non-finite cell, and any label
     other than exactly 0 or 1, raises ``DataError`` naming its line (and
-    column). ``subsample`` keeps a seeded random subset of rows.
+    column). ``subsample`` (None or an int >= 1) keeps a seeded random subset
+    of rows.
     """
+    if subsample is not None and (isinstance(subsample, bool)
+                                  or not isinstance(subsample, Integral) or subsample < 1):
+        raise ConfigError(f"subsample must be null or an integer >= 1, got {subsample!r}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    markers = set(schema.missing_markers)
+    markers = frozenset(schema.missing_markers)
     col_index = {name: i for i, name in enumerate(read_header(path))}
     for needed in (schema.label_column, *schema.feature_columns):
         if needed not in col_index:
             raise SchemaError(f"column {needed!r} not found in header of {path}")
     label_i = col_index[schema.label_column]
     feat_is = [col_index[c] for c in schema.feature_columns]
-    width = max(label_i, *feat_is) + 1
 
-    rows, labels, miss, line_nos = [], array("d"), [], array("q")
+    def cell(text: str) -> float:
+        if text.strip() in markers:
+            return math.nan
+        value = float(text)
+        if value != value:  # so that NaN in X means exactly "missing"
+            raise ValueError(f"NaN spelled {text!r} is not a missing marker")
+        return value
+
+    # numpy's C tokenizer splits the file; every used cell still goes through
+    # float(), so values are bit-identical to a csv.reader + float() parse.
+    # usecols names each column once, since numpy skips the converter on a
+    # repeat; X takes repeated features back out of the table.
+    used = list(dict.fromkeys([label_i, *feat_is]))
+    try:
+        with path.open("r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            next(csv.reader(fh))  # the header record, quoted newlines and all
+            table = np.loadtxt(fh, delimiter=",", usecols=used,
+                               converters={label_i: float, **dict.fromkeys(feat_is, cell)},
+                               comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:
+        _raise_first_fault(path, schema, label_i, feat_is, str(exc))
+    y, X = table[:, 0], table.take([used.index(i) for i in feat_is], axis=1)
+    if not y.size or np.isinf(X).any() or np.any((y != 0) & (y != 1)):
+        _raise_first_fault(path, schema, label_i, feat_is,
+                           "no rows, a non-finite cell or a label other than 0/1")
+    missing = np.isnan(X)
+
+    if subsample is not None and subsample < X.shape[0]:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(X.shape[0], size=int(subsample), replace=False))
+        X, y, missing = X[keep], y[keep], missing[keep]
+
+    return FeatureFrame(feature_names=tuple(schema.feature_columns),
+                        X=X, y=y, missing=missing)
+
+
+def _raise_first_fault(path: Path, schema: SchemaConfig, label_i: int,
+                       feat_is: list[int], reason: str) -> NoReturn:
+    """Re-read a CSV that ``load_csv``'s fast parse rejected, row by row, and
+    raise the ``DataError`` of its first fault: a short row or an unparseable
+    cell at once; after the scan, no data rows, or else the first non-finite
+    cell or non-0/1 label in file order (a row's features before its label).
+    ``reason`` (numpy's complaint) is the message only if no fault is found."""
+    markers = set(schema.missing_markers)
+    width = max(label_i, *feat_is) + 1
+    first, n_rows = None, 0
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -208,53 +262,29 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
             if len(row) < width:
                 raise DataError(f"line {line_no}: expected at least {width} columns, "
                                 f"got {len(row)}")
-            cell = row[label_i].strip()
+            text = row[label_i].strip()
             try:
-                labels.append(float(cell))
+                label = float(text)
             except ValueError:
-                raise DataError(f"line {line_no}: bad label {cell!r}") from None
-            values = np.empty(len(feat_is))
-            missing_row = np.zeros(len(feat_is), dtype=bool)
-            for j, fi in enumerate(feat_is):
-                cell = row[fi].strip()
-                if cell in markers:
-                    values[j] = np.nan
-                    missing_row[j] = True
-                else:
-                    try:
-                        values[j] = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"line {line_no}: bad value {cell!r} in column "
-                            f"{schema.feature_columns[j]!r}"
-                        ) from None
-            rows.append(values)
-            miss.append(missing_row)
-            line_nos.append(line_no)
-
-    if not rows:
+                raise DataError(f"line {line_no}: bad label {text!r}") from None
+            for name, fi in zip(schema.feature_columns, feat_is):
+                text = row[fi].strip()
+                if text in markers:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise DataError(f"line {line_no}: bad value {text!r} in column "
+                                    f"{name!r}") from None
+                if first is None and not math.isfinite(value):
+                    first = f"line {line_no}, column {name!r}: non-finite value, got {value!r}"
+            if first is None and label not in (0.0, 1.0):
+                first = (f"line {line_no}, column {schema.label_column!r}: "
+                         f"label must be 0 or 1, got {label!r}")
+            n_rows += 1
+    if not n_rows:
         raise DataError(f"{path} contains a header but no data rows")
-    X = np.vstack(rows)
-    y = np.asarray(labels)
-    missing = np.vstack(miss)
-    bad = np.column_stack([~(np.isfinite(X) | missing), (y != 0) & (y != 1)])
-    if np.any(bad):
-        r, c = np.argwhere(bad)[0]
-        is_label = c == len(feat_is)
-        raise DataError(
-            f"line {line_nos[r]}, column "
-            f"{(*schema.feature_columns, schema.label_column)[c]!r}: "
-            f"{'label must be 0 or 1' if is_label else 'non-finite value'}, "
-            f"got {float(y[r] if is_label else X[r, c])!r}"
-        )
-
-    if subsample is not None and subsample < X.shape[0]:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(X.shape[0], size=int(subsample), replace=False))
-        X, y, missing = X[keep], y[keep], missing[keep]
-
-    return FeatureFrame(feature_names=tuple(schema.feature_columns),
-                        X=X, y=y, missing=missing)
+    raise DataError(first or f"{path}: {reason}")
 
 
 # ---------------------------------------------------------------------------

@@ -193,15 +193,19 @@ def config_from_dict(cls, d: dict):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"missing {cls.__name__} key(s) {missing}")
-    hints = get_type_hints(cls)
+    check_types(cls.__name__, d, get_type_hints(cls))
+    return cls(**d)
+
+
+def check_types(what: str, d: dict, hints: dict) -> None:
+    """Raise ``ConfigError`` naming the first key of ``d`` whose value does not
+    fit its type hint in ``hints``."""
     for key, value in d.items():
         hint = hints[key]
         if not _fits(hint, value):
             # "Optional[creditnet.training.EarlyStop]" -> "Optional[EarlyStop]"
             expected = re.sub(r"\w+\.", "", str(hint)) if get_origin(hint) else hint.__name__
-            raise ConfigError(f"{cls.__name__} key {key!r} must be {expected}, "
-                              f"got {value!r}")
-    return cls(**d)
+            raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
 
 
 def conv_out_len(length: int, window: int, stride: int) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,11 +92,11 @@ class TestTrain:
 
     def test_input_file_not_mutated(self, workspace):
         import hashlib
-        before = hashlib.sha256(open(workspace["csv"], "rb").read()).hexdigest()
+        before = hashlib.sha256(Path(workspace["csv"]).read_bytes()).hexdigest()
         out = workspace["root"] / "run_mut"
         run(["train", "--config", workspace["config"], "--data", workspace["csv"],
              "--out", str(out), "--seed", "1"])
-        after = hashlib.sha256(open(workspace["csv"], "rb").read()).hexdigest()
+        after = hashlib.sha256(Path(workspace["csv"]).read_bytes()).hexdigest()
         assert before == after
 
     def test_env_var_default_data_dir(self, workspace, monkeypatch, tmp_path):
@@ -262,6 +263,23 @@ FAULTS = [
      "EarlyStop key(s) ['patiense']"),
     ("winsor-quantile", "config", {"winsorize": {"upper_quantile": 0.99}}, 1,
      "'lower_quantile' is missing"),
+    ("top-level-key", "config", {"trian": {"epochs": 1}}, 1,
+     "unknown config key(s) ['trian']; allowed: model, train, schema, split, winsorize, data"),
+    ("data-key", "config", {"data": {"subsampel": 100}}, 1,
+     "unknown data key(s) ['subsampel']; allowed: subsample, subsample_seed"),
+    ("winsorize-key", "config", {"winsorize": {"lowr": 0.01, "upper_quantile": 0.99}}, 1,
+     "unknown winsorize key(s) ['lowr']; allowed: lower_quantile, upper_quantile"),
+    ("string-subsample", "config", {"data": {"subsample": "abc"}}, 1,
+     "data key 'subsample' must be Optional[int], got 'abc'"),
+    ("negative-subsample", "config", {"data": {"subsample": -5}}, 1,
+     "subsample must be null or an integer >= 1, got -5"),
+    ("fractional-subsample", "config", {"data": {"subsample": 2.5}}, 1,
+     "data key 'subsample' must be Optional[int], got 2.5"),
+    ("string-subsample-seed", "config", {"data": {"subsample_seed": "x"}}, 1,
+     "data key 'subsample_seed' must be int, got 'x'"),
+    ("string-quantile", "config",
+     {"winsorize": {"lower_quantile": "abc", "upper_quantile": 0.99}}, 1,
+     "winsorize key 'lower_quantile' must be float, got 'abc'"),
     ("negative-pos-weight", "config", {"train": {"epochs": 2, "pos_weight": -1}}, 1,
      "pos_weight must be finite positive, got -1"),
     ("zero-adam-eps", "config", {"train": {"epochs": 2, "adam_eps": 0}}, 1,

@@ -1,4 +1,4 @@
-"""Property-based checks of the checkpoint format and the AUC."""
+"""Property-based checks of the checkpoint format, the AUC and the KS."""
 
 import tempfile
 from pathlib import Path
@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from creditnet.errors import ConfigError  # noqa: E402
-from creditnet.metrics import auc  # noqa: E402
+from creditnet.metrics import auc, ks  # noqa: E402
 from creditnet.model import (  # noqa: E402
     AttnSpec,
     ConvSpec,
@@ -93,3 +93,22 @@ scores_and_labels = st.integers(2, 60).flatmap(lambda n: st.tuples(
 def test_auc_of_negated_scores_is_its_complement(case):
     scores, labels = np.array(case[0]), np.array(case[1])
     assert auc(-scores, labels) == pytest.approx(1.0 - auc(scores, labels), abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_auc_and_ks_are_invariant_under_strictly_increasing_maps(data):
+    """Scores on an integer grid (ties included) mapped through sorted distinct
+    levels keep their order exactly, so both statistics must not move at all."""
+    n = data.draw(st.integers(2, 60), label="n")
+    grid = data.draw(st.integers(1, 8), label="grid")
+    scores = np.array(data.draw(st.lists(st.integers(0, grid - 1), min_size=n, max_size=n),
+                                label="scores"))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                                .filter(lambda y: 0 < sum(y) < n), label="labels"))
+    levels = np.sort(data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                                        min_size=grid, max_size=grid, unique=True),
+                               label="levels"))
+    mapped = levels[scores]
+    assert auc(mapped, labels) == auc(scores.astype(float), labels)
+    assert ks(mapped, labels) == ks(scores.astype(float), labels)
