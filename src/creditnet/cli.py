@@ -84,10 +84,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 # type hints of the config file's top-level keys and of the sections the CLI
-# reads itself (the others go through their config classes)
+# reads itself (the others go through their config classes); load_csv checks
+# subsample itself, for API callers too
 CONFIG_SECTIONS = dict.fromkeys(
     ("model", "train", "schema", "split", "winsorize", "data"), Optional[dict])
-DATA_KEYS = {"subsample": Optional[int], "subsample_seed": int}
+DATA_KEYS = {"subsample": object, "subsample_seed": int}
 WINSOR_KEYS = {"lower_quantile": float, "upper_quantile": float}
 
 

@@ -209,8 +209,8 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
         if text.strip() in markers:
             return math.nan
         value = float(text)
-        if value != value:  # so that NaN in X means exactly "missing"
-            raise ValueError(f"NaN spelled {text!r} is not a missing marker")
+        if not math.isfinite(value):  # so that NaN in X means exactly "missing"
+            raise ValueError(f"non-finite value {text!r}")
         return value
 
     # numpy's C tokenizer splits the file; every used cell still goes through
@@ -225,13 +225,14 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
             next(csv.reader(fh))  # the header record, quoted newlines and all
             table = np.loadtxt(fh, delimiter=",", usecols=used,
                                converters={label_i: float, **dict.fromkeys(feat_is, cell)},
-                               comments=None, quotechar='"', ndmin=2)
+                               comments=None, quotechar='"', ndmin=2,
+                               encoding=None)  # str to the converters on numpy 1.x too
     except ValueError as exc:
         _raise_first_fault(path, schema, label_i, feat_is, str(exc))
     y, X = table[:, 0], table.take([used.index(i) for i in feat_is], axis=1)
-    if not y.size or np.isinf(X).any() or np.any((y != 0) & (y != 1)):
+    if not y.size or np.any((y != 0) & (y != 1)):
         _raise_first_fault(path, schema, label_i, feat_is,
-                           "no rows, a non-finite cell or a label other than 0/1")
+                           "no rows or a label other than 0/1")
     missing = np.isnan(X)
 
     if subsample is not None and subsample < X.shape[0]:

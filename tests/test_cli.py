@@ -270,11 +270,11 @@ FAULTS = [
     ("winsorize-key", "config", {"winsorize": {"lowr": 0.01, "upper_quantile": 0.99}}, 1,
      "unknown winsorize key(s) ['lowr']; allowed: lower_quantile, upper_quantile"),
     ("string-subsample", "config", {"data": {"subsample": "abc"}}, 1,
-     "data key 'subsample' must be Optional[int], got 'abc'"),
+     "subsample must be null or an integer >= 1, got 'abc'"),
     ("negative-subsample", "config", {"data": {"subsample": -5}}, 1,
      "subsample must be null or an integer >= 1, got -5"),
     ("fractional-subsample", "config", {"data": {"subsample": 2.5}}, 1,
-     "data key 'subsample' must be Optional[int], got 2.5"),
+     "subsample must be null or an integer >= 1, got 2.5"),
     ("string-subsample-seed", "config", {"data": {"subsample_seed": "x"}}, 1,
      "data key 'subsample_seed' must be int, got 'x'"),
     ("string-quantile", "config",

@@ -132,6 +132,24 @@ def test_repeated_feature_column(tmp_path):
     _assert_same(path, SchemaConfig("label", ("b", "a", "b")))
 
 
+def test_converters_get_str_under_the_numpy1_default_encoding(monkeypatch, tmp_path):
+    """Before numpy 2, loadtxt's default encoding was "bytes", which hands the
+    converters latin1-encoded bytes; load_csv must not rely on the default."""
+    real_loadtxt, seen = np.loadtxt, set()
+
+    def loadtxt(*args, converters, encoding="bytes", **kwargs):
+        def spy(conv):
+            return lambda text: (seen.add(type(text)), conv(text))[1]
+        return real_loadtxt(*args, converters={k: spy(c) for k, c in converters.items()},
+                            encoding=encoding, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + "\n1,0,NA, 2 \n2,1,,4\n", encoding="utf-8")
+    _assert_same(path, SchemaConfig("label", FEATURES))
+    assert seen == {str}
+
+
 @pytest.mark.parametrize("subsample", [1, 3, 5, 50])
 def test_subsample_matches_reference(subsample, tmp_path):
     rng = np.random.default_rng(subsample)
