@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional
 
 from . import __version__
 from .data import (
-    MISSING_DEFAULT,
     SYNTH_PRESETS,
     FeatureFrame,
     PreprocessStats,
@@ -72,6 +71,17 @@ EXIT_NUMERIC = 3
 
 class UsageError(Exception):
     pass
+
+
+def seed_arg(text: str) -> int:
+    """``--seed``: an integer >= 0, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,24 +137,17 @@ def resolve_data_path(args) -> Path:
     )
 
 
-# the keys SchemaConfig.to_dict writes and SchemaConfig.from_dict reads
-SCHEMA_KEYS = ("label_column", "feature_columns", "missing_markers", "imputation")
-
-
 def load_frame(path: Path, cfg: dict):
-    """Load a CSV resolving the schema (explicit, partial, or inferred)."""
+    """Load a CSV with the config's schema; without feature columns, every
+    named non-label header column is a feature."""
     if not Path(path).is_file():
         raise DataError(f"no such data file: {path}")
-    section = cfg.get("schema") or {}
-    reject_unknown_keys("schema", section, SCHEMA_KEYS)
     data = checked_section("data", cfg.get("data"), DATA_KEYS)
-    if section.get("feature_columns"):
-        schema = SchemaConfig.from_dict(section)
-    else:
-        markers = section.get("missing_markers")
-        schema = SchemaConfig.infer(read_header(path), section.get("label_column", "label"),
-                                    MISSING_DEFAULT if markers is None else markers,
-                                    section.get("imputation", "median"))
+    section = {"label_column": "label", **(cfg.get("schema") or {})}
+    if not section.get("feature_columns"):
+        label = section["label_column"]
+        section["feature_columns"] = [c for c in read_header(path) if c and c != label]
+    schema = SchemaConfig.from_dict(section)
     frame = load_csv(path, schema, subsample=data.get("subsample"),
                      seed=data.get("subsample_seed", 0))
     return frame, schema
@@ -454,7 +457,7 @@ def build_parser() -> _Parser:
             p.add_argument("--data", help=f"CSV path (default: ${DATA_DIR_ENV}/"
                                           f"{DEFAULT_DATA_FILE})")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=seed_arg, default=None,
                        help="override every seed in the run")
 
     p = sub.add_parser("train", help="train one model")
@@ -493,7 +496,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-features", type=int, default=10)
     p.add_argument("--spec", default="strong-single",
                    help=f"one of {', '.join(SYNTH_PRESETS)}")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_arg, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_synth)
 

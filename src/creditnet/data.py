@@ -11,17 +11,23 @@ import csv
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Optional, Sequence
+from typing import NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
+from .model import check_types, reject_unknown_keys
 from .tensor_ops import sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
+
+# JSON type of each key that SchemaConfig.to_dict writes and from_dict reads
+SCHEMA_KEYS = {"label_column": str, "feature_columns": tuple[str, ...],
+               "missing_markers": Optional[tuple[str, ...]], "imputation": Union[str, dict]}
 
 
 # ---------------------------------------------------------------------------
@@ -32,16 +38,15 @@ MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
 class FeatureFrame:
     """An immutable design matrix plus binary labels.
 
-    Missing cells are NaN in ``X`` and flagged in ``missing``; both are
-    cleared by imputation. ``split_tag`` is one of full/train/val/test.
+    Missing cells are NaN in ``X``, and NaN marks nothing else: ``load_csv``
+    rejects every other non-finite cell. Imputation clears them.
+    ``split_tag`` is one of full/train/val/test.
     """
 
     feature_names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray
-    missing: Optional[np.ndarray] = None
     standardized: bool = False
-    stats: Optional["StandardizeStats"] = None
     split_tag: str = "full"
 
     def __post_init__(self):
@@ -69,17 +74,15 @@ class FeatureFrame:
         return self.X.shape[1]
 
     @property
+    def missing(self) -> np.ndarray:
+        return np.isnan(self.X)
+
+    @property
     def n_missing_cells(self) -> int:
-        return 0 if self.missing is None else int(np.sum(self.missing))
+        return int(np.count_nonzero(self.missing))
 
     def take(self, idx: np.ndarray, split_tag: str) -> "FeatureFrame":
-        return replace(
-            self,
-            X=self.X[idx],
-            y=self.y[idx],
-            missing=None if self.missing is None else self.missing[idx],
-            split_tag=split_tag,
-        )
+        return replace(self, X=self.X[idx], y=self.y[idx], split_tag=split_tag)
 
 
 @dataclass(frozen=True)
@@ -104,15 +107,27 @@ class SchemaConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchemaConfig":
-        imputation = d.get("imputation", "median")
-        constant_value = 0.0
+        """The schema that ``to_dict`` wrote; an unknown key, a mistyped value,
+        a missing ``label_column`` or a bad imputation object is a ``ConfigError``."""
+        reject_unknown_keys("schema", d, SCHEMA_KEYS)
+        check_types("schema", d, SCHEMA_KEYS)
+        if "label_column" not in d:
+            raise ConfigError("schema needs a label_column")
+        imputation, constant_value = d.get("imputation", "median"), 0.0
         if isinstance(imputation, dict):
-            constant_value = float(imputation.get("value", 0.0))
-            imputation = imputation.get("kind", "constant")
+            value = imputation.get("value")
+            if (set(imputation) != {"kind", "value"} or imputation["kind"] != "constant"
+                    or isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"schema key 'imputation' must be a policy name or "
+                                  f'{{"kind": "constant", "value": <finite number>}}, '
+                                  f"got {imputation!r}")
+            imputation, constant_value = "constant", float(value)
+        markers = d.get("missing_markers")
         return cls(
             label_column=d["label_column"],
             feature_columns=tuple(d.get("feature_columns", ())),
-            missing_markers=tuple(d.get("missing_markers", MISSING_DEFAULT)),
+            missing_markers=MISSING_DEFAULT if markers is None else tuple(markers),
             imputation=imputation,
             constant_value=constant_value,
         )
@@ -121,16 +136,6 @@ class SchemaConfig:
     def from_json(cls, path) -> "SchemaConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    @classmethod
-    def infer(cls, header: Sequence[str], label_column: str,
-              missing_markers: Sequence[str] = MISSING_DEFAULT,
-              imputation: str = "median") -> "SchemaConfig":
-        """Build a schema taking every named non-label header column as a feature."""
-        if label_column not in header:
-            raise SchemaError(f"label column {label_column!r} not in header {list(header)!r}")
-        features = tuple(c for c in header if c and c != label_column)
-        return cls(label_column, features, tuple(missing_markers), imputation)
 
     def to_dict(self) -> dict:
         return {
@@ -158,6 +163,8 @@ class SplitSpec:
             raise ConfigError(f"fractions must be three values in (0,1), got {fr}")
         if abs(sum(fr) - 1.0) > 1e-12:
             raise ConfigError(f"fractions must sum to 1, got {sum(fr)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
 
 
 class Splits(NamedTuple):
@@ -170,13 +177,24 @@ class Splits(NamedTuple):
 # CSV loading
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _records(path):
+    """An open UTF-8 CSV file as ``(line number, row)`` pairs, one per record;
+    a byte that is not UTF-8 raises ``DataError`` naming the file."""
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            yield enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: byte "
+                        f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
+
+
 def read_header(path) -> list[str]:
     """Column names from the first row of a CSV file, blanks stripped."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        try:
-            return [name.strip() for name in next(csv.reader(fh))]
-        except StopIteration:
-            raise SchemaError(f"{path} is empty") from None
+    with _records(path) as records:
+        for _, row in records:
+            return [name.strip() for name in row]
+    raise SchemaError(f"{path} is empty")
 
 
 def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
@@ -185,15 +203,17 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
 
     Cells are read as the ``csv`` module reads them (``"``-quoted, blank lines
     skipped) and converted by Python's ``float`` after stripping blanks.
-    Cells matching ``schema.missing_markers`` become NaN and are flagged for
-    later imputation. Any other unparseable or non-finite cell, and any label
-    other than exactly 0 or 1, raises ``DataError`` naming its line (and
-    column). ``subsample`` (None or an int >= 1) keeps a seeded random subset
-    of rows.
+    Cells matching ``schema.missing_markers`` become NaN, the frame's one
+    mark of a missing cell. Any other unparseable or non-finite cell, and any
+    label other than exactly 0 or 1, raises ``DataError`` naming its line (and
+    column); so does a file that is not UTF-8. ``subsample`` (None or an
+    int >= 1) keeps a random subset of rows drawn with ``seed`` (>= 0).
     """
     if subsample is not None and (isinstance(subsample, bool)
                                   or not isinstance(subsample, Integral) or subsample < 1):
         raise ConfigError(f"subsample must be null or an integer >= 1, got {subsample!r}")
+    if subsample is not None and seed < 0:
+        raise ConfigError(f"subsample seed must be >= 0, got {seed}")
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -233,15 +253,13 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
     if not y.size or np.any((y != 0) & (y != 1)):
         _raise_first_fault(path, schema, label_i, feat_is,
                            "no rows or a label other than 0/1")
-    missing = np.isnan(X)
 
     if subsample is not None and subsample < X.shape[0]:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(X.shape[0], size=int(subsample), replace=False))
-        X, y, missing = X[keep], y[keep], missing[keep]
+        X, y = X[keep], y[keep]
 
-    return FeatureFrame(feature_names=tuple(schema.feature_columns),
-                        X=X, y=y, missing=missing)
+    return FeatureFrame(feature_names=tuple(schema.feature_columns), X=X, y=y)
 
 
 def _raise_first_fault(path: Path, schema: SchemaConfig, label_i: int,
@@ -254,10 +272,9 @@ def _raise_first_fault(path: Path, schema: SchemaConfig, label_i: int,
     markers = set(schema.missing_markers)
     width = max(label_i, *feat_is) + 1
     first, n_rows = None, 0
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line_no, row in enumerate(reader, start=2):
+    with _records(path) as records:
+        next(records)
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) < width:
@@ -349,7 +366,7 @@ def impute(frame: FeatureFrame, schema: Optional[SchemaConfig] = None,
     X = frame.X.copy()
     nan_mask = np.isnan(X)
     X[nan_mask] = np.broadcast_to(stats.fill_values, X.shape)[nan_mask]
-    return replace(frame, X=X, missing=np.zeros_like(nan_mask))
+    return replace(frame, X=X)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +446,7 @@ def standardize_apply(frame: FeatureFrame, stats: StandardizeStats) -> FeatureFr
     safe_std = np.where(stats.std == 0.0, 1.0, stats.std)
     Xs = (frame.X - stats.mean) / safe_std
     Xs[:, stats.std == 0.0] = 0.0
-    return replace(frame, X=Xs, standardized=True, stats=stats)
+    return replace(frame, X=Xs, standardized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -552,11 +569,8 @@ def synth_generate(n: int, n_features: int, seed: int,
     X = rng.standard_normal((n, n_features))
     logit = spec.logits(X)
     y = (rng.random(n) < sigmoid(logit)).astype(np.int64)
-    frame = FeatureFrame(
-        feature_names=tuple(f"f{i}" for i in range(n_features)),
-        X=X, y=y,
-        missing=np.zeros((n, n_features), dtype=bool),
-    )
+    frame = FeatureFrame(feature_names=tuple(f"f{i}" for i in range(n_features)),
+                         X=X, y=y)
     return frame, logit
 
 

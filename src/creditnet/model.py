@@ -113,6 +113,8 @@ class ModelConfig:
         for name, value in dims.items():
             if int(value) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"model seed must be >= 0, got {self.seed}")
         if self.attn.d_model % self.attn.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.attn.d_model} not divisible by "
@@ -290,7 +292,6 @@ def init_params(config: ModelConfig, seed: Optional[int] = None) -> ParamStore:
     Deterministic: identical (config, seed) pairs produce bit-identical
     stores. Variants only allocate the parameters their forward pass uses.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed if seed is None else seed)
     store = ParamStore()
     cv, at = config.conv, config.attn
@@ -345,8 +346,7 @@ def tokenize(x: np.ndarray, embed_weight: np.ndarray, embed_bias: np.ndarray):
     ``x`` is ``[n_features]`` or ``[B, n_features]``; tokens gain a trailing
     embedding axis.
     """
-    x = as_f64(x)
-    e, p = as_f64(embed_weight), as_f64(embed_bias)
+    e, p = embed_weight, embed_bias
     if x.shape[-1] != e.shape[0]:
         raise ShapeError(
             f"row has {x.shape[-1]} features but embeddings cover {e.shape[0]}"
@@ -359,7 +359,6 @@ def tokenize_backward(cache: OpCache, g_tokens: np.ndarray):
     """Returns ``(g_x, g_embed_weight, g_embed_bias)``."""
     saved = cache.expect("tokenize")
     x, e = saved["x"], saved["e"]
-    g_tokens = as_f64(g_tokens)
     g_x = np.einsum("...td,td->...t", g_tokens, e, optimize=True)
     g_flat = g_tokens.reshape(-1, *e.shape)
     g_e = np.einsum("btd,bt->td", g_flat, x.reshape(-1, e.shape[0]), optimize=True)
@@ -369,12 +368,11 @@ def tokenize_backward(cache: OpCache, g_tokens: np.ndarray):
 
 def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None):
     """Affine map over the last axis: ``x @ w + b``."""
-    x, w = as_f64(x), as_f64(w)
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight rows {w.shape[0]}")
     out = x @ w
     if b is not None:
-        out += as_f64(b)
+        out += b
     return out, OpCache("linear", {"x": x, "w": w, "has_bias": b is not None})
 
 
@@ -382,7 +380,6 @@ def linear_backward(cache: OpCache, g_out: np.ndarray):
     """Returns ``(g_x, g_w, g_b)``; ``g_b`` is None for bias-free layers."""
     saved = cache.expect("linear")
     x, w = saved["x"], saved["w"]
-    g_out = as_f64(g_out)
     g_x = g_out @ w.T
     g_flat = g_out.reshape(-1, w.shape[1])
     g_w = x.reshape(-1, w.shape[0]).T @ g_flat
@@ -395,7 +392,6 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
 
     Core shapes ``q,k: [..., s, d_k]`` and ``v: [..., s, d_v]``.
     """
-    q, k, v = as_f64(q), as_f64(k), as_f64(v)
     if q.shape != k.shape or q.shape[:-1] != v.shape[:-1]:
         raise ShapeError(
             f"attention shapes disagree: q{q.shape} k{k.shape} v{v.shape}"
@@ -418,7 +414,6 @@ def attention_backward(cache: OpCache, g_out: np.ndarray):
     saved = cache.expect("attention")
     q, k, v, weights, scale = (saved["q"], saved["k"], saved["v"],
                                saved["weights"], saved["scale"])
-    g_out = as_f64(g_out)
     g_v = np.swapaxes(weights, -1, -2) @ g_out
     g_weights = g_out @ np.swapaxes(v, -1, -2)
     g_logits = softmax_rows_backward(weights, g_weights)
@@ -447,7 +442,6 @@ def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: int):
     """Self-attention with ``n_heads`` parallel heads, concatenated and
     recombined by the output projection ``wo``. Projections are bias-free;
     Q, K and V come from one ``linear`` over ``[wq | wk | wv]``."""
-    tokens = as_f64(tokens)
     d_model = tokens.shape[-1]
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
@@ -554,9 +548,7 @@ class ForwardTrace:
     """Per-layer caches from one forward pass; consumed at most once."""
 
     probs: np.ndarray
-    z: np.ndarray
     caches: dict
-    batch_shape: tuple
     used: bool = False
 
 
@@ -564,7 +556,6 @@ class Model:
     """Config + parameters + the forward/backward pair for all variants."""
 
     def __init__(self, config: ModelConfig, params: Optional[ParamStore] = None):
-        config.validate()
         self.config = config
         self.params = params if params is not None else init_params(config)
 
@@ -633,11 +624,9 @@ class Model:
             mlp_caches.append((lin_cache, act_cache))
         caches["mlp"] = mlp_caches
 
-        z = h[..., 0]
-        probs = np.clip(sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        probs = np.clip(sigmoid(h[..., 0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
         check_finite(probs, "model probabilities")
-        return probs, ForwardTrace(probs=probs, z=z, caches=caches,
-                                   batch_shape=batch.shape)
+        return probs, ForwardTrace(probs=probs, caches=caches)
 
     # -- backward ---------------------------------------------------------
 

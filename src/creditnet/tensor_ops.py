@@ -1,6 +1,10 @@
 """Dense float64 tensor primitives with hand-written forward/backward pairs.
 
-Values are plain ``numpy.float64`` arrays, views included. Every differentiable
+Values are plain ``numpy.float64`` arrays, views included. The ops take
+float64 ndarrays and do not coerce their inputs: the public edges that
+receive outside data (``Model.forward``/``Model.backward``, ``ParamStore.add``
+and the training entry points) convert with ``as_f64`` once. The ops still
+check shapes, strides, windows and ``eps``. Every differentiable
 operation returns ``(output, OpCache)`` and has a matching ``*_backward``
 function that consumes the cache and the upstream gradient and returns exact
 analytic gradients. There is no autodiff graph: callers chain the backward
@@ -23,7 +27,7 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def as_f64(x) -> np.ndarray:
-    """Coerce to a float64 array; float64 arrays and views pass through uncopied."""
+    """Coerce outside input to float64; float64 arrays and views pass uncopied."""
     return np.asarray(x, dtype=np.float64)
 
 
@@ -93,7 +97,6 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
         ``L_out = (L - K) // stride + 1``; ``out`` is a channel-last array
         seen through a transposed view.
     """
-    x, w, b = as_f64(x), as_f64(w), as_f64(b)
     if not isinstance(stride, int) or stride < 1:
         raise ConfigError(f"conv1d stride must be a positive int, got {stride!r}")
     if x.ndim < 2 or w.ndim != 3 or b.ndim != 1:
@@ -129,7 +132,6 @@ def conv1d_backward(cache: OpCache, g_out: np.ndarray):
     Returns ``(g_x, g_w, g_b)`` matching the shapes of ``x``, ``w``, ``b``.
     """
     saved = cache.expect("conv1d")
-    g_out = as_f64(g_out)
     cols, w, stride = saved["cols"], saved["w"], saved["stride"]
     c_out, c_in, k = w.shape
     l_out = g_out.shape[-1]
@@ -158,7 +160,6 @@ def maxpool1d(x: np.ndarray, window: int, stride: int):
     upstream gradient to exactly one input position. The max is taken one
     window tap at a time over strided slices of ``x``.
     """
-    x = as_f64(x)
     if not isinstance(window, int) or window < 1:
         raise ConfigError(f"pool window must be a positive int, got {window!r}")
     if not isinstance(stride, int) or stride < 1:
@@ -180,7 +181,6 @@ def maxpool1d(x: np.ndarray, window: int, stride: int):
 
 def maxpool1d_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
     saved = cache.expect("maxpool1d")
-    g_out = as_f64(g_out)
     offsets, stride = saved["offsets"], saved["stride"]
     span = (offsets.shape[-1] - 1) * stride + 1
     g_x = np.zeros(saved["x_shape"])
@@ -200,7 +200,6 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
-    x = as_f64(x)
     # rows are short (one per sequence position): a loop over the last axis
     # beats a reduction that iterates over it per row
     row_max = x[..., 0].copy()
@@ -214,8 +213,6 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 def softmax_rows_backward(y: np.ndarray, g_out: np.ndarray) -> np.ndarray:
     """Backward through softmax given its output ``y`` and upstream grad."""
-    y = as_f64(y)
-    g_out = as_f64(g_out)
     g = g_out - np.einsum("...i,...i->...", g_out, y)[..., None]
     g *= y
     return g
@@ -230,7 +227,6 @@ def elementwise(kind: str, x: np.ndarray):
 
     ``kind`` is one of ``relu``, ``sigmoid``, ``tanh``.
     """
-    x = as_f64(x)
     if kind == "relu":
         out = np.maximum(x, 0.0)
         saved = {"kind": kind, "mask": x > 0.0}
@@ -247,7 +243,6 @@ def elementwise(kind: str, x: np.ndarray):
 
 def elementwise_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
     saved = cache.expect("elementwise")
-    g_out = as_f64(g_out)
     kind = saved["kind"]
     if kind == "relu":
         return g_out * saved["mask"]
@@ -259,7 +254,6 @@ def elementwise_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically safe logistic function 1 / (1 + e^-x)."""
-    x = as_f64(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -274,7 +268,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-5):
     """Normalize each row (last axis) to mean 0 / variance 1, then scale+shift."""
-    x, gain, shift = as_f64(x), as_f64(gain), as_f64(shift)
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps!r}")
     n = x.shape[-1]
@@ -295,7 +288,6 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
 def layer_norm_backward(cache: OpCache, g_out: np.ndarray):
     """Returns ``(g_x, g_gain, g_shift)``."""
     saved = cache.expect("layer_norm")
-    g_out = as_f64(g_out)
     xhat, inv_std, gain = saved["xhat"], saved["inv_std"], saved["gain"]
     n = xhat.shape[-1]
 

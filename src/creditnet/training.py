@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -65,6 +64,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 < b < 1.0):
                 raise ConfigError(f"{name} must be in (0,1), got {b}")
@@ -102,10 +103,9 @@ class RunReport:
     best_epoch: Optional[int]
     curves: dict[str, list[float]]
     final: dict[str, MetricsRecord]
-    wall_clock_seconds: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "config_hash": self.config_hash,
             "model_config": self.model_config,
             "train_config": self.train_config,
@@ -114,12 +114,9 @@ class RunReport:
             "curves": self.curves,
             "final": {split: m.to_dict() for split, m in self.final.items()},
         }
-        if include_timing:
-            d["wall_clock_seconds"] = self.wall_clock_seconds
-        return d
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def write_curves_csv(report: RunReport, path) -> None:
@@ -252,7 +249,6 @@ def evaluate(model, frame: FeatureFrame, pos_weight: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def _fit(model, train_cfg: TrainConfig, splits: Splits, model_config: dict) -> RunReport:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(train_cfg.seed)
     step = make_optimizer(train_cfg)
     train, test = splits.train, splits.test
@@ -323,7 +319,6 @@ def _fit(model, train_cfg: TrainConfig, splits: Splits, model_config: dict) -> R
         best_epoch=best_epoch,
         curves=curves,
         final=final,
-        wall_clock_seconds=time.perf_counter() - t0,
     )
 
 

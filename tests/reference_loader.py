@@ -88,5 +88,5 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
         keep = np.sort(rng.choice(X.shape[0], size=int(subsample), replace=False))
         X, y, missing = X[keep], y[keep], missing[keep]
 
-    return FeatureFrame(feature_names=tuple(schema.feature_columns),
-                        X=X, y=y, missing=missing)
+    assert np.array_equal(missing, np.isnan(X))
+    return FeatureFrame(feature_names=tuple(schema.feature_columns), X=X, y=y)

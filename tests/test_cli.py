@@ -292,6 +292,31 @@ FAULTS = [
      "unknown SplitSpec key(s) ['fraction']; allowed: fractions, seed, stratified"),
     ("schema-key", "config", {"schema": {"label": "label"}}, 1,
      "unknown schema key(s) ['label']; allowed: label_column, feature_columns"),
+    ("negative-model-seed", "config", {"model": {"seed": -1}}, 1,
+     "model seed must be >= 0, got -1"),
+    ("negative-train-seed", "config", {"train": {"epochs": 2, "seed": -1}}, 1,
+     "train seed must be >= 0, got -1"),
+    ("negative-split-seed", "config", {"split": {"seed": -1}}, 1,
+     "split seed must be >= 0, got -1"),
+    ("negative-subsample-seed", "config", {"data": {"subsample": 100, "subsample_seed": -1}},
+     1, "subsample seed must be >= 0, got -1"),
+    ("string-imputation-value", "config",
+     {"schema": {"imputation": {"kind": "constant", "value": "abc"}}}, 1,
+     "schema key 'imputation' must be a policy name or "
+     '{"kind": "constant", "value": <finite number>}, got '
+     "{'kind': 'constant', 'value': 'abc'}"),
+    ("nan-imputation-value", "config",
+     {"schema": {"imputation": {"kind": "constant", "value": float("nan")}}}, 1,
+     "got {'kind': 'constant', 'value': nan}"),
+    ("imputation-object-key", "config",
+     {"schema": {"imputation": {"kind": "constant", "valu": 5}}}, 1,
+     "got {'kind': 'constant', 'valu': 5}"),
+    ("string-missing-markers", "config", {"schema": {"missing_markers": "NA"}}, 1,
+     "schema key 'missing_markers' must be Optional[tuple[str, ...]], got 'NA'"),
+    ("string-feature-columns", "config", {"schema": {"feature_columns": "f0"}}, 1,
+     "schema key 'feature_columns' must be tuple[str, ...], got 'f0'"),
+    ("int-label-column", "config", {"schema": {"label_column": 5}}, 1,
+     "schema key 'label_column' must be str, got 5"),
     ("fractional-label", "csv", (5, "label", "0.5"), 2,
      "line 5, column 'label': label must be 0 or 1, got 0.5"),
     ("inf-cell", "csv", (7, "f2", "inf"), 2, "line 7, column 'f2': non-finite value, got inf"),
@@ -308,6 +333,31 @@ FAULTS = [
 
 class TestFaults:
     """Every bad input ends as its documented exit code; ``run`` never raises."""
+
+    @pytest.mark.parametrize("command", ["train", "synth", "importance"])
+    def test_negative_seed_flag_is_a_usage_error(self, command, workspace, trained,
+                                                 tmp_path, capsys):
+        args = {"train": ["--config", workspace["config"], "--data", workspace["csv"]],
+                "synth": ["--n", "300"],
+                "importance": ["--checkpoint", str(trained / "checkpoint.bin"),
+                               "--data", workspace["csv"]]}[command]
+        assert run([command, *args, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
+        assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+
+    def test_inferred_schema_takes_the_constant_imputation_object(self, workspace, tmp_path):
+        data = tmp_path / "holes.csv"
+        with open(workspace["csv"]) as fh:
+            data.write_text(_set_cell(_set_cell(fh.read(), 3, "f1", "NA"), 9, "f4", ""))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**FAST_CONFIG, "train": {"epochs": 1, "early_stop": None},
+             "schema": {"imputation": {"kind": "constant", "value": 0}}}))
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(config), "--data", str(data),
+                    "--out", str(out)]) == 0
+        schema = json.loads((out / "manifest.json").read_text())["resolved_config"]["schema"]
+        assert schema["imputation"] == {"kind": "constant", "value": 0.0}
+        assert schema["feature_columns"] == [f"f{i}" for i in range(6)]
 
     @pytest.mark.parametrize("where, change, code, fragment",
                              [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from creditnet.cli import load_frame
 from creditnet.data import (
     FeatureFrame,
     SchemaConfig,
@@ -94,8 +95,9 @@ class TestSchemaConfig:
         with pytest.raises(SchemaError):
             SchemaConfig(label_column="a", feature_columns=())
 
-    def test_infer_skips_label_and_unnamed(self):
-        schema = SchemaConfig.infer(["", "label", "x1", "x2"], "label")
+    def test_infer_skips_label_and_unnamed(self, tmp_path):
+        path = write_csv(tmp_path, ",label,x1,x2\n1,0,2,3\n")
+        _, schema = load_frame(path, {})
         assert schema.feature_columns == ("x1", "x2")
 
     def test_dict_roundtrip_with_constant(self):
@@ -178,6 +180,14 @@ class TestStandardize:
         stats = standardize_fit(test)
         with pytest.raises(LeakageError):
             standardize_apply(test, stats)
+
+    def test_nan_frame_from_the_constructor_is_not_imputed(self):
+        """NaN in X is the one missing-cell mark, however the frame was built."""
+        frame = frame_of([[1.0, np.nan], [2.0, 3.0], [np.nan, 4.0]], [0, 1, 0], tag="train")
+        assert np.array_equal(frame.missing, [[False, True], [False, False], [True, False]])
+        assert frame.n_missing_cells == 2
+        with pytest.raises(DataError, match="requires an imputed frame"):
+            standardize_fit(frame)
 
     def test_train_fitted_stats_carry_train_tag(self):
         train = frame_of([[0.0], [1.0], [2.0]], [0, 1, 0], tag="train")

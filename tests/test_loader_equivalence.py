@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from creditnet.data import MISSING_DEFAULT, SchemaConfig, load_csv
-from creditnet.errors import ConfigError
+from creditnet.errors import ConfigError, DataError
 
 from reference_loader import load_csv as reference_load_csv
 
@@ -124,6 +124,19 @@ def test_invalid_utf8_raises_like_reference(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes((HEADER + "\n1,0,1,2\n2,1,").encode() + b"\xff\xfe\n")
     _assert_same(path, SchemaConfig("label", FEATURES))
+
+
+@pytest.mark.parametrize("header, rows", [(HEADER + "\xff", 1), (HEADER, 1), (HEADER, 5000)],
+                         ids=["in-header", "in-header-read", "past-header-read"])
+def test_invalid_utf8_is_a_data_error_naming_the_file(header, rows, tmp_path):
+    """A byte that is not UTF-8 is a DataError whether ``read_header``'s
+    buffered read meets it or, further into the file, the row-by-row
+    re-read does."""
+    path = tmp_path / "data.csv"
+    text = (header + "\n1,0,1,2" * rows + "\n2,1,").encode("latin-1") + b"\xff\xfe\n"
+    path.write_bytes(text)
+    with pytest.raises(DataError, match=r"data\.csv is not UTF-8 text: byte 0xff"):
+        load_csv(path, SchemaConfig("label", FEATURES))
 
 
 def test_repeated_feature_column(tmp_path):

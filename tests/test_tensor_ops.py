@@ -90,8 +90,8 @@ class TestMatmul:
         assert np.array_equal(linear(a, np.eye(2))[0], a)
 
     def test_against_triple_loop_oracle(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        b = [[5.0, 6.0], [7.0, 8.0]]
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = np.array([[5.0, 6.0], [7.0, 8.0]])
         expected = matmul_oracle(a, b)
         assert np.array_equal(expected, [[19.0, 22.0], [43.0, 50.0]])
         assert np.allclose(linear(a, b)[0], expected, atol=0.0)
