@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple, NoReturn, Optional, Sequence, Union

@@ -109,6 +109,21 @@ class TestTrain:
         assert run(["train", "--config", workspace["config"],
                     "--out", str(out), "--seed", "2"]) == 0
 
+    def test_inferred_schema_takes_the_constant_imputation_object(self, workspace, tmp_path):
+        data = tmp_path / "holes.csv"
+        with open(workspace["csv"]) as fh:
+            data.write_text(_set_cell(_set_cell(fh.read(), 3, "f1", "NA"), 9, "f4", ""))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**FAST_CONFIG, "train": {"epochs": 1, "early_stop": None},
+             "schema": {"imputation": {"kind": "constant", "value": 0}}}))
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(config), "--data", str(data),
+                    "--out", str(out)]) == 0
+        schema = json.loads((out / "manifest.json").read_text())["resolved_config"]["schema"]
+        assert schema["imputation"] == {"kind": "constant", "value": 0.0}
+        assert schema["feature_columns"] == [f"f{i}" for i in range(6)]
+
 
 class TestSynthTrainBayesGap:
     def test_trained_auc_tracks_recorded_bayes_auc(self, tmp_path):
@@ -343,21 +358,6 @@ class TestFaults:
                                "--data", workspace["csv"]]}[command]
         assert run([command, *args, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
         assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
-
-    def test_inferred_schema_takes_the_constant_imputation_object(self, workspace, tmp_path):
-        data = tmp_path / "holes.csv"
-        with open(workspace["csv"]) as fh:
-            data.write_text(_set_cell(_set_cell(fh.read(), 3, "f1", "NA"), 9, "f4", ""))
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(
-            {**FAST_CONFIG, "train": {"epochs": 1, "early_stop": None},
-             "schema": {"imputation": {"kind": "constant", "value": 0}}}))
-        out = tmp_path / "out"
-        assert run(["train", "--config", str(config), "--data", str(data),
-                    "--out", str(out)]) == 0
-        schema = json.loads((out / "manifest.json").read_text())["resolved_config"]["schema"]
-        assert schema["imputation"] == {"kind": "constant", "value": 0.0}
-        assert schema["feature_columns"] == [f"f{i}" for i in range(6)]
 
     @pytest.mark.parametrize("where, change, code, fragment",
                              [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
