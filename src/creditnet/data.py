@@ -565,6 +565,8 @@ def synth_generate(n: int, n_features: int, seed: int,
         raise ConfigError(f"synthetic datasets need n >= 100, got {n}")
     if n_features < 1:
         raise ConfigError("n_features must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"synthetic seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, n_features))
     logit = spec.logits(X)

@@ -71,6 +71,8 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
     """
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"importance seed must be >= 0, got {seed}")
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
     score = _METRICS[metric]

@@ -57,6 +57,8 @@ def _validate(scores, labels):
         )
     if scores.shape[0] == 0:
         raise DataError("empty input")
+    if not np.isfinite(scores).all():
+        raise DataError("scores contain non-finite values")
     if not np.all((labels == 0) | (labels == 1)):
         raise DataError(f"labels must be 0/1, got values {np.unique(labels)!r}")
     return scores, labels.astype(np.int64)

@@ -24,7 +24,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, DataError, ShapeError, StateError
 from .tensor_ops import (
     ACTIVATIONS,
     OpCache,
@@ -552,6 +552,21 @@ class ForwardTrace:
     used: bool = False
 
 
+def check_batch(batch, n_features: int) -> np.ndarray:
+    """``batch`` as a float64 ``[B >= 1, n_features]`` array of finite values;
+    a wrong shape is a ``ShapeError``, a NaN or inf a ``DataError``."""
+    batch = as_f64(batch)
+    if batch.ndim != 2:
+        raise ShapeError(f"batch must be 2-D [B, n_features], got {batch.shape}")
+    if batch.shape[1] != n_features:
+        raise ShapeError(f"batch has {batch.shape[1]} features, model expects {n_features}")
+    if batch.shape[0] == 0:
+        raise ShapeError("batch has no rows")
+    if not np.isfinite(batch).all():
+        raise DataError("batch contains non-finite values")
+    return batch
+
+
 class Model:
     """Config + parameters + the forward/backward pair for all variants."""
 
@@ -578,13 +593,7 @@ class Model:
         value strictly inside (0, 1).
         """
         cfg = self.config
-        batch = as_f64(batch)
-        if batch.ndim != 2:
-            raise ShapeError(f"batch must be 2-D [B, n_features], got {batch.shape}")
-        if batch.shape[1] != cfg.n_features:
-            raise ShapeError(
-                f"batch has {batch.shape[1]} features, model expects {cfg.n_features}"
-            )
+        batch = check_batch(batch, cfg.n_features)
         caches: dict = {}
 
         tokens, caches["tokenize"] = tokenize(
@@ -726,9 +735,12 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     and shape, that its config builds, and the payload must hold exactly
     their values; anything else is a ``ConfigError``.
     """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            payload = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -18,7 +18,8 @@ import numpy as np
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MetricsRecord, accuracy, auc, evaluate_scores
-from .model import PROB_CLAMP, Model, ModelConfig, ParamStore, config_from_dict
+from .model import (PROB_CLAMP, Model, ModelConfig, ParamStore, check_batch,
+                    config_from_dict)
 from .tensor_ops import as_f64, sigmoid
 
 PROB_EPS = 1e-12  # cross-entropy clamp
@@ -222,15 +223,24 @@ def make_optimizer(cfg: TrainConfig):
 # evaluation helpers
 # ---------------------------------------------------------------------------
 
+# rows per request that the `score` benchmark hands to predict_probs
 EVAL_BATCH = 2048
 
+# Rows per Model.forward when scoring. One 2,048-row forward's conv columns
+# and Q/K/V take several MB, overflow a 2 MiB L2 and land on fresh pages each
+# call; in 256-row blocks the default hybrid forward took about 30 us/row
+# against 45-52 at 2,048 rows (10 features, 2-CPU x86-64 host), 128 and 512
+# were no faster, and the `score` benchmark's peak RSS fell from 193 to 65 MiB.
+SCORE_BLOCK = 256
 
-def predict_probs(model, X: np.ndarray, batch_size: int = EVAL_BATCH) -> np.ndarray:
+
+def predict_probs(model, X: np.ndarray) -> np.ndarray:
+    """Probabilities for every row of ``X``, one ``model.forward`` per
+    ``SCORE_BLOCK`` rows."""
     X = as_f64(X)
     out = np.empty(X.shape[0])
-    for start in range(0, X.shape[0], batch_size):
-        probs, _ = model.forward(X[start: start + batch_size])
-        out[start: start + batch_size] = probs
+    for start in range(0, X.shape[0], SCORE_BLOCK):
+        out[start: start + SCORE_BLOCK], _ = model.forward(X[start: start + SCORE_BLOCK])
     return out
 
 
@@ -344,9 +354,7 @@ class LogisticModel:
         self.params.add("bias", np.zeros(1))
 
     def forward(self, batch):
-        X = as_f64(batch)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ShapeError(f"expected [B, {self.n_features}] batch, got {X.shape}")
+        X = check_batch(batch, self.n_features)
         z = X @ self.params["weight"].value + self.params["bias"].value[0]
         probs = np.clip(sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
         return probs, {"X": X, "probs": probs}

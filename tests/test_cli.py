@@ -335,6 +335,9 @@ FAULTS = [
     ("fractional-label", "csv", (5, "label", "0.5"), 2,
      "line 5, column 'label': label must be 0 or 1, got 0.5"),
     ("inf-cell", "csv", (7, "f2", "inf"), 2, "line 7, column 'f2': non-finite value, got inf"),
+    ("eval-missing-checkpoint", "no-checkpoint", "eval", 1, "cannot read checkpoint"),
+    ("importance-missing-checkpoint", "no-checkpoint", "importance", 1,
+     "cannot read checkpoint"),
     ("trailing-bytes", "checkpoint", lambda h, p: (h, p + bytes(16)), 1, "payload is"),
     ("version-99", "checkpoint", lambda h, p: ({**h, "version": 99}, p), 1,
      "unsupported checkpoint version 99"),
@@ -378,5 +381,7 @@ class TestFaults:
             checkpoint = tmp_path / "checkpoint.bin"
             checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + payload)
             command = ["eval", "--checkpoint", str(checkpoint)]
+        elif where == "no-checkpoint":
+            command = [change, "--checkpoint", str(tmp_path / "nope.bin")]
         assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == code
         assert fragment in capsys.readouterr().err

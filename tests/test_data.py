@@ -294,6 +294,10 @@ class TestSynth:
         with pytest.raises(ConfigError):
             synth_generate(50, 3, 0, SynthSpec())
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="synthetic seed must be >= 0, got -1"):
+            synth_generate(200, 4, -1, synth_preset("linear", 4))
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             synth_preset("nope", 10)

@@ -100,6 +100,11 @@ class TestPermutationImportance:
         with pytest.raises(ConfigError):
             permutation_importance(model, test, repeats=0)
 
+    def test_negative_seed(self, trained_on_dominant_feature):
+        model, test = trained_on_dominant_feature
+        with pytest.raises(ConfigError, match="importance seed must be >= 0, got -1"):
+            permutation_importance(model, test, seed=-1)
+
     def test_single_class_split_undefined(self, trained_on_dominant_feature):
         from dataclasses import replace as dc_replace
         model, test = trained_on_dominant_feature

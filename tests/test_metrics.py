@@ -263,6 +263,13 @@ class TestReferenceEquality:
         assert calls == {"validate": 1, "argsort": 1}
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [accuracy, auc, ks, roc_points, evaluate_scores])
+def test_non_finite_scores_are_data_errors(fn, bad):
+    with pytest.raises(DataError, match="scores contain non-finite values"):
+        fn([0.1, bad, 0.3, 0.2], [0, 1, 1, 0])
+
+
 class TestEvaluateScores:
     def test_record_fields(self):
         rec = evaluate_scores([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from creditnet.errors import ConfigError, ShapeError, StateError
+from creditnet.errors import ConfigError, DataError, ShapeError, StateError
 from creditnet.model import (
     AttnSpec,
     ConvSpec,
@@ -298,6 +298,17 @@ class TestForward:
         with pytest.raises(ShapeError):
             model.forward(np.zeros((4, 5)))
 
+    def test_empty_batch_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="batch has no rows"):
+            Model(SMALL).forward(np.zeros((0, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_data_error(self, bad):
+        X = np.zeros((4, 8))
+        X[2, 5] = bad
+        with pytest.raises(DataError, match="batch contains non-finite values"):
+            Model(SMALL).forward(X)
+
     def test_deterministic_outputs(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((6, 8))
@@ -468,6 +479,11 @@ class TestCheckpoint:
         header = json.loads(header_line)
         n_floats = sum(int(np.prod(e["shape"])) for e in header["params"])
         assert len(payload) == 8 * n_floats
+
+    def test_missing_file_is_a_config_error_naming_it(self, tmp_path):
+        path = tmp_path / "nope.bin"
+        with pytest.raises(ConfigError, match=f"cannot read checkpoint {path}"):
+            load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -5,11 +5,13 @@ import pytest
 
 from creditnet.data import SchemaConfig, SplitSpec, Splits, standardize_apply, \
     standardize_fit, synth_generate, synth_preset, prepare_splits
-from creditnet.errors import ConfigError, NumericError, ShapeError
+from creditnet.errors import ConfigError, DataError, NumericError, ShapeError
 from creditnet.model import Model, ModelConfig, AttnSpec, ConvSpec, ParamStore
 from creditnet.training import (
+    SCORE_BLOCK,
     AdamState,
     EarlyStop,
+    LogisticModel,
     TrainConfig,
     adam_step,
     bce_loss,
@@ -19,6 +21,7 @@ from creditnet.training import (
     sweep_lr,
     sweep_optimizer,
     ablate,
+    predict_probs,
     train,
     train_baseline_logistic,
     write_curves_csv,
@@ -268,6 +271,43 @@ class TestTrainLoop:
         cfg = TrainConfig(seed=11, epochs=40, early_stop=EarlyStop(patience=8))
         _, report = train(SMALL_MODEL, cfg, splits)
         assert abs(report.final["test"].auc - bayes_auc) < 0.03
+
+
+class TestPredictProbs:
+    @pytest.mark.parametrize("variant", ["hybrid", "cnn_only", "transformer_only"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 2049])
+    def test_scores_in_blocks_of_score_block_rows(self, variant, n):
+        from dataclasses import replace as dc_replace
+        model = Model(dc_replace(SMALL_MODEL, variant=variant))
+        X = np.random.default_rng(n).standard_normal((n, 6))
+        blocks = [model.forward(X[s: s + SCORE_BLOCK])[0] for s in range(0, n, SCORE_BLOCK)]
+        probs = predict_probs(model, X)
+        assert probs.tobytes() == np.concatenate(blocks).tobytes()
+        whole, _ = model.forward(X)
+        assert np.max(np.abs(probs - whole)) <= 1e-12
+
+    def test_never_forwards_more_than_score_block_rows(self, monkeypatch):
+        model = Model(SMALL_MODEL)
+        sizes = []
+
+        def spy(batch):
+            sizes.append(batch.shape[0])
+            return Model.forward(model, batch)
+
+        monkeypatch.setattr(model, "forward", spy)
+        predict_probs(model, np.zeros((3 * SCORE_BLOCK + 5, 6)))
+        assert sizes == [SCORE_BLOCK] * 3 + [5]
+
+    def test_zero_rows_give_an_empty_array(self):
+        probs = predict_probs(Model(SMALL_MODEL), np.zeros((0, 6)))
+        assert probs.shape == (0,)
+
+    def test_non_finite_row_is_a_data_error(self):
+        X = np.zeros((300, 6))
+        X[299, 0] = np.nan
+        for model in (Model(SMALL_MODEL), LogisticModel(6)):
+            with pytest.raises(DataError, match="batch contains non-finite values"):
+                predict_probs(model, X)
 
 
 class TestCurvesCsv:
