@@ -347,6 +347,8 @@ def tokenize(x: np.ndarray, embed_weight: np.ndarray, embed_bias: np.ndarray):
     embedding axis.
     """
     e, p = embed_weight, embed_bias
+    if x.ndim < 1:
+        raise ShapeError("tokenize: x must have a feature axis, got a 0-d array")
     if x.shape[-1] != e.shape[0]:
         raise ShapeError(
             f"row has {x.shape[-1]} features but embeddings cover {e.shape[0]}"
@@ -359,21 +361,25 @@ def tokenize_backward(cache: OpCache, g_tokens: np.ndarray):
     """Returns ``(g_x, g_embed_weight, g_embed_bias)``."""
     saved = cache.expect("tokenize")
     x, e = saved["x"], saved["e"]
-    g_x = np.einsum("...td,td->...t", g_tokens, e, optimize=True)
+    g_x = np.einsum("...td,td->...t", g_tokens, e)
     g_flat = g_tokens.reshape(-1, *e.shape)
-    g_e = np.einsum("btd,bt->td", g_flat, x.reshape(-1, e.shape[0]), optimize=True)
+    g_e = np.einsum("btd,bt->td", g_flat, x.reshape(-1, e.shape[0]))
     g_p = g_flat.sum(axis=0)
     return g_x, g_e, g_p
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None):
-    """Affine map over the last axis: ``x @ w + b``."""
+    """Affine map over the last axis: ``x @ w + b``, as one 2-D GEMM over the
+    leading axes flattened into rows."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: input width {x.shape[-1]} != weight rows {w.shape[0]}")
-    out = x @ w
+    if b is not None and b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: bias shape {b.shape} != weight columns ({w.shape[1]},)")
+    out = x.reshape(-1, w.shape[0]) @ w
     if b is not None:
         out += b
-    return out, OpCache("linear", {"x": x, "w": w, "has_bias": b is not None})
+    return (out.reshape(*x.shape[:-1], w.shape[1]),
+            OpCache("linear", {"x": x, "w": w, "has_bias": b is not None}))
 
 
 def linear_backward(cache: OpCache, g_out: np.ndarray):
@@ -390,7 +396,9 @@ def linear_backward(cache: OpCache, g_out: np.ndarray):
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Scaled dot-product attention: softmax(q k^T / sqrt(d_k)) v.
 
-    Core shapes ``q,k: [..., s, d_k]`` and ``v: [..., s, d_v]``.
+    Core shapes ``q,k: [..., s, d_k]`` and ``v: [..., s, d_v]``. With a head
+    axis in front (``[..., h, s, d_v]``), the output is a view of a
+    ``[..., s, h, d_v]`` array, so ``_merge_heads`` is a free reshape.
     """
     if q.shape != k.shape or q.shape[:-1] != v.shape[:-1]:
         raise ShapeError(
@@ -402,24 +410,30 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     scale = 1.0 / np.sqrt(d_k)
     logits = q @ np.swapaxes(k, -1, -2)
     logits *= scale
-    weights = softmax_rows(logits)
-    out = weights @ v
+    weights = softmax_rows(logits, out=logits)
+    out = None
+    if v.ndim > 2:
+        *lead, h, s, d_v = v.shape
+        out = np.swapaxes(np.empty((*lead, s, h, d_v)), -2, -3)
+    out = np.matmul(weights, v, out=out)
     cache = OpCache("attention",
                     {"q": q, "k": k, "v": v, "weights": weights, "scale": scale})
     return out, cache
 
 
-def attention_backward(cache: OpCache, g_out: np.ndarray):
-    """Returns ``(g_q, g_k, g_v)``."""
+def attention_backward(cache: OpCache, g_out: np.ndarray, *, out=None):
+    """Returns ``(g_q, g_k, g_v)``, written into ``out`` when it is given as
+    three arrays shaped like ``q``, ``k`` and ``v``."""
     saved = cache.expect("attention")
     q, k, v, weights, scale = (saved["q"], saved["k"], saved["v"],
                                saved["weights"], saved["scale"])
-    g_v = np.swapaxes(weights, -1, -2) @ g_out
+    g_q, g_k, g_v = (None, None, None) if out is None else out
+    g_v = np.matmul(np.swapaxes(weights, -1, -2), g_out, out=g_v)
     g_weights = g_out @ np.swapaxes(v, -1, -2)
-    g_logits = softmax_rows_backward(weights, g_weights)
-    g_q = g_logits @ k
+    g_logits = softmax_rows_backward(weights, g_weights, out=g_weights)
+    g_q = np.matmul(g_logits, k, out=g_q)
     g_q *= scale
-    g_k = np.swapaxes(g_logits, -1, -2) @ q
+    g_k = np.matmul(np.swapaxes(g_logits, -1, -2), q, out=g_k)
     g_k *= scale
     return g_q, g_k, g_v
 
@@ -438,18 +452,31 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], -1)
 
 
+def _qkv_views(qkv: np.ndarray) -> tuple:
+    # [..., s, 3, h, d_k] -> q, k and v as [..., h, s, d_k] views
+    return tuple(np.swapaxes(qkv[..., i, :, :], -2, -3) for i in range(3))
+
+
 def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: int):
     """Self-attention with ``n_heads`` parallel heads, concatenated and
     recombined by the output projection ``wo``. Projections are bias-free;
-    Q, K and V come from one ``linear`` over ``[wq | wk | wv]``."""
+    Q, K and V are views of one ``linear`` over ``[wq | wk | wv]``."""
+    if tokens.ndim < 2:
+        raise ShapeError(f"multi_head_attention: tokens must be [..., s, d_model], "
+                         f"got {tokens.shape}")
     d_model = tokens.shape[-1]
+    if n_heads < 1:
+        raise ConfigError(f"n_heads must be >= 1, got {n_heads}")
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
+    for name, w in zip("QKVO", (wq, wk, wv, wo)):
+        if w.shape != (d_model, d_model):
+            raise ShapeError(f"multi_head_attention: Q/K/V/O must be [d, d] = "
+                             f"{[d_model, d_model]}, {name} is {list(w.shape)}")
     qkv, qkv_cache = linear(tokens, np.concatenate((wq, wk, wv), axis=1))
-    q, k, v = (_split_heads(part, n_heads) for part in np.split(qkv, 3, axis=-1))
-    att_out, att_cache = attention(q, k, v)
-    concat = _merge_heads(att_out)
-    out, o_cache = linear(concat, wo)
+    qkv = qkv.reshape(*tokens.shape[:-1], 3, n_heads, d_model // n_heads)
+    att_out, att_cache = attention(*_qkv_views(qkv))
+    out, o_cache = linear(_merge_heads(att_out), wo)
     cache = OpCache("multi_head", {
         "qkv_cache": qkv_cache, "att_cache": att_cache, "o_cache": o_cache,
         "n_heads": n_heads,
@@ -462,11 +489,11 @@ def multi_head_attention_backward(cache: OpCache, g_out: np.ndarray):
     saved = cache.expect("multi_head")
     n_heads = saved["n_heads"]
     g_concat, g_wo, _ = linear_backward(saved["o_cache"], g_out)
-    g_heads = attention_backward(saved["att_cache"], _split_heads(g_concat, n_heads))
     d_model = g_concat.shape[-1]
+    # g_q, g_k and g_v are written straight into the row layout of qkv
     g_qkv = np.empty((*g_concat.shape[:-1], 3, n_heads, d_model // n_heads))
-    for i, g in enumerate(g_heads):
-        g_qkv[..., i, :, :] = np.swapaxes(g, -2, -3)  # [..., h, s, d_k] -> [..., s, h, d_k]
+    attention_backward(saved["att_cache"], _split_heads(g_concat, n_heads),
+                       out=_qkv_views(g_qkv))
     g_tokens, g_w, _ = linear_backward(
         saved["qkv_cache"], g_qkv.reshape(*g_concat.shape[:-1], 3 * d_model))
     return (g_tokens, *np.split(g_w, 3, axis=1), g_wo)
@@ -482,21 +509,25 @@ def transformer_block(tokens: np.ndarray, weights: dict, n_heads: int,
                       use_layer_norm: bool, activation: str = "relu"):
     """One encoder block: multi-head self-attention then a position-wise
     feed-forward net. With ``use_layer_norm`` both sublayers are wrapped as
-    residual + layer-norm; without it the sublayers chain bare."""
+    residual + layer-norm; without it the sublayers chain bare. Residuals,
+    layer norms and the activation work in place on sublayer outputs that
+    nothing else holds."""
     mha, mha_cache = multi_head_attention(
         tokens, weights["attn.wq"], weights["attn.wk"], weights["attn.wv"],
         weights["attn.wo"], n_heads)
     if use_layer_norm:
-        h1, ln1_cache = layer_norm(tokens + mha, weights["ln1.gain"],
-                                   weights["ln1.shift"], LN_EPS)
+        mha += tokens
+        h1, ln1_cache = layer_norm(mha, weights["ln1.gain"], weights["ln1.shift"], LN_EPS,
+                                   out=mha)
     else:
         h1, ln1_cache = mha, None
     f1, f1_cache = linear(h1, weights["ffn.w1"], weights["ffn.b1"])
-    a1, act_cache = elementwise(activation, f1)
+    a1, act_cache = elementwise(activation, f1, out=f1)
     f2, f2_cache = linear(a1, weights["ffn.w2"], weights["ffn.b2"])
     if use_layer_norm:
-        out, ln2_cache = layer_norm(h1 + f2, weights["ln2.gain"],
-                                    weights["ln2.shift"], LN_EPS)
+        f2 += h1
+        out, ln2_cache = layer_norm(f2, weights["ln2.gain"], weights["ln2.shift"], LN_EPS,
+                                    out=f2)
     else:
         out, ln2_cache = f2, None
     cache = OpCache("transformer_block", {
@@ -514,28 +545,24 @@ def transformer_block_backward(cache: OpCache, g_out: np.ndarray):
     grads: dict[str, np.ndarray] = {}
 
     if use_ln:
-        g_sum2, grads["ln2.gain"], grads["ln2.shift"] = layer_norm_backward(
+        g_f2, grads["ln2.gain"], grads["ln2.shift"] = layer_norm_backward(
             saved["ln2_cache"], g_out)
-        g_h1_res, g_f2 = g_sum2, g_sum2
     else:
-        g_h1_res, g_f2 = 0.0, g_out
-
+        g_f2 = g_out
     g_a1, grads["ffn.w2"], grads["ffn.b2"] = linear_backward(saved["f2_cache"], g_f2)
-    g_f1 = elementwise_backward(saved["act_cache"], g_a1)
-    g_h1_ffn, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(saved["f1_cache"], g_f1)
-    g_h1 = g_h1_res + g_h1_ffn
-
+    g_f1 = elementwise_backward(saved["act_cache"], g_a1, out=g_a1)
+    g_h1, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(saved["f1_cache"], g_f1)
     if use_ln:
-        g_sum1, grads["ln1.gain"], grads["ln1.shift"] = layer_norm_backward(
-            saved["ln1_cache"], g_h1)
-        g_tokens_res, g_mha = g_sum1, g_sum1
+        g_h1 += g_f2  # the residual around the feed-forward net
+        g_mha, grads["ln1.gain"], grads["ln1.shift"] = layer_norm_backward(
+            saved["ln1_cache"], g_h1, out=g_h1)
     else:
-        g_tokens_res, g_mha = 0.0, g_h1
-
-    (g_tokens_att, grads["attn.wq"], grads["attn.wk"],
+        g_mha = g_h1
+    (g_tokens, grads["attn.wq"], grads["attn.wk"],
      grads["attn.wv"], grads["attn.wo"]) = multi_head_attention_backward(
         saved["mha_cache"], g_mha)
-    g_tokens = g_tokens_res + g_tokens_att
+    if use_ln:
+        g_tokens += g_mha  # the residual around attention
     return g_tokens, grads
 
 

@@ -12,7 +12,8 @@ functions by hand.
 
 All operations accept arbitrary leading batch axes in front of the core
 dimensions documented per function (e.g. ``conv1d`` works on ``[c_in, L]``
-and on ``[B, c_in, L]`` alike).
+and on ``[B, c_in, L]`` alike). An op with a keyword-only ``out`` writes its
+result there when it is given; ``out`` may be the input array itself.
 """
 
 from __future__ import annotations
@@ -193,27 +194,33 @@ def maxpool1d_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
 # softmax
 # ---------------------------------------------------------------------------
 
+def _check_rows(op: str, x: np.ndarray) -> None:
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"{op} needs a non-empty last axis, got shape {x.shape}")
+
+
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Sums over the last axis, keeping it as a length-1 axis."""
     return np.einsum("...i->...", x)[..., None]
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
+def softmax_rows(x: np.ndarray, *, out=None) -> np.ndarray:
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
+    _check_rows("softmax_rows", x)
     # rows are short (one per sequence position): a loop over the last axis
     # beats a reduction that iterates over it per row
     row_max = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
         np.maximum(row_max, x[..., j], out=row_max)
-    e = x - row_max[..., None]
+    e = np.subtract(x, row_max[..., None], out=out)
     np.exp(e, out=e)
     e /= _row_sums(e)
     return e
 
 
-def softmax_rows_backward(y: np.ndarray, g_out: np.ndarray) -> np.ndarray:
+def softmax_rows_backward(y: np.ndarray, g_out: np.ndarray, *, out=None) -> np.ndarray:
     """Backward through softmax given its output ``y`` and upstream grad."""
-    g = g_out - np.einsum("...i,...i->...", g_out, y)[..., None]
+    g = np.subtract(g_out, np.einsum("...i,...i->...", g_out, y)[..., None], out=out)
     g *= y
     return g
 
@@ -222,39 +229,41 @@ def softmax_rows_backward(y: np.ndarray, g_out: np.ndarray) -> np.ndarray:
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
 
-def elementwise(kind: str, x: np.ndarray):
+def elementwise(kind: str, x: np.ndarray, *, out=None):
     """Apply a pointwise nonlinearity; returns ``(out, cache)``.
 
     ``kind`` is one of ``relu``, ``sigmoid``, ``tanh``.
     """
     if kind == "relu":
-        out = np.maximum(x, 0.0)
         saved = {"kind": kind, "mask": x > 0.0}
+        out = np.maximum(x, 0.0, out=out)
     elif kind == "sigmoid":
-        out = sigmoid(x)
+        out = sigmoid(x, out=out)
         saved = {"kind": kind, "out": out}
     elif kind == "tanh":
-        out = np.tanh(x)
+        out = np.tanh(x, out=out)
         saved = {"kind": kind, "out": out}
     else:
         raise ConfigError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
     return out, OpCache("elementwise", saved)
 
 
-def elementwise_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
+def elementwise_backward(cache: OpCache, g_out: np.ndarray, *, out=None) -> np.ndarray:
     saved = cache.expect("elementwise")
     kind = saved["kind"]
     if kind == "relu":
-        return g_out * saved["mask"]
-    out = saved["out"]
+        return np.multiply(g_out, saved["mask"], out=out)
+    y = saved["out"]
     if kind == "sigmoid":
-        return g_out * out * (1.0 - out)
-    return g_out * (1.0 - out * out)  # tanh
+        g = np.multiply(g_out, y, out=out)
+        g *= 1.0 - y
+        return g
+    return np.multiply(g_out, 1.0 - y * y, out=out)  # tanh
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, *, out=None) -> np.ndarray:
     """Numerically safe logistic function 1 / (1 + e^-x)."""
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     e = np.exp(x[~pos])
@@ -266,10 +275,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # layer normalization
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-5):
+def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-5,
+               *, out=None):
     """Normalize each row (last axis) to mean 0 / variance 1, then scale+shift."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps!r}")
+    _check_rows("layer_norm", x)
     n = x.shape[-1]
     if gain.shape != (n,) or shift.shape != (n,):
         raise ShapeError(
@@ -279,24 +290,27 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    out = xhat * gain
+    out = np.multiply(xhat, gain, out=out)
     out += shift
     cache = OpCache("layer_norm", {"xhat": xhat, "inv_std": inv_std, "gain": gain})
     return out, cache
 
 
-def layer_norm_backward(cache: OpCache, g_out: np.ndarray):
+def layer_norm_backward(cache: OpCache, g_out: np.ndarray, *, out=None):
     """Returns ``(g_x, g_gain, g_shift)``."""
     saved = cache.expect("layer_norm")
     xhat, inv_std, gain = saved["xhat"], saved["inv_std"], saved["gain"]
     n = xhat.shape[-1]
 
     g_shift = g_out.reshape(-1, n).sum(axis=0)
-    g_gain = (g_out * xhat).reshape(-1, n).sum(axis=0)
-    g_xhat = g_out * gain
-    # d/dx of (x - mean)/sqrt(var + eps), all per row
-    g_x = g_xhat - _row_sums(g_xhat) / n
-    g_x -= xhat * (np.einsum("...i,...i->...", g_xhat, xhat)[..., None] / n)
+    scratch = g_out * xhat
+    g_gain = scratch.reshape(-1, n).sum(axis=0)
+    # d/dx of (x - mean)/sqrt(var + eps), all per row, worked in place on
+    # g_xhat = g_out * gain once its dot with xhat is taken
+    g_x = np.multiply(g_out, gain, out=out)
+    dot = np.einsum("...i,...i->...", g_x, xhat)[..., None] / n
+    g_x -= _row_sums(g_x) / n
+    g_x -= np.multiply(xhat, dot, out=scratch)
     g_x *= inv_std
     return g_x, g_gain, g_shift
 

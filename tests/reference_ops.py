@@ -2,7 +2,8 @@
 
 These are the straightforward forms the package first shipped: a
 ``sliding_window_view`` convolution and max-pool with ``np.add.at``
-scatter, separate Q/K/V projections, mean-based layer norm and softmax,
+scatter, separate Q/K/V projections, mean-based layer norm and softmax, an
+encoder block chained from those with out-of-place residual adds,
 per-tensor SGD/Adam loops and a per-parameter checkpoint writer. They live
 here, outside ``src/``, only so ``test_reference_equivalence`` can compare
 the package against them.
@@ -172,6 +173,77 @@ def multi_head_attention_backward(saved, g_out):
     g_tk, g_wk = linear_backward(saved["k"], _merge_heads(g_k))
     g_tv, g_wv = linear_backward(saved["v"], _merge_heads(g_v))
     return g_tq + g_tk + g_tv, g_wq, g_wk, g_wv, g_wo
+
+
+# ---------------------------------------------------------------------------
+# one encoder block, chained from the reference ops above
+# ---------------------------------------------------------------------------
+
+def _activation(kind, x):
+    if kind == "relu":
+        return np.maximum(x, 0.0)
+    if kind == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-x))
+    return np.tanh(x)
+
+
+def _activation_slope(kind, x, y):
+    """d activation / d x at ``x``, given the output ``y``."""
+    if kind == "relu":
+        return (x > 0.0).astype(float)
+    if kind == "sigmoid":
+        return y * (1.0 - y)
+    return 1.0 - y * y
+
+
+def _bias_grad(g):
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def transformer_block(tokens, weights, n_heads, use_layer_norm, activation="relu"):
+    tokens = as_f64(tokens)
+    w = {key: as_f64(value) for key, value in weights.items()}
+    mha, mha_saved = multi_head_attention(tokens, w["attn.wq"], w["attn.wk"],
+                                          w["attn.wv"], w["attn.wo"], n_heads)
+    saved = {"mha": mha_saved, "use_layer_norm": use_layer_norm, "activation": activation}
+    if use_layer_norm:
+        h1, saved["ln1"] = layer_norm(tokens + mha, w["ln1.gain"], w["ln1.shift"])
+    else:
+        h1 = mha
+    f1, saved["ffn1"] = linear(h1, w["ffn.w1"])
+    f1 = f1 + w["ffn.b1"]
+    a1 = _activation(activation, f1)
+    saved["f1"], saved["a1"] = f1, a1
+    f2, saved["ffn2"] = linear(a1, w["ffn.w2"])
+    f2 = f2 + w["ffn.b2"]
+    if not use_layer_norm:
+        return f2, saved
+    out, saved["ln2"] = layer_norm(h1 + f2, w["ln2.gain"], w["ln2.shift"])
+    return out, saved
+
+
+def transformer_block_backward(saved, g_out):
+    """Returns ``(g_tokens, grads)`` with ``grads`` keyed like the weights dict."""
+    g_out = as_f64(g_out)
+    use_ln = saved["use_layer_norm"]
+    grads = {}
+    g_sum2 = g_out
+    if use_ln:
+        g_sum2, grads["ln2.gain"], grads["ln2.shift"] = layer_norm_backward(saved["ln2"], g_out)
+    grads["ffn.b2"] = _bias_grad(g_sum2)
+    g_a1, grads["ffn.w2"] = linear_backward(saved["ffn2"], g_sum2)
+    g_f1 = g_a1 * _activation_slope(saved["activation"], saved["f1"], saved["a1"])
+    grads["ffn.b1"] = _bias_grad(g_f1)
+    g_h1, grads["ffn.w1"] = linear_backward(saved["ffn1"], g_f1)
+    g_sum1 = g_h1
+    if use_ln:
+        g_sum1, grads["ln1.gain"], grads["ln1.shift"] = layer_norm_backward(
+            saved["ln1"], g_h1 + g_sum2)
+    (g_tokens, grads["attn.wq"], grads["attn.wk"], grads["attn.wv"],
+     grads["attn.wo"]) = multi_head_attention_backward(saved["mha"], g_sum1)
+    if use_ln:
+        g_tokens = g_tokens + g_sum1
+    return g_tokens, grads
 
 
 # ---------------------------------------------------------------------------

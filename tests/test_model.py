@@ -133,6 +133,10 @@ class TestTokenize:
         with pytest.raises(ShapeError):
             tokenize(np.zeros(4), np.ones((3, 2)), np.zeros((3, 2)))
 
+    def test_scalar_input_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="0-d"):
+            tokenize(np.float64(1.0), np.ones((1, 2)), np.zeros((1, 2)))
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         e = rng.standard_normal((4, 3))
@@ -237,6 +241,30 @@ class TestMultiHead:
         w = rng.standard_normal((6, 6))
         with pytest.raises(ConfigError):
             multi_head_attention(tokens, w, w, w, w, n_heads=4)
+
+    def test_non_square_projection_is_a_shape_error(self):
+        rng = np.random.default_rng(6)
+        tokens = rng.standard_normal((3, 4))
+        w = rng.standard_normal((4, 4))
+        with pytest.raises(ShapeError, match=r"Q/K/V/O must be \[d, d\]"):
+            multi_head_attention(tokens, rng.standard_normal((4, 5)), w, w, w, n_heads=2)
+
+    def test_zero_heads_is_a_config_error(self):
+        w = np.eye(4)
+        with pytest.raises(ConfigError, match="n_heads must be >= 1"):
+            multi_head_attention(np.ones((3, 4)), w, w, w, w, n_heads=0)
+
+    def test_one_dimensional_tokens_are_a_shape_error(self):
+        w = np.eye(4)
+        with pytest.raises(ShapeError, match=r"\[\.\.\., s, d_model\]"):
+            multi_head_attention(np.ones(4), w, w, w, w, n_heads=2)
+
+    def test_wrong_ffn_bias_length_is_a_shape_error(self):
+        rng = np.random.default_rng(6)
+        weights = random_block_weights(rng, 4, 6)
+        weights["ffn.b1"] = np.zeros(5)
+        with pytest.raises(ShapeError, match=r"bias shape \(5,\) != weight columns \(6,\)"):
+            transformer_block(rng.standard_normal((3, 4)), weights, 2, True)
 
     def test_zero_output_projection_with_residual_gives_layer_norm(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
-"""Property-based checks of the checkpoint format, the AUC and the KS."""
+"""Property-based checks of the model's gradients, the checkpoint format, the
+AUC and the KS."""
 
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from creditnet.errors import ConfigError  # noqa: E402
 from creditnet.metrics import auc, ks  # noqa: E402
@@ -20,6 +21,8 @@ from creditnet.model import (  # noqa: E402
     load_checkpoint,
     save_checkpoint,
 )
+from creditnet.tensor_ops import gradient_check  # noqa: E402
+from creditnet.training import bce_loss, predict_probs  # noqa: E402
 
 FEW = settings(max_examples=20, deadline=None)
 
@@ -46,6 +49,61 @@ def model_configs(draw):
         activation=draw(st.sampled_from(["relu", "sigmoid", "tanh"])),
         seed=draw(st.integers(0, 2**31)),
     )
+
+
+def _step(model: Model, X, y):
+    """Forward, BCE loss and backward on one batch; returns the loss."""
+    probs, trace = model.forward(X)
+    loss, g = bce_loss(probs, y)
+    model.params.zero_grads()
+    model.backward(trace, g)
+    return loss
+
+
+@FEW
+@given(model_configs(), st.integers(0, 2**31))
+def test_backward_matches_finite_differences(config, seed):
+    """Every parameter tensor whose gradient central differences can resolve
+    agrees with them. Layer norm over one or two values is constant up to its
+    eps, so its curvature swamps any step h; and at h = 1e-5 the difference
+    quotient carries about 1e-11 of rounding (an ulp of the loss over 2h), so
+    a tensor holding a nonzero gradient below 1e-6 cannot show a relative
+    error under 1e-4 and is left out of the check."""
+    assume(not (config.uses_transformer() and config.attn.layer_norm
+                and config.attn.d_model <= 2))
+    rng = np.random.default_rng(seed)
+    X, y = rng.standard_normal((3, config.n_features)), np.array([0, 1, 1])
+    model = Model(config)
+    # off the zero biases: at init a dead ReLU row can pool to exactly 0 and
+    # put the next ReLU on its kink, where no derivative exists
+    model.params.values += 0.1 * rng.standard_normal(model.params.values.size)
+    _step(model, X, y)
+    resolvable = [p for p in model.params
+                  if not np.any((p.grad != 0.0) & (np.abs(p.grad) < 1e-6))]
+    assert gradient_check(lambda: _step(model, X, y), resolvable, h=1e-5, seed=seed,
+                          max_probes_per_param=4) < 1e-4
+
+
+@FEW
+@given(model_configs(), st.integers(0, 2**31))
+def test_gradients_ignore_forwards_run_while_a_trace_is_held(config, seed):
+    """An op that wrote in place into an array a ForwardTrace still holds
+    would let the forwards in between, at the trace's batch size and at
+    others, change the step's gradients."""
+    rng = np.random.default_rng(seed)
+    X, y = rng.standard_normal((3, config.n_features)), np.array([0, 1, 1])
+    fresh = Model(config)
+    _step(fresh, X, y)
+
+    model = Model(config)
+    predict_probs(model, rng.standard_normal((300, config.n_features)))
+    probs, trace = model.forward(X)
+    for n_rows in (3, 5):
+        model.forward(rng.standard_normal((n_rows, config.n_features)))
+    predict_probs(model, rng.standard_normal((300, config.n_features)))
+    model.params.zero_grads()
+    model.backward(trace, bce_loss(probs, y)[1])
+    assert model.params.grads.tobytes() == fresh.params.grads.tobytes()
 
 
 def _checkpoint_bytes(model: Model, directory: Path) -> bytes:

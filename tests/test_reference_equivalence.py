@@ -18,6 +18,8 @@ from creditnet.model import (
     multi_head_attention,
     multi_head_attention_backward,
     save_checkpoint,
+    transformer_block,
+    transformer_block_backward,
 )
 from creditnet.tensor_ops import (
     Parameter,
@@ -109,6 +111,41 @@ class TestMultiHeadAttention:
             expected = ref.multi_head_attention_backward(want_cache, g_out)
             for g, e in zip(got, expected):
                 assert_close(g, e)
+
+
+class TestTransformerBlock:
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("use_ln", [True, False])
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+    def test_output_and_every_gradient(self, batch, n_heads, use_ln, activation):
+        rng = np.random.default_rng([n_heads, len(batch), use_ln, len(activation)])
+        for _ in range(3):
+            # rows of at least 4 values: layer norm over 1 or 2 values is
+            # constant up to eps, and its gradient is then all cancellation
+            d_k = -(-4 // n_heads) + int(rng.integers(0, 3))
+            d_model = n_heads * d_k
+            ffn_dim, seq = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            shapes = {"attn.wq": (d_model, d_model), "attn.wk": (d_model, d_model),
+                      "attn.wv": (d_model, d_model), "attn.wo": (d_model, d_model),
+                      "ffn.w1": (d_model, ffn_dim), "ffn.b1": (ffn_dim,),
+                      "ffn.w2": (ffn_dim, d_model), "ffn.b2": (d_model,)}
+            if use_ln:
+                shapes.update({f"ln{i}.{key}": (d_model,)
+                               for i in (1, 2) for key in ("gain", "shift")})
+            weights = {key: rng.standard_normal(shape) for key, shape in shapes.items()}
+            tokens = rng.standard_normal((*batch, seq, d_model))
+            out, cache = transformer_block(tokens, weights, n_heads, use_ln, activation)
+            want, want_cache = ref.transformer_block(tokens, weights, n_heads, use_ln,
+                                                     activation)
+            assert_close(out, want)
+            g_out = rng.standard_normal(want.shape)
+            g_tokens, grads = transformer_block_backward(cache, g_out)
+            want_g_tokens, want_grads = ref.transformer_block_backward(want_cache, g_out)
+            assert_close(g_tokens, want_g_tokens)
+            assert sorted(grads) == sorted(want_grads) == sorted(shapes)
+            for key in shapes:
+                assert_close(grads[key], want_grads[key])
 
 
 class TestRowOps:

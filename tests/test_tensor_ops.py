@@ -290,6 +290,10 @@ class TestSoftmax:
         rel = np.abs(g - fd) / np.maximum(1e-8, np.abs(g) + np.abs(fd))
         assert np.max(rel) < 1e-4
 
+    def test_empty_rows_are_a_shape_error(self):
+        with pytest.raises(ShapeError, match="non-empty last axis"):
+            softmax_rows(np.zeros((3, 0)))
+
 
 class TestElementwise:
     def test_sigmoid_midpoint(self):
@@ -349,6 +353,10 @@ class TestLayerNorm:
         with pytest.raises(ConfigError):
             layer_norm(np.zeros((1, 2)), np.ones(2), np.zeros(2), 0.0)
 
+    def test_empty_rows_are_a_shape_error(self):
+        with pytest.raises(ShapeError, match="non-empty last axis"):
+            layer_norm(np.zeros((3, 0)), np.ones(0), np.zeros(0))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_backward_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
@@ -376,6 +384,48 @@ class TestLayerNorm:
             fd = fd_grad(f, v.copy())
             rel = np.abs(g - fd) / np.maximum(1e-8, np.abs(g) + np.abs(fd))
             assert np.max(rel) < 1e-4
+
+
+class TestOutArgument:
+    """Writing into ``out``, the input array itself included, gives the bits
+    of a freshly allocated result."""
+
+    @staticmethod
+    def _input_and_grad():
+        rng = np.random.default_rng(21)
+        return rng.standard_normal((3, 4, 6)), rng.standard_normal((3, 4, 6))
+
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
+    def test_elementwise(self, kind):
+        x, g = self._input_and_grad()
+        want, cache = elementwise(kind, x)
+        buf = x.copy()
+        got, buf_cache = elementwise(kind, buf, out=buf)
+        assert got is buf and got.tobytes() == want.tobytes()
+        want_g = elementwise_backward(cache, g)
+        buf = g.copy()
+        assert elementwise_backward(buf_cache, buf, out=buf).tobytes() == want_g.tobytes()
+
+    def test_softmax(self):
+        x, g = self._input_and_grad()
+        want = softmax_rows(x)
+        buf = x.copy()
+        assert softmax_rows(buf, out=buf).tobytes() == want.tobytes()
+        want_g = softmax_rows_backward(want, g)
+        buf = g.copy()
+        assert softmax_rows_backward(want, buf, out=buf).tobytes() == want_g.tobytes()
+
+    def test_layer_norm(self):
+        x, g = self._input_and_grad()
+        gain, shift = x[0, 0], g[0, 0]
+        want, cache = layer_norm(x, gain, shift)
+        buf = x.copy()
+        got, buf_cache = layer_norm(buf, gain, shift, out=buf)
+        assert got is buf and got.tobytes() == want.tobytes()
+        want_grads = layer_norm_backward(cache, g)
+        buf = g.copy()
+        for got, expected in zip(layer_norm_backward(buf_cache, buf, out=buf), want_grads):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestOpCacheDiscipline:
