@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -69,8 +70,8 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
     Shuffles are seeded per (feature, repeat), so the report is deterministic
     and each column's evaluation is independent of the others.
     """
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
+    if isinstance(repeats, bool) or not isinstance(repeats, Integral) or repeats < 1:
+        raise ConfigError(f"repeats must be an integer >= 1, got {repeats!r}")
     if seed < 0:
         raise ConfigError(f"importance seed must be >= 0, got {seed}")
     if metric not in _METRICS:

@@ -85,6 +85,10 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv("/nonexistent/path.csv", SCHEMA)
 
+    def test_directory_is_a_data_error_naming_it(self, tmp_path):
+        with pytest.raises(DataError, match=f"cannot open {tmp_path}: "):
+            load_csv(tmp_path, SCHEMA)
+
 
 class TestSchemaConfig:
     def test_label_in_features_rejected(self):
@@ -99,6 +103,18 @@ class TestSchemaConfig:
         path = write_csv(tmp_path, ",label,x1,x2\n1,0,2,3\n")
         _, schema = load_frame(path, {})
         assert schema.feature_columns == ("x1", "x2")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("missing.json", None, "cannot read schema file .*missing.json: "),
+        ("schema.toml", "[schema]\nlabel = 1\n", "schema file .*schema.toml is not valid JSON"),
+        ("list.json", '["label"]', "schema file .*list.json must contain a JSON object"),
+    ], ids=["missing", "not-json", "not-an-object"])
+    def test_unreadable_json_is_a_config_error_naming_it(self, tmp_path, name, text,
+                                                         message):
+        if text is not None:
+            write_csv(tmp_path, text, name)
+        with pytest.raises(ConfigError, match=message):
+            SchemaConfig.from_json(tmp_path / name)
 
     def test_dict_roundtrip_with_constant(self):
         schema = SchemaConfig("y", ("a",), imputation="constant", constant_value=7.0)

@@ -100,6 +100,12 @@ class TestPermutationImportance:
         with pytest.raises(ConfigError):
             permutation_importance(model, test, repeats=0)
 
+    @pytest.mark.parametrize("repeats", [2.5, True, "3"])
+    def test_non_integer_repeats(self, trained_on_dominant_feature, repeats):
+        model, test = trained_on_dominant_feature
+        with pytest.raises(ConfigError, match="repeats must be an integer >= 1"):
+            permutation_importance(model, test, repeats=repeats)
+
     def test_negative_seed(self, trained_on_dominant_feature):
         model, test = trained_on_dominant_feature
         with pytest.raises(ConfigError, match="importance seed must be >= 0, got -1"):

@@ -3,23 +3,29 @@
 Valid files must give bit-identical ``X`` and identical ``y`` and
 ``missing``; invalid files must raise the same exception class with the same
 message. A fixed corpus covers quoting, line endings, blank and padded cells,
-missing markers, NaN/inf spellings, bad labels and malformed rows; a
+missing markers, NaN/inf spellings, bad labels and malformed rows, and
+markers past the sample that picks the columns numpy parses natively; a
 Hypothesis property covers random small files built from the same pieces.
+A second property checks numpy's native float parser against ``float``
+cell by cell, and a spy test keeps the common case on the native parse.
 """
 
+import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from creditnet.data import MISSING_DEFAULT, SchemaConfig, load_csv
+from creditnet.data import (MARKER_SAMPLE_ROWS, MISSING_DEFAULT, SchemaConfig, load_csv,
+                            read_header)
 from creditnet.errors import ConfigError, DataError
 
 from reference_loader import load_csv as reference_load_csv
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 MARKER_SETS = {"default": MISSING_DEFAULT, "custom": ("NA", "?", "-1")}
 FEATURES = ("a", "b")
@@ -42,6 +48,9 @@ def _assert_same(path, schema, **kwargs):
 
 
 HEADER = ",label,a,b"
+# marker-free rows filling load_csv's marker sample, so that a row after
+# them is one the sample does not see
+SAMPLED = "".join(f"\n{i},{i % 2},{i}.5,{-i}e3" for i in range(MARKER_SAMPLE_ROWS))
 
 # name -> file text (written as given, so line endings are exact)
 CORPUS = {
@@ -101,6 +110,13 @@ CORPUS = {
     "delimiter-in-quotes": HEADER + '\n1,0,"1,5",2\n',
     "space-before-quote": HEADER + '\n1,0, "1",2\n',
     "hash-cell": HEADER + "\n1,0,#1,2\n",
+    "separator-padding": HEADER + "\n1,\x1e1\x1f,\x1c1.5\x1d,2\n",
+    "marker-after-sample": HEADER + SAMPLED + "\n1,0,NA,2\n",
+    "minus-one-after-sample": HEADER + SAMPLED + "\n1,0,1,-1\n",
+    "NaN-after-sample": HEADER + SAMPLED + "\n1,0,1,NaN\n",
+    "padded-NA-after-sample": HEADER + SAMPLED + "\n1,0, NA ,2\n",
+    "inf-after-sample": HEADER + SAMPLED + "\n1,0,inf,2\n",
+    "marker-in-sample-and-after": HEADER + "\n1,0,NA,2" + SAMPLED + "\n1,0,1,NA\n",
 }
 
 
@@ -124,6 +140,25 @@ def test_invalid_utf8_raises_like_reference(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes((HEADER + "\n1,0,1,2\n2,1,").encode() + b"\xff\xfe\n")
     _assert_same(path, SchemaConfig("label", FEATURES))
+
+
+def test_fault_before_a_bad_byte_in_the_sample_matches_reference(tmp_path):
+    """A bad byte that the marker sample reads, past the first decoded block,
+    does not hide an earlier fault that the row-by-row re-read names."""
+    rows = "\n1,0,1.25,2.5" * (MARKER_SAMPLE_ROWS - 100)
+    path = tmp_path / "data.csv"
+    path.write_bytes((HEADER + "\n1,0,1,2\n2,1,x,4" + rows).encode() + b"\n3,0,\xff,1\n")
+    outcome = _assert_same(path, SchemaConfig("label", FEATURES))
+    assert outcome == (DataError, "line 3: bad value 'x' in column 'a'")
+
+
+def test_oversized_cell_in_an_unused_column_loads(tmp_path):
+    """A cell past ``csv``'s field size limit in a column the schema does not
+    use stops the marker sample, not the load."""
+    path = tmp_path / "data.csv"
+    path.write_text(HEADER + ",notes\n1,0,NA,2," + "x" * 200_000 + "\n2,1,3,4,y\n")
+    frame = load_csv(path, SchemaConfig("label", FEATURES))
+    assert frame.X.tobytes() == np.array([[np.nan, 2.0], [3.0, 4.0]]).tobytes()
 
 
 @pytest.mark.parametrize("header, rows", [(HEADER + "\xff", 1), (HEADER, 1), (HEADER, 5000)],
@@ -161,6 +196,33 @@ def test_converters_get_str_under_the_numpy1_default_encoding(monkeypatch, tmp_p
     path.write_text(HEADER + "\n1,0,NA, 2 \n2,1,,4\n", encoding="utf-8")
     _assert_same(path, SchemaConfig("label", FEATURES))
     assert seen == {str}
+
+
+def test_marker_free_columns_are_parsed_natively(monkeypatch, tmp_path):
+    """On a GMSC-shaped file with markers in two columns, one ``np.loadtxt``
+    call parses the file, with a converter on exactly those two columns."""
+    real_loadtxt, calls = np.loadtxt, []
+
+    def loadtxt(*args, converters, **kwargs):
+        calls.append(set(converters))
+        return real_loadtxt(*args, converters=converters, **kwargs)
+
+    schema = SchemaConfig.from_json(
+        Path(__file__).resolve().parent.parent / "data" / "gmsc_schema.json")
+    marked = ("MonthlyIncome", "NumberOfDependents")
+    rng = np.random.default_rng(0)
+    lines = [",".join(("", schema.label_column, *schema.feature_columns))]
+    for i in range(200):
+        cells = ["NA" if name in marked and rng.random() < 0.2 else repr(rng.standard_normal())
+                 for name in schema.feature_columns]
+        lines.append(f"{i + 1},{rng.integers(2)},{','.join(cells)}")
+    path = tmp_path / "cs-training.csv"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    _, _, _, _, _, _, missing = _assert_same(path, schema)
+    header = read_header(path)
+    assert calls == [{header.index(name) for name in marked}]
+    assert np.frombuffer(missing, dtype=bool).any()
 
 
 @pytest.mark.parametrize("subsample", [1, 3, 5, 50])
@@ -235,3 +297,42 @@ def test_random_files_match_reference(text, marker_set):
         path = Path(tmp) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         _assert_same(path, SchemaConfig("label", FEATURES, MARKER_SETS[marker_set]))
+
+
+# ---------------------------------------------------------------------------
+# single cells: numpy's native float parser against float()
+# ---------------------------------------------------------------------------
+
+# number pieces, blanks (the ASCII separator 0x1c among them), non-ASCII
+# digits, NaN and infinity words, and the default markers
+PIECES = st.sampled_from([*"0123456789+-.eE_", "\t", "\x0b", "\x0c", "\x1c", " ", "\xa0",
+                          "\u0661", "\uff15", "\u096b", "nan", "NaN", "inf", "Infinity",
+                          *MISSING_DEFAULT])
+PADDING = st.lists(PIECES.filter(str.isspace), max_size=2).map("".join)
+CELL_TEXT = st.one_of(st.lists(PIECES, max_size=8).map("".join),
+                      st.tuples(PADDING, NUMBERS, PADDING).map("".join))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(CELL_TEXT)
+@example("\x1c1\x1c")
+@example("1_000")
+@example("\u0661")
+@example("-nan")
+def test_native_parse_agrees_with_float(text):
+    """Whenever numpy's native parser reads a one-cell line, ``float`` of the
+    stripped cell (load_csv's converter and the reference loader's rule)
+    accepts it too, with the same bits. This is why ``load_csv`` may parse a
+    marker-free column natively: an accepted cell reads as it would through
+    the converter, and a rejected one falls back to the converter. (``float``
+    of the unstripped cell rejects 0x1c-0x1f padding; str.strip drops it.)"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a blank line holds no data
+        try:
+            native = np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                                quotechar='"', ndmin=2, encoding=None)
+        except ValueError:
+            return
+    if native.size:
+        assert native.shape == (1, 1)
+        assert np.float64(float(text.strip())).tobytes() == native.tobytes()
