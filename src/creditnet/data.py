@@ -13,7 +13,7 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import count, islice
 from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple, NoReturn, Optional, Sequence, Union
@@ -200,17 +200,23 @@ MARKER_SAMPLE_ROWS = 1_000
 def _records(path):
     """An open UTF-8 CSV file as ``(line number, row)`` pairs, one per record;
     a file that cannot be opened (a directory, say) or a byte that is not
-    UTF-8 raises ``DataError`` naming the file."""
+    UTF-8 raises ``DataError`` naming the file, and a record ``csv`` cannot
+    read (a field over its size limit) one naming the file and line."""
     try:
         fh = Path(path).open("r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror or exc}") from None
     with fh:
+        line_nos = count(1)
         try:
-            yield enumerate(csv.reader(fh), start=1)
+            yield zip(line_nos, csv.reader(fh))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: byte "
                             f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
+        except csv.Error as exc:
+            # zip draws a record's number before the record: the last number
+            # drawn is the failing record's
+            raise DataError(f"{path}, line {next(line_nos) - 1}: {exc}") from None
 
 
 def read_header(path) -> list[str]:
@@ -312,7 +318,7 @@ def _marked_columns(path: Path, markers: frozenset, feat_is: list[int]) -> set[i
         with _records(path) as records:
             for _, row in islice(records, 1, MARKER_SAMPLE_ROWS + 1):
                 marked.update(i for i in feat_is if i < len(row) and row[i].strip() in markers)
-    except (DataError, csv.Error):  # the parse, or its re-read, meets it in file order
+    except DataError:  # the parse, or its re-read, meets it in file order
         return set(feat_is)
     return marked
 

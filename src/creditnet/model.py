@@ -9,8 +9,10 @@ layer-norm gated by a flag), mean-pools over the sequence, and finishes with
 an MLP head and a sigmoid. Ablation variants drop the transformer
 (``cnn_only``) or the conv block (``transformer_only``).
 
-Forward passes are pure; every intermediate needed by the chain rule is
-carried in a ``ForwardTrace`` that ``Model.backward`` consumes exactly once.
+Forward passes are pure. A traced forward (the default) returns every op's
+cache in a ``ForwardTrace`` that ``Model.backward`` consumes exactly once; a
+forward with ``trace=False``, the one scoring runs, keeps no cache, so each
+op's intermediates are freed as the next op runs.
 """
 
 from __future__ import annotations
@@ -579,6 +581,13 @@ class ForwardTrace:
     used: bool = False
 
 
+class _NoCaches(dict):
+    """The caches of an untraced forward: a store that keeps nothing."""
+
+    def __setitem__(self, key, cache) -> None:
+        pass
+
+
 def check_batch(batch, n_features: int) -> np.ndarray:
     """``batch`` as a float64 ``[B >= 1, n_features]`` array of finite values;
     a wrong shape is a ``ShapeError``, a NaN or inf a ``DataError``."""
@@ -613,15 +622,18 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, batch: np.ndarray):
+    def forward(self, batch: np.ndarray, *, trace: bool = True):
         """Default probabilities for a ``[B, n_features]`` batch.
 
         Returns ``(probs, trace)`` where ``probs`` is ``[B]`` with every
-        value strictly inside (0, 1).
+        value strictly inside (0, 1) and ``trace`` is the ``ForwardTrace``
+        that ``backward`` needs. With ``trace=False`` no op cache is kept,
+        so each op's intermediates are freed as the forward moves on, and
+        ``trace`` is None; the probabilities are the same bits.
         """
         cfg = self.config
         batch = check_batch(batch, cfg.n_features)
-        caches: dict = {}
+        caches: dict = {} if trace else _NoCaches()
 
         tokens, caches["tokenize"] = tokenize(
             batch, self._w("embed.weight"), self._w("embed.bias"))
@@ -637,32 +649,24 @@ class Model:
 
         if cfg.uses_transformer():
             seq, caches["proj"] = linear(seq, self._w("proj.weight"), self._w("proj.bias"))
-            block_caches = []
             for b in range(cfg.attn.n_blocks):
-                seq, c = transformer_block(
+                seq, caches["block", b] = transformer_block(
                     seq, self._block_weights(b), cfg.attn.n_heads,
                     cfg.attn.layer_norm, cfg.activation)
-                block_caches.append(c)
-            caches["blocks"] = block_caches
 
-        pooled = np.mean(seq, axis=-2)  # [B, width]
+        h = np.mean(seq, axis=-2)  # [B, width]
         caches["seq_len"] = seq.shape[-2]
 
-        h = pooled
-        mlp_caches = []
         n_layers = len(cfg.mlp_hidden) + 1
         for i in range(n_layers):
-            h, lin_cache = linear(h, self._w(f"mlp.{i}.weight"), self._w(f"mlp.{i}.bias"))
+            h, caches["mlp", i] = linear(h, self._w(f"mlp.{i}.weight"),
+                                         self._w(f"mlp.{i}.bias"))
             if i < n_layers - 1:
-                h, act_cache = elementwise(cfg.activation, h)
-            else:
-                act_cache = None
-            mlp_caches.append((lin_cache, act_cache))
-        caches["mlp"] = mlp_caches
+                h, caches["act", i] = elementwise(cfg.activation, h)
 
         probs = np.clip(sigmoid(h[..., 0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
         check_finite(probs, "model probabilities")
-        return probs, ForwardTrace(probs=probs, caches=caches)
+        return probs, (ForwardTrace(probs=probs, caches=caches) if trace else None)
 
     # -- backward ---------------------------------------------------------
 
@@ -674,6 +678,9 @@ class Model:
         ``params.zero_grads()`` first unless accumulation across batches is
         intended. Returns d(loss)/d(batch) when ``want_input_grad``.
         """
+        if trace is None:
+            raise StateError("no ForwardTrace to run backward on: the forward ran "
+                             "with trace=False")
         if trace.used:
             raise StateError("ForwardTrace already consumed by a backward pass")
         trace.used = True
@@ -695,10 +702,9 @@ class Model:
 
         n_layers = len(cfg.mlp_hidden) + 1
         for i in reversed(range(n_layers)):
-            lin_cache, act_cache = caches["mlp"][i]
-            if act_cache is not None:
-                g_h = elementwise_backward(act_cache, g_h)
-            g_h, g_w, g_b = linear_backward(lin_cache, g_h)
+            if i < n_layers - 1:
+                g_h = elementwise_backward(caches["act", i], g_h)
+            g_h, g_w, g_b = linear_backward(caches["mlp", i], g_h)
             acc(f"mlp.{i}.weight", g_w)
             acc(f"mlp.{i}.bias", g_b)
 
@@ -707,7 +713,7 @@ class Model:
 
         if cfg.uses_transformer():
             for b in reversed(range(cfg.attn.n_blocks)):
-                g_seq, grads = transformer_block_backward(caches["blocks"][b], g_seq)
+                g_seq, grads = transformer_block_backward(caches["block", b], g_seq)
                 for key, g in grads.items():
                     acc(f"block{b}.{key}", g)
             g_seq, g_w, g_b = linear_backward(caches["proj"], g_seq)

@@ -156,10 +156,11 @@ def conv1d_backward(cache: OpCache, g_out: np.ndarray):
 def maxpool1d(x: np.ndarray, window: int, stride: int):
     """Max over sliding windows on the last axis.
 
-    Returns ``(out, cache)`` with ``out`` of shape ``[..., c, L_out]``. Ties
-    within a window resolve to the lowest index, so backward routes each
-    upstream gradient to exactly one input position. The max is taken one
-    window tap at a time over strided slices of ``x``.
+    Returns ``(out, cache)`` with ``out`` of shape ``[..., c, L_out]``. The
+    max is taken one window tap at a time over strided slices of ``x``; the
+    cache holds ``x`` and ``out``, and backward routes each upstream gradient
+    to exactly one input position: the lowest index in its window holding
+    the max.
     """
     if not isinstance(window, int) or window < 1:
         raise ConfigError(f"pool window must be a positive int, got {window!r}")
@@ -170,23 +171,24 @@ def maxpool1d(x: np.ndarray, window: int, stride: int):
         raise ShapeError(f"pool window {window} exceeds input length {length}")
     span = (length - window) // stride * stride + 1
     out = x[..., :span:stride].copy(order="K")  # keeps the memory layout of x
-    offsets = np.zeros_like(out, dtype=np.intp)
     for t in range(1, window):
-        tap = x[..., t: t + span: stride]
-        np.copyto(offsets, t, where=tap > out)  # strict: an earlier tap keeps a tie
-        np.maximum(out, tap, out=out)  # propagates NaN as a reduction would
-    cache = OpCache("maxpool1d", {"x_shape": x.shape, "offsets": offsets,
-                                  "window": window, "stride": stride})
+        np.maximum(out, x[..., t: t + span: stride], out=out)  # propagates NaN
+    cache = OpCache("maxpool1d", {"x": x, "out": out, "window": window, "stride": stride})
     return out, cache
 
 
 def maxpool1d_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
     saved = cache.expect("maxpool1d")
-    offsets, stride = saved["offsets"], saved["stride"]
-    span = (offsets.shape[-1] - 1) * stride + 1
-    g_x = np.zeros(saved["x_shape"])
+    x, out, stride = saved["x"], saved["out"], saved["stride"]
+    span = (out.shape[-1] - 1) * stride + 1
+    g_x = np.zeros(x.shape)
+    unrouted = np.ones(out.shape, dtype=bool)
     for t in range(saved["window"]):
-        g_x[..., t: t + span: stride] += np.where(offsets == t, g_out, 0.0)
+        # the first tap equal to its window's max takes the gradient
+        hit = np.equal(x[..., t: t + span: stride], out)
+        hit &= unrouted
+        unrouted ^= hit
+        g_x[..., t: t + span: stride] += np.where(hit, g_out, 0.0)
     return g_x
 
 
@@ -235,25 +237,21 @@ def elementwise(kind: str, x: np.ndarray, *, out=None):
     ``kind`` is one of ``relu``, ``sigmoid``, ``tanh``.
     """
     if kind == "relu":
-        saved = {"kind": kind, "mask": x > 0.0}
         out = np.maximum(x, 0.0, out=out)
     elif kind == "sigmoid":
         out = sigmoid(x, out=out)
-        saved = {"kind": kind, "out": out}
     elif kind == "tanh":
         out = np.tanh(x, out=out)
-        saved = {"kind": kind, "out": out}
     else:
         raise ConfigError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
-    return out, OpCache("elementwise", saved)
+    return out, OpCache("elementwise", {"kind": kind, "out": out})
 
 
 def elementwise_backward(cache: OpCache, g_out: np.ndarray, *, out=None) -> np.ndarray:
     saved = cache.expect("elementwise")
-    kind = saved["kind"]
+    kind, y = saved["kind"], saved["out"]
     if kind == "relu":
-        return np.multiply(g_out, saved["mask"], out=out)
-    y = saved["out"]
+        return np.multiply(g_out, y > 0.0, out=out)  # y > 0 exactly where x > 0
     if kind == "sigmoid":
         g = np.multiply(g_out, y, out=out)
         g *= 1.0 - y

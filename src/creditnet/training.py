@@ -1,9 +1,10 @@
 """Cross-entropy objective, SGD/Adam, the epoch loop, and experiment runners.
 
 ``train`` drives any model object exposing ``params`` (a ParamStore),
-``forward(batch) -> (probs, trace)`` and ``backward(trace, grad_probs)``;
-the hybrid network and the logistic baseline both qualify. Runs are fully
-deterministic for fixed seeds and configs.
+``forward(batch, *, trace=True) -> (probs, trace)`` and
+``backward(trace, grad_probs)``; the hybrid network and the logistic
+baseline both qualify. Scoring calls ``forward`` with ``trace=False``. Runs
+are fully deterministic for fixed seeds and configs.
 """
 
 from __future__ import annotations
@@ -228,19 +229,22 @@ EVAL_BATCH = 2048
 
 # Rows per Model.forward when scoring. One 2,048-row forward's conv columns
 # and Q/K/V take several MB, overflow a 2 MiB L2 and land on fresh pages each
-# call; in 256-row blocks the default hybrid forward took about 30 us/row
-# against 45-52 at 2,048 rows (10 features, 2-CPU x86-64 host), 128 and 512
-# were no faster, and the `score` benchmark's peak RSS fell from 193 to 65 MiB.
+# call. Untraced forwards of the default config at 10 features, median us/row
+# of 7 runs at 128/256/512/2,048-row blocks (2-CPU x86-64 host): hybrid
+# 31.5/31.9/31.3/30.2, cnn_only 4.3/3.8/3.7/7.5, transformer_only
+# 47.3/45.9/66.0/61.1. 256 is at or near the best for every variant, and
+# blocks bound the `score` benchmark's peak RSS (193 MiB in one forward).
 SCORE_BLOCK = 256
 
 
 def predict_probs(model, X: np.ndarray) -> np.ndarray:
-    """Probabilities for every row of ``X``, one ``model.forward`` per
-    ``SCORE_BLOCK`` rows."""
+    """Probabilities for every row of ``X``, one untraced ``model.forward``
+    per ``SCORE_BLOCK`` rows."""
     X = as_f64(X)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], SCORE_BLOCK):
-        out[start: start + SCORE_BLOCK], _ = model.forward(X[start: start + SCORE_BLOCK])
+        out[start: start + SCORE_BLOCK], _ = model.forward(
+            X[start: start + SCORE_BLOCK], trace=False)
     return out
 
 
@@ -353,11 +357,11 @@ class LogisticModel:
         self.params.add("weight", np.zeros(n_features))
         self.params.add("bias", np.zeros(1))
 
-    def forward(self, batch):
+    def forward(self, batch, *, trace: bool = True):
         X = check_batch(batch, self.n_features)
         z = X @ self.params["weight"].value + self.params["bias"].value[0]
         probs = np.clip(sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
-        return probs, {"X": X, "probs": probs}
+        return probs, ({"X": X, "probs": probs} if trace else None)
 
     def backward(self, trace, grad_probs):
         X, probs = trace["X"], trace["probs"]

@@ -1,0 +1,77 @@
+"""Run the reference commands into OUTDIR and print a hash of every artifact.
+
+A change that claims to keep the package's bits runs this on the parent
+checkout and on its own and diffs the two listings:
+
+    python tests/reference_artifacts.py OUTDIR
+
+The commands go through ``python -m creditnet.cli`` on the ``src/`` next to
+this file: a 2,000-row synthetic CSV (``synth --n 2000 --n-features 6
+--seed 4``), then ``train``, ``eval``, ``ablate``, ``sweep-lr`` and
+``sweep-opt`` on it with the config ``{"train": {"epochs": 3}}`` and
+``--seed 5``, ``importance --repeats 2`` on the trained checkpoint, and
+``report`` on the training run. They run with OUTDIR as the working directory
+and relative paths, so no output names OUTDIR.
+
+Prints ``sha256[:12]  path`` for every file OUTDIR holds afterwards, in path
+order, except the ``manifest.json`` files (they record wall times), then one
+``sha256[:12]  stdout: <command>`` line per command. A command that exits
+non-zero stops the run with its stderr. This is a helper, not a test module:
+pytest does not collect it.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CONFIG = {"train": {"epochs": 3}}
+TRAINED = ["--config", "config.json", "--data", "synth.csv", "--seed", "5"]
+CHECKPOINT = ["--checkpoint", "train/checkpoint.bin"]
+COMMANDS = [
+    ["synth", "--n", "2000", "--n-features", "6", "--seed", "4", "--out", "synth.csv"],
+    ["train", *TRAINED, "--out", "train"],
+    ["eval", *TRAINED, *CHECKPOINT, "--out", "eval"],
+    ["ablate", *TRAINED, "--out", "ablate"],
+    ["sweep-lr", *TRAINED, "--out", "sweep-lr"],
+    ["sweep-opt", *TRAINED, "--out", "sweep-opt"],
+    ["importance", *TRAINED, *CHECKPOINT, "--repeats", "2", "--out", "importance"],
+    ["report", "--run", "train"],
+]
+
+
+def short_hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/reference_artifacts.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "config.json").write_text(json.dumps(CONFIG))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    stdouts = []
+    for command in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "creditnet.cli", *command],
+                              cwd=outdir, env=env, capture_output=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr.decode(errors="replace"))
+            print(f"exit {done.returncode}: {' '.join(command)}", file=sys.stderr)
+            return 1
+        stdouts.append((short_hash(done.stdout), " ".join(command)))
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        if path.name != "manifest.json":
+            print(f"{short_hash(path.read_bytes())}  {path.relative_to(outdir).as_posix()}")
+    for digest, command in stdouts:
+        print(f"{digest}  stdout: {command}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

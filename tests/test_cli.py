@@ -335,6 +335,8 @@ FAULTS = [
     ("fractional-label", "csv", (5, "label", "0.5"), 2,
      "line 5, column 'label': label must be 0 or 1, got 0.5"),
     ("inf-cell", "csv", (7, "f2", "inf"), 2, "line 7, column 'f2': non-finite value, got inf"),
+    ("oversized-cell", "csv", (7, "f2", "1" * 200_000), 2,
+     "line 7: field larger than field limit (131072)"),
     ("eval-missing-checkpoint", "no-checkpoint", "eval", 1, "cannot read checkpoint"),
     ("importance-missing-checkpoint", "no-checkpoint", "importance", 1,
      "cannot read checkpoint"),

@@ -89,6 +89,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"cannot open {tmp_path}: "):
             load_csv(tmp_path, SCHEMA)
 
+    def test_cell_over_the_csv_field_limit_is_a_data_error_naming_its_line(self, tmp_path):
+        # line numbers count records: the quoted newline does not start one
+        path = write_csv(tmp_path, 'default,age,debt,note\n0,30,1.5,"a\nb"\n1,'
+                         + "1" * 200_000 + ",2.0,c\n0,40,0.5,d\n")
+        with pytest.raises(DataError, match=f"{path}, line 3: field larger than field limit"):
+            load_csv(path, SCHEMA)
+
+    def test_header_field_over_the_csv_field_limit_is_a_data_error(self, tmp_path):
+        path = write_csv(tmp_path, "default,age,debt," + "x" * 200_000 + "\n0,30,1.5,1\n")
+        with pytest.raises(DataError, match=f"{path}, line 1: field larger than field limit"):
+            load_csv(path, SCHEMA)
+
 
 class TestSchemaConfig:
     def test_label_in_features_rejected(self):

@@ -364,6 +364,14 @@ class TestBackward:
         with pytest.raises(StateError):
             model.backward(trace, np.ones_like(probs))
 
+    def test_untraced_forward_has_no_trace_to_run_backward_on(self):
+        model = Model(SMALL)
+        probs, trace = model.forward(np.random.default_rng(15).standard_normal((4, 8)),
+                                     trace=False)
+        assert trace is None
+        with pytest.raises(StateError, match="forward ran with trace=False"):
+            model.backward(trace, np.ones_like(probs))
+
     @pytest.mark.parametrize("variant", ["hybrid", "cnn_only", "transformer_only"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_full_model_gradient_check(self, variant, seed):

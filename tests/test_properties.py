@@ -22,7 +22,7 @@ from creditnet.model import (  # noqa: E402
     save_checkpoint,
 )
 from creditnet.tensor_ops import gradient_check  # noqa: E402
-from creditnet.training import bce_loss, predict_probs  # noqa: E402
+from creditnet.training import SCORE_BLOCK, bce_loss, predict_probs  # noqa: E402
 
 FEW = settings(max_examples=20, deadline=None)
 
@@ -104,6 +104,24 @@ def test_gradients_ignore_forwards_run_while_a_trace_is_held(config, seed):
     model.params.zero_grads()
     model.backward(trace, bce_loss(probs, y)[1])
     assert model.params.grads.tobytes() == fresh.params.grads.tobytes()
+
+
+@FEW
+@given(model_configs(), st.integers(1, 600), st.integers(0, 2**31))
+def test_untraced_forward_gives_the_traced_bits(config, n_rows, seed):
+    """Scoring runs the forward with trace=False, which keeps no op cache;
+    its probabilities, in SCORE_BLOCK blocks or in one forward, are the
+    traced forward's bits."""
+    rng = np.random.default_rng(seed)
+    model = Model(config)
+    model.params.values += 0.1 * rng.standard_normal(model.params.values.size)
+    # half-integer features tie in max-pool windows and put ReLUs at zero
+    X = np.round(2 * rng.standard_normal((n_rows, config.n_features))) / 2
+    blocks = [model.forward(X[s: s + SCORE_BLOCK])[0] for s in range(0, n_rows, SCORE_BLOCK)]
+    assert predict_probs(model, X).tobytes() == np.concatenate(blocks).tobytes()
+    untraced, trace = model.forward(X, trace=False)
+    assert trace is None
+    assert untraced.tobytes() == model.forward(X)[0].tobytes()
 
 
 def _checkpoint_bytes(model: Model, directory: Path) -> bytes:

@@ -288,15 +288,17 @@ class TestPredictProbs:
 
     def test_never_forwards_more_than_score_block_rows(self, monkeypatch):
         model = Model(SMALL_MODEL)
-        sizes = []
+        sizes, traced = [], []
 
-        def spy(batch):
+        def spy(batch, **kwargs):
             sizes.append(batch.shape[0])
-            return Model.forward(model, batch)
+            traced.append(kwargs.get("trace", True))
+            return Model.forward(model, batch, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
         predict_probs(model, np.zeros((3 * SCORE_BLOCK + 5, 6)))
         assert sizes == [SCORE_BLOCK] * 3 + [5]
+        assert traced == [False] * 4
 
     def test_zero_rows_give_an_empty_array(self):
         probs = predict_probs(Model(SMALL_MODEL), np.zeros((0, 6)))
