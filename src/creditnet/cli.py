@@ -527,6 +527,9 @@ def run(argv) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # e.g. an --out that is a file, or a directory where a file goes
+        print(f"path error: {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

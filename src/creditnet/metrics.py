@@ -18,6 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DataError, ShapeError, UndefinedMetricError
+from .tensor_ops import as_f64
 
 
 @dataclass
@@ -48,8 +49,14 @@ class RocCurve:
         return list(zip(self.fpr.tolist(), self.tpr.tolist()))
 
 
+def check_labels(labels: np.ndarray) -> None:
+    """Raise ``DataError`` unless every label is 0 or 1."""
+    if not np.all((labels == 0) | (labels == 1)):
+        raise DataError(f"labels must be 0/1, got values {np.unique(labels)!r}")
+
+
 def _validate(scores, labels):
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    scores = as_f64(scores).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.shape[0] != labels.shape[0]:
         raise ShapeError(
@@ -59,8 +66,7 @@ def _validate(scores, labels):
         raise DataError("empty input")
     if not np.isfinite(scores).all():
         raise DataError("scores contain non-finite values")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise DataError(f"labels must be 0/1, got values {np.unique(labels)!r}")
+    check_labels(labels)
     return scores, labels.astype(np.int64)
 
 

@@ -9,10 +9,12 @@ layer-norm gated by a flag), mean-pools over the sequence, and finishes with
 an MLP head and a sigmoid. Ablation variants drop the transformer
 (``cnn_only``) or the conv block (``transformer_only``).
 
-Forward passes are pure. A traced forward (the default) returns every op's
-cache in a ``ForwardTrace`` that ``Model.backward`` consumes exactly once; a
-forward with ``trace=False``, the one scoring runs, keeps no cache, so each
-op's intermediates are freed as the next op runs.
+``build(config)`` adds each layer's parameters as it appends the layer that
+reads them; ``Model.forward`` walks that list and ``Model.backward`` walks it
+back. Forward passes are pure. A traced forward (the default) returns the
+per-layer cache list in a ``ForwardTrace`` that ``backward`` consumes exactly
+once; with ``trace=False``, the one scoring runs, each layer's cache is
+dropped as the next layer runs.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class AttnSpec:
     d_model: int = 32
     n_blocks: int = 2
     layer_norm: bool = True
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.n_heads
 
 
 @dataclass(frozen=True)
@@ -146,10 +144,6 @@ class ModelConfig:
             return self.n_features
         l1 = conv_out_len(self.n_features, self.conv.kernel, self.conv.stride)
         return conv_out_len(l1, self.conv.pool_window, self.conv.pool_stride)
-
-    def head_input_width(self) -> int:
-        """Width of the pooled vector feeding the MLP head."""
-        return self.attn.d_model if self.uses_transformer() else self.conv.channels
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -258,9 +252,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params.values())
 
@@ -281,61 +272,6 @@ class ParamStore:
 
     def restore(self, snap: np.ndarray) -> None:
         self.values[...] = snap
-
-
-def _xavier(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_params(config: ModelConfig, seed: Optional[int] = None) -> ParamStore:
-    """Glorot-uniform weights, zero biases, unit layer-norm gains.
-
-    Deterministic: identical (config, seed) pairs produce bit-identical
-    stores. Variants only allocate the parameters their forward pass uses.
-    """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    store = ParamStore()
-    cv, at = config.conv, config.attn
-
-    store.add("embed.weight",
-              _xavier(rng, (config.n_features, config.d_embed), 1, config.d_embed))
-    store.add("embed.bias", np.zeros((config.n_features, config.d_embed)))
-
-    if config.uses_conv():
-        fan_in = config.d_embed * cv.kernel
-        fan_out = cv.channels * cv.kernel
-        store.add("conv.weight",
-                  _xavier(rng, (cv.channels, config.d_embed, cv.kernel), fan_in, fan_out))
-        store.add("conv.bias", np.zeros(cv.channels))
-
-    if config.uses_transformer():
-        in_width = cv.channels if config.uses_conv() else config.d_embed
-        store.add("proj.weight", _xavier(rng, (in_width, at.d_model), in_width, at.d_model))
-        store.add("proj.bias", np.zeros(at.d_model))
-        for b in range(at.n_blocks):
-            pre = f"block{b}"
-            for w in ("wq", "wk", "wv", "wo"):
-                store.add(f"{pre}.attn.{w}",
-                          _xavier(rng, (at.d_model, at.d_model), at.d_model, at.d_model))
-            if at.layer_norm:
-                store.add(f"{pre}.ln1.gain", np.ones(at.d_model))
-                store.add(f"{pre}.ln1.shift", np.zeros(at.d_model))
-            store.add(f"{pre}.ffn.w1",
-                      _xavier(rng, (at.d_model, config.ffn_dim), at.d_model, config.ffn_dim))
-            store.add(f"{pre}.ffn.b1", np.zeros(config.ffn_dim))
-            store.add(f"{pre}.ffn.w2",
-                      _xavier(rng, (config.ffn_dim, at.d_model), config.ffn_dim, at.d_model))
-            store.add(f"{pre}.ffn.b2", np.zeros(at.d_model))
-            if at.layer_norm:
-                store.add(f"{pre}.ln2.gain", np.ones(at.d_model))
-                store.add(f"{pre}.ln2.shift", np.zeros(at.d_model))
-
-    widths = [config.head_input_width(), *config.mlp_hidden, 1]
-    for i, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
-        store.add(f"mlp.{i}.weight", _xavier(rng, (w_in, w_out), w_in, w_out))
-        store.add(f"mlp.{i}.bias", np.zeros(w_out))
-    return store
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +378,7 @@ def attention_backward(cache: OpCache, g_out: np.ndarray, *, out=None):
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     # [..., s, d_model] -> [..., h, s, d_k]
-    s, d_model = x.shape[-2], x.shape[-1]
-    d_k = d_model // n_heads
+    d_k = x.shape[-1] // n_heads
     x = x.reshape(*x.shape[:-1], n_heads, d_k)
     return np.swapaxes(x, -2, -3)
 
@@ -499,12 +434,6 @@ def multi_head_attention_backward(cache: OpCache, g_out: np.ndarray):
     g_tokens, g_w, _ = linear_backward(
         saved["qkv_cache"], g_qkv.reshape(*g_concat.shape[:-1], 3 * d_model))
     return (g_tokens, *np.split(g_w, 3, axis=1), g_wo)
-
-
-_BLOCK_WEIGHTS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo",
-                  "ln1.gain", "ln1.shift",
-                  "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
-                  "ln2.gain", "ln2.shift")
 
 
 def transformer_block(tokens: np.ndarray, weights: dict, n_heads: int,
@@ -569,23 +498,170 @@ def transformer_block_backward(cache: OpCache, g_out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# layers: what forward walks and backward walks back
+# ---------------------------------------------------------------------------
+# Each layer has ``forward(x) -> (y, cache)`` and ``backward(cache, g) -> g_x``,
+# which adds its parameters' gradients into their grads. Layers hold
+# Parameters, not arrays (``ParamStore.add`` re-points the views), and look the
+# ops up in this module's globals as they run, so a wrapper bound there later
+# sees every call. Up to the mean-pool, x is [..., s, width].
+
+class _Weighted:
+    """A layer over one weight and one bias Parameter."""
+
+    def __init__(self, weight: Parameter, bias: Parameter):
+        self.weight, self.bias = weight, bias
+
+    def _accumulate(self, g_x, g_w, g_b):
+        self.weight.grad += g_w
+        self.bias.grad += g_b
+        return g_x
+
+
+class Tokenize(_Weighted):
+    def forward(self, x):
+        return tokenize(x, self.weight.value, self.bias.value)
+
+    def backward(self, cache, g):
+        return self._accumulate(*tokenize_backward(cache, g))
+
+
+class Linear(_Weighted):
+    def forward(self, x):
+        return linear(x, self.weight.value, self.bias.value)
+
+    def backward(self, cache, g):
+        return self._accumulate(*linear_backward(cache, g))
+
+
+class ConvBlock(_Weighted):
+    """``conv1d`` along the token axis, embedding width as channels, then ``maxpool1d``."""
+
+    def __init__(self, weight: Parameter, bias: Parameter, spec: ConvSpec):
+        super().__init__(weight, bias)
+        self.spec = spec
+
+    def forward(self, x):
+        z, conv_cache = conv1d(np.swapaxes(x, -1, -2), self.weight.value, self.bias.value,
+                               self.spec.stride)
+        p, pool_cache = maxpool1d(z, self.spec.pool_window, self.spec.pool_stride)
+        return np.swapaxes(p, -1, -2), (conv_cache, pool_cache)
+
+    def backward(self, cache, g):
+        conv_cache, pool_cache = cache
+        g_z = maxpool1d_backward(pool_cache, np.swapaxes(g, -1, -2))
+        return np.swapaxes(self._accumulate(*conv1d_backward(conv_cache, g_z)), -1, -2)
+
+
+class TransformerBlock:
+    def __init__(self, params: list, spec: AttnSpec, activation: str):
+        # transformer_block's weights are keyed by the name inside the block
+        self.weights = tuple((p.name.partition(".")[2], p) for p in params)
+        self.spec, self.activation = spec, activation
+
+    def forward(self, x):
+        return transformer_block(x, {key: p.value for key, p in self.weights},
+                                 self.spec.n_heads, self.spec.layer_norm, self.activation)
+
+    def backward(self, cache, g):
+        g_x, grads = transformer_block_backward(cache, g)
+        for key, p in self.weights:
+            p.grad += grads[key]
+        return g_x
+
+
+class MeanPool:
+    """Mean over the token axis: [..., s, width] -> [..., width]."""
+
+    def forward(self, x):
+        return np.mean(x, axis=-2), x.shape[-2]
+
+    def backward(self, s, g):
+        return np.repeat(g[..., None, :], s, axis=-2) / s
+
+
+class Activation:
+    def __init__(self, kind: str):
+        self.kind = kind
+
+    def forward(self, x):
+        return elementwise(self.kind, x)
+
+    def backward(self, cache, g):
+        return elementwise_backward(cache, g)
+
+
+def build(config: ModelConfig) -> tuple[ParamStore, list]:
+    """The parameters of ``config`` and the layer list that reads them.
+
+    Glorot-uniform weights drawn from ``config.seed``, zero biases and unit
+    layer-norm gains, added in manifest order as the config is walked once:
+    a variant allocates only what its layers read, and identical configs
+    give bit-identical stores.
+    """
+    rng = np.random.default_rng(config.seed)
+    store = ParamStore()
+    cv, at = config.conv, config.attn
+
+    def weight(name, fan_in, fan_out, shape=None):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return store.add(name, rng.uniform(-bound, bound, size=shape or (fan_in, fan_out)))
+
+    def zeros(name, shape):
+        return store.add(name, np.zeros(shape))
+
+    def linear_layer(name, w_in, w_out):
+        return Linear(weight(f"{name}.weight", w_in, w_out), zeros(f"{name}.bias", w_out))
+
+    def norm(name):  # a block's layer-norm gain and shift, when it has them
+        return [store.add(f"{name}.gain", np.ones(at.d_model)),
+                zeros(f"{name}.shift", at.d_model)] if at.layer_norm else []
+
+    width = config.d_embed
+    layers = [Tokenize(weight("embed.weight", 1, width, (config.n_features, width)),
+                       zeros("embed.bias", (config.n_features, width)))]
+    if config.uses_conv():
+        k, c = cv.kernel, cv.channels
+        layers.append(ConvBlock(weight("conv.weight", width * k, c * k, (c, width, k)),
+                                zeros("conv.bias", c), cv))
+        width = c
+    if config.uses_transformer():
+        d, f = at.d_model, config.ffn_dim
+        layers.append(linear_layer("proj", width, d))
+        width = d
+        for b in range(at.n_blocks):
+            pre = f"block{b}"
+            params = [weight(f"{pre}.attn.{w}", d, d) for w in ("wq", "wk", "wv", "wo")]
+            params += norm(f"{pre}.ln1")
+            params += [weight(f"{pre}.ffn.w1", d, f), zeros(f"{pre}.ffn.b1", f),
+                       weight(f"{pre}.ffn.w2", f, d), zeros(f"{pre}.ffn.b2", d)]
+            params += norm(f"{pre}.ln2")
+            layers.append(TransformerBlock(params, at, config.activation))
+    layers.append(MeanPool())
+    widths = [width, *config.mlp_hidden, 1]
+    for i, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
+        if i:
+            layers.append(Activation(config.activation))
+        layers.append(linear_layer(f"mlp.{i}", w_in, w_out))
+    return store, layers
+
+
+def init_params(config: ModelConfig) -> ParamStore:
+    """The parameter store ``build(config)`` makes."""
+    return build(config)[0]
+
+
+# ---------------------------------------------------------------------------
 # full model
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches from one forward pass; consumed at most once."""
+    """The per-layer cache list of one forward pass; consumed at most once."""
 
     probs: np.ndarray
-    caches: dict
+    caches: list
     used: bool = False
-
-
-class _NoCaches(dict):
-    """The caches of an untraced forward: a store that keeps nothing."""
-
-    def __setitem__(self, key, cache) -> None:
-        pass
 
 
 def check_batch(batch, n_features: int) -> np.ndarray:
@@ -604,71 +680,33 @@ def check_batch(batch, n_features: int) -> np.ndarray:
 
 
 class Model:
-    """Config + parameters + the forward/backward pair for all variants."""
+    """Config, parameters, and the layer list that forward and backward walk."""
 
-    def __init__(self, config: ModelConfig, params: Optional[ParamStore] = None):
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.params = params if params is not None else init_params(config)
-
-    # -- helpers ----------------------------------------------------------
-
-    def _w(self, name: str) -> np.ndarray:
-        return self.params[name].value
-
-    def _block_weights(self, b: int) -> dict:
-        pre = f"block{b}"
-        return {key: self._w(f"{pre}.{key}") for key in _BLOCK_WEIGHTS
-                if f"{pre}.{key}" in self.params}
-
-    # -- forward ----------------------------------------------------------
+        self.params, self.layers = build(config)
 
     def forward(self, batch: np.ndarray, *, trace: bool = True):
         """Default probabilities for a ``[B, n_features]`` batch.
 
         Returns ``(probs, trace)`` where ``probs`` is ``[B]`` with every
         value strictly inside (0, 1) and ``trace`` is the ``ForwardTrace``
-        that ``backward`` needs. With ``trace=False`` no op cache is kept,
-        so each op's intermediates are freed as the forward moves on, and
+        that ``backward`` needs. With ``trace=False`` no layer cache is kept,
+        so each layer's intermediates are freed as the forward moves on, and
         ``trace`` is None; the probabilities are the same bits.
         """
-        cfg = self.config
-        batch = check_batch(batch, cfg.n_features)
-        caches: dict = {} if trace else _NoCaches()
-
-        tokens, caches["tokenize"] = tokenize(
-            batch, self._w("embed.weight"), self._w("embed.bias"))
-
-        if cfg.uses_conv():
-            x_c = np.swapaxes(tokens, -1, -2)  # [B, d_embed, n_features]
-            z1, caches["conv"] = conv1d(
-                x_c, self._w("conv.weight"), self._w("conv.bias"), cfg.conv.stride)
-            p1, caches["pool"] = maxpool1d(z1, cfg.conv.pool_window, cfg.conv.pool_stride)
-            seq = np.swapaxes(p1, -1, -2)  # [B, L2, channels]
+        h = check_batch(batch, self.config.n_features)
+        if trace:
+            caches = []
+            for layer in self.layers:
+                h, cache = layer.forward(h)
+                caches.append(cache)
         else:
-            seq = tokens
-
-        if cfg.uses_transformer():
-            seq, caches["proj"] = linear(seq, self._w("proj.weight"), self._w("proj.bias"))
-            for b in range(cfg.attn.n_blocks):
-                seq, caches["block", b] = transformer_block(
-                    seq, self._block_weights(b), cfg.attn.n_heads,
-                    cfg.attn.layer_norm, cfg.activation)
-
-        h = np.mean(seq, axis=-2)  # [B, width]
-        caches["seq_len"] = seq.shape[-2]
-
-        n_layers = len(cfg.mlp_hidden) + 1
-        for i in range(n_layers):
-            h, caches["mlp", i] = linear(h, self._w(f"mlp.{i}.weight"),
-                                         self._w(f"mlp.{i}.bias"))
-            if i < n_layers - 1:
-                h, caches["act", i] = elementwise(cfg.activation, h)
-
+            for layer in self.layers:
+                h = layer.forward(h)[0]  # its cache is freed at once
         probs = np.clip(sigmoid(h[..., 0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
         check_finite(probs, "model probabilities")
         return probs, (ForwardTrace(probs=probs, caches=caches) if trace else None)
-
-    # -- backward ---------------------------------------------------------
 
     def backward(self, trace: ForwardTrace, grad_probs: np.ndarray,
                  want_input_grad: bool = False):
@@ -684,56 +722,17 @@ class Model:
         if trace.used:
             raise StateError("ForwardTrace already consumed by a backward pass")
         trace.used = True
-        cfg = self.config
-        caches = trace.caches
         grad_probs = as_f64(grad_probs)
         if grad_probs.shape != trace.probs.shape:
             raise ShapeError(
                 f"grad_probs shape {grad_probs.shape} != probs shape {trace.probs.shape}"
             )
-
-        def acc(name: str, g) -> None:
-            self.params[name].grad += g
-
         # sigmoid head (clamp is flat outside the open interval, but the
         # clamp bounds are unreachable for any finite logit that matters)
-        g_z = grad_probs * trace.probs * (1.0 - trace.probs)
-        g_h = g_z[..., None]
-
-        n_layers = len(cfg.mlp_hidden) + 1
-        for i in reversed(range(n_layers)):
-            if i < n_layers - 1:
-                g_h = elementwise_backward(caches["act", i], g_h)
-            g_h, g_w, g_b = linear_backward(caches["mlp", i], g_h)
-            acc(f"mlp.{i}.weight", g_w)
-            acc(f"mlp.{i}.bias", g_b)
-
-        s = caches["seq_len"]
-        g_seq = np.repeat(g_h[..., None, :], s, axis=-2) / s
-
-        if cfg.uses_transformer():
-            for b in reversed(range(cfg.attn.n_blocks)):
-                g_seq, grads = transformer_block_backward(caches["block", b], g_seq)
-                for key, g in grads.items():
-                    acc(f"block{b}.{key}", g)
-            g_seq, g_w, g_b = linear_backward(caches["proj"], g_seq)
-            acc("proj.weight", g_w)
-            acc("proj.bias", g_b)
-
-        if cfg.uses_conv():
-            g_p1 = np.swapaxes(g_seq, -1, -2)
-            g_z1 = maxpool1d_backward(caches["pool"], g_p1)
-            g_xc, g_w, g_b = conv1d_backward(caches["conv"], g_z1)
-            acc("conv.weight", g_w)
-            acc("conv.bias", g_b)
-            g_tokens = np.swapaxes(g_xc, -1, -2)
-        else:
-            g_tokens = g_seq
-
-        g_x, g_e, g_p = tokenize_backward(caches["tokenize"], g_tokens)
-        acc("embed.weight", g_e)
-        acc("embed.bias", g_p)
-        return g_x if want_input_grad else None
+        g = (grad_probs * trace.probs * (1.0 - trace.probs))[..., None]
+        for layer, cache in zip(reversed(self.layers), reversed(trace.caches)):
+            g = layer.backward(cache, g)
+        return g if want_input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +782,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     if header.get("version") != 1:
         raise ConfigError(f"unsupported checkpoint version {header.get('version')!r} "
                           f"in {path}")
-    config = ModelConfig.from_dict(header["config"])
-    store = init_params(config)
+    model = Model(ModelConfig.from_dict(header["config"]))
+    store = model.params
     found = [(e.get("name"), e.get("shape")) for e in header.get("params", [])]
     expected = [(p.name, list(p.value.shape)) for p in store]
     for got, want in zip_longest(found, expected):
@@ -796,4 +795,4 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise ConfigError(f"checkpoint {path} payload is {len(payload)} bytes, "
                           f"expected {n_bytes}")
     store.values[...] = np.frombuffer(payload, dtype="<f8")
-    return Model(config, store), header
+    return model, header

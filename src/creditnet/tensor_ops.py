@@ -22,14 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, StateError
+from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
 
 def as_f64(x) -> np.ndarray:
-    """Coerce outside input to float64; float64 arrays and views pass uncopied."""
-    return np.asarray(x, dtype=np.float64)
+    """Coerce outside input to float64; float64 arrays and views pass uncopied.
+    Input numpy cannot read as one float array (text, ragged rows, objects)
+    is a ``DataError``."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"input is not a numeric array: {exc}") from None
 
 
 def check_finite(x: np.ndarray, what: str) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError
-from .metrics import MetricsRecord, accuracy, auc, evaluate_scores
+from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
 from .model import (PROB_CLAMP, Model, ModelConfig, ParamStore, check_batch,
                     config_from_dict)
 from .tensor_ops import as_f64, sigmoid
@@ -140,11 +140,15 @@ def bce_loss(probs, labels, pos_weight: float = 1.0):
 
     The gradient is the exact derivative of the clamped mean: coordinates
     whose raw probability sits outside the clamp window get gradient zero.
+    A label other than 0 or 1 is a ``DataError``; probabilities are not
+    checked, so a NaN from a diverged model reaches the loss.
     """
     probs = as_f64(probs).reshape(-1)
-    labels = np.asarray(labels).reshape(-1).astype(np.float64)
+    labels = np.asarray(labels).reshape(-1)
     if probs.shape != labels.shape:
         raise ShapeError(f"probs {probs.shape} and labels {labels.shape} differ")
+    check_labels(labels)
+    labels = labels.astype(np.float64)
     n = probs.shape[0]
     p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
     loss = -np.mean(pos_weight * labels * np.log(p) + (1.0 - labels) * np.log1p(-p))

@@ -387,3 +387,23 @@ class TestFaults:
             command = [change, "--checkpoint", str(tmp_path / "nope.bin")]
         assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == code
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["train-out-is-a-file", "checkpoint-is-a-directory",
+                                      "synth-out-is-a-directory"])
+    def test_unwritable_output_path_exits_1_naming_it(self, case, workspace, tmp_path,
+                                                      capsys):
+        train = ["train", "--config", workspace["config"], "--data", workspace["csv"]]
+        if case == "train-out-is-a-file":
+            bad = tmp_path / "taken"
+            bad.write_text("")
+            argv = [*train, "--out", str(bad)]
+        elif case == "checkpoint-is-a-directory":
+            bad = tmp_path / "run" / "checkpoint.bin"
+            bad.mkdir(parents=True)
+            argv = [*train, "--out", str(bad.parent)]
+        else:
+            bad = tmp_path
+            argv = ["synth", "--n", "200", "--out", str(bad)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"path error: {bad}: ") and err.count("\n") == 1

@@ -270,6 +270,12 @@ def test_non_finite_scores_are_data_errors(fn, bad):
         fn([0.1, bad, 0.3, 0.2], [0, 1, 1, 0])
 
 
+@pytest.mark.parametrize("fn", [accuracy, auc, ks, roc_points, evaluate_scores])
+def test_non_numeric_scores_are_data_errors(fn):
+    with pytest.raises(DataError, match="input is not a numeric array"):
+        fn("ab", [0, 1])
+
+
 class TestEvaluateScores:
     def test_record_fields(self):
         rec = evaluate_scores([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])

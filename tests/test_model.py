@@ -330,6 +330,11 @@ class TestForward:
         with pytest.raises(ShapeError, match="batch has no rows"):
             Model(SMALL).forward(np.zeros((0, 8)))
 
+    @pytest.mark.parametrize("bad", ["abc", [[1.0] * 8, [1.0] * 7]])
+    def test_non_numeric_or_ragged_input_is_a_data_error(self, bad):
+        with pytest.raises(DataError, match="input is not a numeric array"):
+            Model(SMALL).forward(bad)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_a_data_error(self, bad):
         X = np.zeros((4, 8))

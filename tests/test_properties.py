@@ -1,5 +1,5 @@
-"""Property-based checks of the model's gradients, the checkpoint format, the
-AUC and the KS."""
+"""Property-based checks of the model's layer list and gradients, the
+checkpoint format, the AUC and the KS."""
 
 import tempfile
 from pathlib import Path
@@ -17,11 +17,12 @@ from creditnet.model import (  # noqa: E402
     ConvSpec,
     Model,
     ModelConfig,
+    build,
     conv_out_len,
     load_checkpoint,
     save_checkpoint,
 )
-from creditnet.tensor_ops import gradient_check  # noqa: E402
+from creditnet.tensor_ops import Parameter, gradient_check  # noqa: E402
 from creditnet.training import SCORE_BLOCK, bce_loss, predict_probs  # noqa: E402
 
 FEW = settings(max_examples=20, deadline=None)
@@ -58,6 +59,44 @@ def _step(model: Model, X, y):
     model.params.zero_grads()
     model.backward(trace, g)
     return loss
+
+
+@FEW
+@given(model_configs(), st.integers(0, 2**31))
+def test_every_parameter_is_read_by_exactly_one_layer_in_manifest_order(config, seed):
+    """Every parameter the builder makes has its value and grad touched by
+    one layer only, over a forward and a backward walk, and the forward reads
+    them in manifest order. The finite-difference check cannot see an unread
+    parameter: its analytic and difference-quotient gradients are both 0."""
+    store, layers = build(config)
+    touched = []  # (layer index, attribute, parameter name)
+    at = {"layer": None}
+
+    class Watched(Parameter):
+        def __getattribute__(self, attr):
+            if attr in ("value", "grad"):
+                touched.append((at["layer"], attr, object.__getattribute__(self, "name")))
+            return object.__getattribute__(self, attr)
+
+    for p in store:
+        p.__class__ = Watched
+    h = np.random.default_rng(seed).standard_normal((3, config.n_features))
+    caches = []
+    for i, layer in enumerate(layers):
+        at["layer"] = i
+        h, cache = layer.forward(h)
+        caches.append(cache)
+    g = np.ones_like(h)
+    for i in reversed(range(len(layers))):
+        at["layer"] = i
+        g = layers[i].backward(caches[i], g)
+
+    readers = {name: set() for name in store.names()}
+    for i, _, name in touched:
+        readers[name].add(i)
+    assert {name: len(r) for name, r in readers.items()} == dict.fromkeys(store.names(), 1)
+    forward_reads = [name for _, attr, name in touched if attr == "value"]
+    assert list(dict.fromkeys(forward_reads)) == store.names()
 
 
 @FEW

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from creditnet.errors import ConfigError, NumericError, ShapeError, StateError
+from creditnet.errors import ConfigError, DataError, NumericError, ShapeError, StateError
 from creditnet.tensor_ops import (
     OpCache,
     Parameter,
+    as_f64,
     conv1d,
     conv1d_backward,
     elementwise,
@@ -426,6 +427,17 @@ class TestOutArgument:
         buf = g.copy()
         for got, expected in zip(layer_norm_backward(buf_cache, buf, out=buf), want_grads):
             assert got.tobytes() == expected.tobytes()
+
+
+class TestAsF64:
+    @pytest.mark.parametrize("bad", ["abc", [[1.0, 2.0], [3.0]], [1.0, "a"], {}, object()])
+    def test_non_numeric_input_is_a_data_error(self, bad):
+        with pytest.raises(DataError, match="input is not a numeric array"):
+            as_f64(bad)
+
+    def test_float64_array_passes_uncopied(self):
+        x = np.arange(4.0)[::2]
+        assert as_f64(x) is x
 
 
 class TestOpCacheDiscipline:

@@ -95,6 +95,21 @@ class TestBceLoss:
         with pytest.raises(ShapeError):
             bce_loss([0.5], [1, 0])
 
+    @pytest.mark.parametrize("labels", [[0, 2], [0, 0.5], [-1, 1], [0, np.nan]])
+    def test_label_other_than_zero_or_one_is_a_data_error(self, labels):
+        with pytest.raises(DataError, match="labels must be 0/1"):
+            bce_loss([0.4, 0.5], labels)
+
+    def test_non_numeric_probabilities_are_a_data_error(self):
+        with pytest.raises(DataError, match="not a numeric array"):
+            bce_loss("ab", [0, 1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_probability_reaches_the_loss(self):
+        # _fit turns a non-finite loss into "loss diverged" (exit 3)
+        loss, _ = bce_loss([np.nan, 0.5], [0, 1])
+        assert np.isnan(loss)
+
 
 def one_param(value):
     """A ParamStore holding one parameter ``p``; returns ``(store, p)``."""
