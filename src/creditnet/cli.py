@@ -12,6 +12,7 @@ error (divergence or NaN).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -206,6 +207,17 @@ def prepare_out_dir(args) -> Path:
     return out
 
 
+def check_outputs(out: Path, names: tuple[str, ...]) -> None:
+    """Raise now, before training, the ``OSError`` that writing ``out/name``
+    would raise later: a directory in the file's place, or no write access."""
+    for name in names:
+        path = out / name
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not os.access(path if path.exists() else out, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+
 # ---------------------------------------------------------------------------
 # the two command skeletons: train from a CSV, or score a checkpoint on one
 # ---------------------------------------------------------------------------
@@ -263,6 +275,7 @@ def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, Fea
 
 def cmd_train(args) -> int:
     inputs = training_inputs(args)
+    check_outputs(inputs.out, ("report.json", "curves.csv", "checkpoint.bin", "manifest.json"))
     model, report = train(inputs.model_cfg, inputs.train_cfg, inputs.splits)
 
     write_json(inputs.out / "report.json", {"kind": "train", **report.to_dict()})

@@ -240,6 +240,8 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
     ``subsample`` (None or an int >= 1) keeps a random subset of rows drawn
     with ``seed`` (>= 0).
     """
+    if not isinstance(schema, SchemaConfig):
+        raise ConfigError(f"schema must be a SchemaConfig, got {schema!r}")
     if subsample is not None and (isinstance(subsample, bool)
                                   or not isinstance(subsample, Integral) or subsample < 1):
         raise ConfigError(f"subsample must be null or an integer >= 1, got {subsample!r}")

@@ -1,23 +1,26 @@
 """Binary-classifier evaluation: accuracy, ROC-AUC, and the KS statistic.
 
-All three curve metrics read one threshold sweep: a single stable sort of the
-scores, descending, with cumulative class counts at the end of each tie
-group. AUC uses the Mann-Whitney convention (ties get half credit), which
-equals the trapezoidal area under that tie-grouped ROC curve (Hanley &
-McNeil 1982); it is computed in integer counts, so it matches the rank-sum
-formula bit for bit. KS is the maximum vertical
-gap between the per-class score CDFs, equivalently max |TPR - FPR| over
+All three curve metrics read one threshold sweep: one sort of the scores,
+read descending, with cumulative class counts at the end of each tie group.
+Only those group ends are read, so the order inside a tie never matters and
+the sort need not be stable. AUC uses the Mann-Whitney convention (ties get
+half credit), which equals the trapezoidal area under that tie-grouped ROC
+curve (Hanley & McNeil 1982); it is computed in integer counts, so it
+matches the rank-sum formula bit for bit. KS is the maximum vertical gap
+between the per-class score CDFs, equivalently max |TPR - FPR| over
 thresholds; the maximum always occurs at a distinct score value, so only
 those are swept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
+from numbers import Real
 
 import numpy as np
 
-from .errors import DataError, ShapeError, UndefinedMetricError
+from .errors import ConfigError, DataError, ShapeError, UndefinedMetricError
 from .tensor_ops import as_f64
 
 
@@ -56,8 +59,12 @@ def check_labels(labels: np.ndarray) -> None:
 
 
 def _validate(scores, labels):
-    scores = as_f64(scores).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
+    scores = as_f64(scores)
+    labels = np.asarray(labels)
+    if scores.ndim != 1 or labels.ndim != 1:
+        raise ShapeError(
+            f"scores and labels must be 1-D, got shapes {scores.shape} and {labels.shape}"
+        )
     if scores.shape[0] != labels.shape[0]:
         raise ShapeError(
             f"scores ({scores.shape[0]}) and labels ({labels.shape[0]}) differ in length"
@@ -70,19 +77,31 @@ def _validate(scores, labels):
     return scores, labels.astype(np.int64)
 
 
+def _check_threshold(threshold) -> None:
+    if (isinstance(threshold, bool) or not isinstance(threshold, Real)
+            or not math.isfinite(threshold)):
+        raise ConfigError(f"threshold must be a finite real number, got {threshold!r}")
+
+
 def _accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
     return float(np.mean((scores >= threshold) == labels))
 
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:
     """Fraction of samples where (score >= threshold) matches the label."""
+    _check_threshold(threshold)
     return _accuracy(*_validate(scores, labels), threshold)
 
 
 def _sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (negative, positive) counts at the end of each tie group,
-    thresholds descending: one stable sort serves AUC, KS and the ROC curve."""
-    order = np.argsort(-scores, kind="stable")
+    thresholds descending: one sort serves AUC, KS and the ROC curve.
+
+    The ascending order is read in reverse. Counts are taken only where a tie
+    group ends, and a group's count does not depend on how its members are
+    ordered, so numpy's default (unstable, SIMD) argsort gives the same
+    counts as a stable one."""
+    order = np.argsort(scores)[::-1]
     sorted_scores = scores[order]
     last = np.empty(scores.shape[0], dtype=bool)
     last[-1] = True
@@ -127,6 +146,7 @@ def roc_points(scores, labels) -> RocCurve:
 
 def evaluate_scores(scores, labels, threshold: float = 0.5) -> MetricsRecord:
     """Compute the full metric triple on one split: one validation, one sort."""
+    _check_threshold(threshold)
     scores, labels = _validate(scores, labels)
     fp, tp = _sweep(scores, labels)
     return MetricsRecord(

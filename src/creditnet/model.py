@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import zip_longest
@@ -767,6 +768,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     and shape, that its config builds, and the payload must hold exactly
     their values; anything else is a ``ConfigError``.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"checkpoint path must be a str or path, got {path!r}")
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()

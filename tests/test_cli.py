@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import creditnet.cli as cli
 from creditnet.cli import run
 
 
@@ -407,3 +408,18 @@ class TestFaults:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"path error: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["report.json", "curves.csv", "checkpoint.bin",
+                                      "manifest.json"])
+    def test_train_output_in_the_way_fails_before_training(self, name, workspace, tmp_path,
+                                                           capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran although an output cannot be written")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        bad = tmp_path / "run" / name
+        bad.mkdir(parents=True)
+        assert run(["train", "--config", workspace["config"], "--data", workspace["csv"],
+                    "--out", str(bad.parent)]) == 1
+        assert capsys.readouterr().err == f"path error: {bad}: Is a directory\n"
+        assert [p.name for p in bad.parent.iterdir()] == [name]

@@ -101,6 +101,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=f"{path}, line 1: field larger than field limit"):
             load_csv(path, SCHEMA)
 
+    def test_schema_none_is_a_config_error_naming_it(self, tmp_path):
+        path = write_csv(tmp_path, "default,age,debt\n0,30,1.5\n")
+        with pytest.raises(ConfigError, match="schema must be a SchemaConfig, got None"):
+            load_csv(path, None)
+
 
 class TestSchemaConfig:
     def test_label_in_features_rejected(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import creditnet.metrics as metrics
-from creditnet.errors import DataError, ShapeError, UndefinedMetricError
+from creditnet.errors import ConfigError, DataError, ShapeError, UndefinedMetricError
 from creditnet.metrics import (
     MetricsRecord,
     accuracy,
@@ -89,6 +89,25 @@ def random_instance(rng, max_n=200):
     labels = rng.integers(0, 2, n)
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
+    return scores, labels
+
+
+def tie_heavy_instance(rng):
+    """Scores that stress tie handling: continuous, rounded to 0-2 decimals,
+    drawn from {0.0, -0.0, 0.5, 1.0}, or all equal; n from 2 to 3,000, both
+    classes present."""
+    n = int(rng.integers(2, 3001)) if rng.random() < 0.5 else int(rng.integers(2, 20))
+    style = rng.integers(0, 4)
+    if style == 0:
+        scores = rng.random(n)
+    elif style == 1:
+        scores = np.round(rng.random(n), int(rng.integers(0, 3)))
+    elif style == 2:
+        scores = rng.choice([0.0, -0.0, 0.5, 1.0], n)
+    else:
+        scores = np.full(n, rng.random())
+    labels = rng.integers(0, 2, n)
+    labels[rng.choice(n, 2, replace=False)] = (0, 1)
     return scores, labels
 
 
@@ -274,6 +293,59 @@ def test_non_finite_scores_are_data_errors(fn, bad):
 def test_non_numeric_scores_are_data_errors(fn):
     with pytest.raises(DataError, match="input is not a numeric array"):
         fn("ab", [0, 1])
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([[0.1, 0.9]], [[0, 1]]),
+    ([0.1, 0.9], [[0, 1]]),
+    ([[0.1], [0.9]], [0, 1]),
+    (0.9, 1),
+])
+@pytest.mark.parametrize("fn", [accuracy, auc, ks, roc_points, evaluate_scores])
+def test_scores_and_labels_must_be_one_dimensional(fn, scores, labels):
+    with pytest.raises(ShapeError, match="scores and labels must be 1-D"):
+        fn(scores, labels)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, "a", None, True])
+@pytest.mark.parametrize("fn", [accuracy, evaluate_scores])
+def test_threshold_must_be_a_finite_real(fn, threshold):
+    with pytest.raises(ConfigError, match="threshold must be a finite real number"):
+        fn([0.2, 0.7], [0, 1], threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold, acc", [(0, 0.5), (np.int64(1), 0.5),
+                                            (np.float32(0.5), 1.0), (0.5, 1.0)])
+def test_integer_and_numpy_thresholds_are_accepted(threshold, acc):
+    assert accuracy([0.2, 0.7], [0, 1], threshold) == acc
+
+
+class TestSweepIgnoresOrderWithinTies:
+    """``_sweep`` reads its counts only at tie-group ends, so it does not
+    depend on how its sort orders equal scores: any permutation of the input
+    gives the same counts, bit for bit."""
+
+    def test_permuted_input_gives_identical_counts(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            scores, labels = tie_heavy_instance(rng)
+            fp, tp = metrics._sweep(scores, labels)
+            for _ in range(3):
+                p = rng.permutation(scores.shape[0])
+                fp_p, tp_p = metrics._sweep(scores[p], labels[p])
+                assert fp_p.dtype == fp.dtype and fp_p.tobytes() == fp.tobytes()
+                assert tp_p.dtype == tp.dtype and tp_p.tobytes() == tp.tobytes()
+
+    def test_single_class_stays_undefined(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(50):
+            scores, _ = tie_heavy_instance(rng)
+            n = scores.shape[0]
+            for cls, n_pos, n_neg in ((0, 0, n), (1, n, 0)):
+                with pytest.raises(UndefinedMetricError,
+                                   match=f"^metric undefined with n_pos={n_pos}, "
+                                         f"n_neg={n_neg}$"):
+                    metrics._sweep(scores, np.full(n, cls, dtype=np.int64))
 
 
 class TestEvaluateScores:

@@ -526,6 +526,10 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"cannot read checkpoint {path}"):
             load_checkpoint(path)
 
+    def test_path_none_is_a_config_error_naming_it(self):
+        with pytest.raises(ConfigError, match="checkpoint path must be a str or path, got None"):
+            load_checkpoint(None)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00\x01\x02 not json\n123")
