@@ -61,7 +61,6 @@ from .model import (
 from .training import (
     AdamState,
     EarlyStop,
-    LogisticModel,
     RunReport,
     TrainConfig,
     ablate,

@@ -333,6 +333,7 @@ ROW_COMMANDS = {"sweep-lr": _lr_rows, "sweep-opt": _opt_rows, "ablate": _ablate_
 def cmd_rows(args) -> int:
     """sweep-lr, sweep-opt and ablate: one training run per report row."""
     inputs = training_inputs(args)
+    check_outputs(inputs.out, ("report.json", "manifest.json"))
     rows, extra = ROW_COMMANDS[args.command](args, inputs.model_cfg,
                                              inputs.train_cfg, inputs.splits)
     write_json(inputs.out / "report.json", {"kind": args.command, "rows": rows})

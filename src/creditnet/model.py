@@ -7,7 +7,8 @@ block (embedding width as input channels), then through transformer encoder
 blocks (multi-head self-attention + position-wise feed-forward, residual and
 layer-norm gated by a flag), mean-pools over the sequence, and finishes with
 an MLP head and a sigmoid. Ablation variants drop the transformer
-(``cnn_only``) or the conv block (``transformer_only``).
+(``cnn_only``) or the conv block (``transformer_only``). The ``logistic``
+baseline is one zero-initialised linear layer under the same sigmoid head.
 
 ``build(config)`` adds each layer's parameters as it appends the layer that
 reads them; ``Model.forward`` walks that list and ``Model.backward`` walks it
@@ -49,7 +50,8 @@ from .tensor_ops import (
     softmax_rows_backward,
 )
 
-VARIANTS = ("hybrid", "cnn_only", "transformer_only")
+VARIANTS = ("hybrid", "cnn_only", "transformer_only")  # what ``ablate`` trains
+BASELINE = "logistic"  # the linear floor, outside the ablation
 
 PROB_CLAMP = 1e-15  # keeps outputs strictly inside (0, 1)
 LN_EPS = 1e-5
@@ -93,8 +95,9 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected {VARIANTS}")
+        if self.variant not in (*VARIANTS, BASELINE):
+            raise ConfigError(f"unknown variant {self.variant!r}; "
+                              f"expected {(*VARIANTS, BASELINE)}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         dims = {
@@ -598,7 +601,8 @@ def build(config: ModelConfig) -> tuple[ParamStore, list]:
     Glorot-uniform weights drawn from ``config.seed``, zero biases and unit
     layer-norm gains, added in manifest order as the config is walked once:
     a variant allocates only what its layers read, and identical configs
-    give bit-identical stores.
+    give bit-identical stores. The logistic baseline is one ``Linear`` with
+    zero weights, so its seed is unused.
     """
     rng = np.random.default_rng(config.seed)
     store = ParamStore()
@@ -610,6 +614,10 @@ def build(config: ModelConfig) -> tuple[ParamStore, list]:
 
     def zeros(name, shape):
         return store.add(name, np.zeros(shape))
+
+    if config.variant == BASELINE:
+        return store, [Linear(zeros("linear.weight", (config.n_features, 1)),
+                              zeros("linear.bias", 1))]
 
     def linear_layer(name, w_in, w_out):
         return Linear(weight(f"{name}.weight", w_in, w_out), zeros(f"{name}.bias", w_out))

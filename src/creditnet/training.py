@@ -1,9 +1,8 @@
 """Cross-entropy objective, SGD/Adam, the epoch loop, and experiment runners.
 
-``train`` drives any model object exposing ``params`` (a ParamStore),
-``forward(batch, *, trace=True) -> (probs, trace)`` and
-``backward(trace, grad_probs)``; the hybrid network and the logistic
-baseline both qualify. Scoring calls ``forward`` with ``trace=False``. Runs
+``train`` fits a ``Model`` of any variant, the logistic baseline included:
+a traced ``forward`` and a ``backward`` per batch, then one optimizer step
+over ``model.params``. Scoring calls ``forward`` with ``trace=False``. Runs
 are fully deterministic for fixed seeds and configs.
 """
 
@@ -11,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,14 +20,21 @@ import numpy as np
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
-from .model import (PROB_CLAMP, Model, ModelConfig, ParamStore, check_batch,
-                    config_from_dict)
-from .tensor_ops import as_f64, sigmoid
+from .model import BASELINE, Model, ModelConfig, ParamStore, config_from_dict
+from .tensor_ops import as_f64
 
 PROB_EPS = 1e-12  # cross-entropy clamp
 ACC_THRESHOLD = 0.5
 
 OPTIMIZERS = ("sgd", "adam")
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise ``ConfigError`` naming ``name`` unless ``value`` is a real
+    number, not a bool, finite as a float64 and > 0."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 < value <= sys.float_info.max):
+        raise ConfigError(f"{name} must be finite positive, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +70,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite positive, got {self.learning_rate}")
+        for name in ("learning_rate", "adam_eps", "pos_weight"):
+            _check_positive(name, getattr(self, name))
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.seed < 0:
@@ -71,9 +79,6 @@ class TrainConfig:
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 < b < 1.0):
                 raise ConfigError(f"{name} must be in (0,1), got {b}")
-        for name, value in (("adam_eps", self.adam_eps), ("pos_weight", self.pos_weight)):
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite positive, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,9 +145,11 @@ def bce_loss(probs, labels, pos_weight: float = 1.0):
 
     The gradient is the exact derivative of the clamped mean: coordinates
     whose raw probability sits outside the clamp window get gradient zero.
-    A label other than 0 or 1 is a ``DataError``; probabilities are not
-    checked, so a NaN from a diverged model reaches the loss.
+    A label other than 0 or 1 is a ``DataError`` and a ``pos_weight`` that
+    is not finite positive a ``ConfigError``; probabilities are not checked,
+    so a NaN from a diverged model reaches the loss.
     """
+    _check_positive("pos_weight", pos_weight)
     probs = as_f64(probs).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if probs.shape != labels.shape:
@@ -169,6 +176,7 @@ def _check_grads(params: ParamStore) -> None:
 
 def sgd_step(params: ParamStore, lr: float) -> None:
     """Vanilla gradient descent: values <- values - lr * grads."""
+    _check_positive("lr", lr)
     _check_grads(params)
     params.values -= lr * params.grads
 
@@ -191,6 +199,7 @@ def adam_step(params: ParamStore, lr: float, state: AdamState) -> None:
     """Bias-corrected Adam update over the whole store; ``state`` persists
     across steps. Every element sees the operations of
     ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in the same order."""
+    _check_positive("lr", lr)
     _check_grads(params)
     g = params.grads
     if state.m is None:
@@ -241,9 +250,9 @@ EVAL_BATCH = 2048
 SCORE_BLOCK = 256
 
 
-def predict_probs(model, X: np.ndarray) -> np.ndarray:
+def predict_probs(model: Model, X: np.ndarray) -> np.ndarray:
     """Probabilities for every row of ``X``, one untraced ``model.forward``
-    per ``SCORE_BLOCK`` rows."""
+    per ``SCORE_BLOCK`` rows, for a ``Model`` of any variant."""
     X = as_f64(X)
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], SCORE_BLOCK):
@@ -252,7 +261,7 @@ def predict_probs(model, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(model, frame: FeatureFrame, pos_weight: float = 1.0,
+def evaluate(model: Model, frame: FeatureFrame, pos_weight: float = 1.0,
              probs: Optional[np.ndarray] = None):
     """``(bce loss, MetricsRecord)`` on one split: a fresh pass unless
     ``probs`` already holds the model's probabilities for ``frame``."""
@@ -266,7 +275,10 @@ def evaluate(model, frame: FeatureFrame, pos_weight: float = 1.0,
 # the fit loop
 # ---------------------------------------------------------------------------
 
-def _fit(model, train_cfg: TrainConfig, splits: Splits, model_config: dict) -> RunReport:
+def _fit(model: Model, train_cfg: TrainConfig, splits: Splits) -> RunReport:
+    """Fit ``model`` in place on ``splits.train``, restoring the best
+    val-AUC epoch's parameters under early stopping; the report's
+    ``model_config`` is ``model.config.to_dict()``."""
     rng = np.random.default_rng(train_cfg.seed)
     step = make_optimizer(train_cfg)
     train, test = splits.train, splits.test
@@ -329,6 +341,7 @@ def _fit(model, train_cfg: TrainConfig, splits: Splits, model_config: dict) -> R
     for name, frame in (("train", splits.train), ("val", splits.val), ("test", splits.test)):
         _, final[name] = evaluate(model, frame, train_cfg.pos_weight, last_probs.get(name))
 
+    model_config = model.config.to_dict()
     return RunReport(
         config_hash=stable_hash({"model": model_config, "train": train_cfg.to_dict()}),
         model_config=model_config,
@@ -344,43 +357,15 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
           splits: Splits) -> tuple[Model, RunReport]:
     """Train the configured variant; returns the fitted model and its report."""
     model = Model(model_cfg)
-    report = _fit(model, train_cfg, splits, model_cfg.to_dict())
+    report = _fit(model, train_cfg, splits)
     return model, report
-
-
-# ---------------------------------------------------------------------------
-# logistic baseline
-# ---------------------------------------------------------------------------
-
-class LogisticModel:
-    """Single linear layer + sigmoid, trained with the same loop."""
-
-    def __init__(self, n_features: int):
-        self.n_features = n_features
-        self.params = ParamStore()
-        self.params.add("weight", np.zeros(n_features))
-        self.params.add("bias", np.zeros(1))
-
-    def forward(self, batch, *, trace: bool = True):
-        X = check_batch(batch, self.n_features)
-        z = X @ self.params["weight"].value + self.params["bias"].value[0]
-        probs = np.clip(sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
-        return probs, ({"X": X, "probs": probs} if trace else None)
-
-    def backward(self, trace, grad_probs):
-        X, probs = trace["X"], trace["probs"]
-        g_z = as_f64(grad_probs) * probs * (1.0 - probs)
-        self.params["weight"].grad += X.T @ g_z
-        self.params["bias"].grad += np.sum(g_z, keepdims=True)
 
 
 def train_baseline_logistic(train_cfg: TrainConfig,
-                            splits: Splits) -> tuple[LogisticModel, RunReport]:
-    """Linear floor that any interaction-capable model should beat."""
-    model = LogisticModel(splits.train.n_features)
-    cfg_dict = {"variant": "logistic", "n_features": splits.train.n_features}
-    report = _fit(model, train_cfg, splits, cfg_dict)
-    return model, report
+                            splits: Splits) -> tuple[Model, RunReport]:
+    """Linear floor that any interaction-capable model should beat: the
+    ``logistic`` variant, trained by ``train``."""
+    return train(ModelConfig(splits.train.n_features, variant=BASELINE), train_cfg, splits)
 
 
 # ---------------------------------------------------------------------------

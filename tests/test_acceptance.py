@@ -289,19 +289,25 @@ def test_criterion_7_lr_sweep_stability():
 # 8. determinism through the CLI
 # ---------------------------------------------------------------------------
 
-CRITERION_8_CONFIG = {
-    "model": {"d_embed": 4,
-              "conv": {"channels": 6, "kernel": 3, "pool_window": 2,
-                       "pool_stride": 1},
-              "attn": {"n_heads": 2, "d_model": 8, "n_blocks": 1},
-              "ffn_dim": 8, "mlp_hidden": [6]},
-    "train": {"epochs": 6, "early_stop": None},
+CRITERION_8_CONFIGS = {
+    "hybrid": {
+        "model": {"d_embed": 4,
+                  "conv": {"channels": 6, "kernel": 3, "pool_window": 2,
+                           "pool_stride": 1},
+                  "attn": {"n_heads": 2, "d_model": 8, "n_blocks": 1},
+                  "ffn_dim": 8, "mlp_hidden": [6]},
+        "train": {"epochs": 6, "early_stop": None},
+    },
+    "logistic": {
+        "model": {"variant": "logistic"},
+        "train": {"epochs": 6, "early_stop": None},
+    },
 }
 
 
-def _criterion_8_inputs(tmp_path):
+def _criterion_8_inputs(tmp_path, case):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(CRITERION_8_CONFIG))
+    cfg_path.write_text(json.dumps(CRITERION_8_CONFIGS[case]))
     csv = tmp_path / "synth.csv"
     assert cli_run(["synth", "--n", "500", "--n-features", "6",
                     "--spec", "strong-single", "--seed", "9",
@@ -319,24 +325,26 @@ def _same_artifacts(a, b):
                  for name in ("report.json", "checkpoint.bin"))
 
 
-def test_criterion_8_cli_determinism(tmp_path):
-    cfg_path, csv = _criterion_8_inputs(tmp_path)
+@pytest.mark.parametrize("case", list(CRITERION_8_CONFIGS))
+def test_criterion_8_cli_determinism(tmp_path, case):
+    cfg_path, csv = _criterion_8_inputs(tmp_path, case)
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / f"run_{tag}"
         assert cli_run(_train_args(cfg_path, csv, out)) == 0
         outs.append(out)
     same_report, same_ckpt = _same_artifacts(*outs)
-    report("criterion-8 cli-determinism",
+    report(f"criterion-8 cli-determinism ({case})",
            same_report and same_ckpt,
            f"report.json byte-identical: {same_report}; "
            f"checkpoint.bin byte-identical: {same_ckpt}")
 
 
-def test_criterion_8_determinism_per_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("case", list(CRITERION_8_CONFIGS))
+def test_criterion_8_determinism_per_blas_thread_count(tmp_path, case):
     """Criterion 8's training, each run in a fresh process, twice with one
     OpenBLAS thread and twice with two."""
-    cfg_path, csv = _criterion_8_inputs(tmp_path)
+    cfg_path, csv = _criterion_8_inputs(tmp_path, case)
     src = str(REPO_ROOT / "src")
     results = {}
     for threads in ("1", "2"):
@@ -347,7 +355,7 @@ def test_criterion_8_determinism_per_blas_thread_count(tmp_path):
             subprocess.run([sys.executable, "-m", "creditnet.cli",
                             *_train_args(cfg_path, csv, out)], env=env, check=True)
         results[threads] = _same_artifacts(*outs)
-    report("criterion-8 determinism per BLAS thread count",
+    report(f"criterion-8 determinism per BLAS thread count ({case})",
            all(all(same) for same in results.values()),
            "; ".join(f"OPENBLAS_NUM_THREADS={t}: report.json, checkpoint.bin "
                      f"byte-identical {same}" for t, same in results.items()))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import creditnet.cli as cli
+import creditnet.training as training
 from creditnet.cli import run
 
 
@@ -124,6 +125,26 @@ class TestTrain:
         schema = json.loads((out / "manifest.json").read_text())["resolved_config"]["schema"]
         assert schema["imputation"] == {"kind": "constant", "value": 0.0}
         assert schema["feature_columns"] == [f"f{i}" for i in range(6)]
+
+
+class TestLogisticVariant:
+    def test_every_command_runs_the_baseline(self, workspace, tmp_path):
+        config = tmp_path / "logistic.json"
+        config.write_text(json.dumps({"model": {"variant": "logistic"},
+                                      "train": {"epochs": 3, "early_stop": None}}))
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", str(config), "--data", workspace["csv"],
+                    "--out", str(run_dir), "--seed", "3"]) == 0
+        checkpoint = str(run_dir / "checkpoint.bin")
+        assert run(["eval", "--checkpoint", checkpoint, "--data", workspace["csv"],
+                    "--out", str(tmp_path / "eval")]) == 0
+        assert run(["importance", "--checkpoint", checkpoint, "--data", workspace["csv"],
+                    "--out", str(tmp_path / "imp"), "--repeats", "2"]) == 0
+        assert run(["report", "--run", str(run_dir)]) == 0
+        header = json.loads((run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)[0])
+        assert header["config"]["variant"] == "logistic"
+        assert header["params"] == [{"name": "linear.weight", "shape": [6, 1]},
+                                    {"name": "linear.bias", "shape": [1]}]
 
 
 class TestSynthTrainBayesGap:
@@ -273,6 +294,9 @@ def _transpose_first(params):
 FAULTS = [
     ("train-key", "config", {"train": {"epoch": 3}}, 1, "unknown TrainConfig key(s) ['epoch']"),
     ("model-key", "config", {"model": {"dembed": 3}}, 1, "unknown ModelConfig key(s) ['dembed']"),
+    ("unknown-variant", "config", {"model": {"variant": "linear"}}, 1,
+     "unknown variant 'linear'; expected ('hybrid', 'cnn_only', 'transformer_only', "
+     "'logistic')"),
     ("conv-key", "config", {"model": {"conv": {"chanels": 4}}}, 1, "ConvSpec key(s) ['chanels']"),
     ("attn-key", "config", {"model": {"attn": {"heads": 2}}}, 1, "AttnSpec key(s) ['heads']"),
     ("early-stop-key", "config", {"train": {"early_stop": {"patiense": 3}}}, 1,
@@ -300,6 +324,8 @@ FAULTS = [
      "pos_weight must be finite positive, got -1"),
     ("zero-adam-eps", "config", {"train": {"epochs": 2, "adam_eps": 0}}, 1,
      "adam_eps must be finite positive, got 0"),
+    ("nan-learning-rate", "config", {"train": {"epochs": 2, "learning_rate": float("nan")}},
+     1, "learning_rate must be finite positive, got nan"),
     ("string-epochs", "config", {"train": {"epochs": "2"}}, 1,
      "TrainConfig key 'epochs' must be int, got '2'"),
     ("string-d-embed", "config", {"model": {"d_embed": "abc"}}, 1,
@@ -420,6 +446,21 @@ class TestFaults:
         bad = tmp_path / "run" / name
         bad.mkdir(parents=True)
         assert run(["train", "--config", workspace["config"], "--data", workspace["csv"],
+                    "--out", str(bad.parent)]) == 1
+        assert capsys.readouterr().err == f"path error: {bad}: Is a directory\n"
+        assert [p.name for p in bad.parent.iterdir()] == [name]
+
+    @pytest.mark.parametrize("name", ["report.json", "manifest.json"])
+    @pytest.mark.parametrize("command", ["sweep-lr", "sweep-opt", "ablate"])
+    def test_row_command_output_in_the_way_fails_before_any_fit(
+            self, command, name, workspace, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError(f"{command} fitted although an output cannot be written")
+
+        monkeypatch.setattr(training, "_fit", no_fit)
+        bad = tmp_path / "run" / name
+        bad.mkdir(parents=True)
+        assert run([command, "--config", workspace["config"], "--data", workspace["csv"],
                     "--out", str(bad.parent)]) == 1
         assert capsys.readouterr().err == f"path error: {bad}: Is a directory\n"
         assert [p.name for p in bad.parent.iterdir()] == [name]

@@ -38,7 +38,8 @@ def model_configs(draw):
     n_heads = draw(st.sampled_from([1, 2]))
     return ModelConfig(
         n_features=n_features,
-        variant=draw(st.sampled_from(["hybrid", "cnn_only", "transformer_only"])),
+        variant=draw(st.sampled_from(["hybrid", "cnn_only", "transformer_only",
+                                     "logistic"])),
         d_embed=draw(st.integers(1, 4)),
         conv=ConvSpec(channels=draw(st.integers(1, 4)), kernel=kernel, stride=stride,
                       pool_window=draw(st.integers(1, l1)),

@@ -1,5 +1,7 @@
 """Objective, optimizers, the fit loop, and the experiment runners."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from creditnet.training import (
     SCORE_BLOCK,
     AdamState,
     EarlyStop,
-    LogisticModel,
     TrainConfig,
     adam_step,
     bce_loss,
@@ -50,6 +51,11 @@ def balanced_fixture(n_rows=64, nf=6, seed=3):
     fix = frame.take(np.sort(np.concatenate([pos, neg])), "train")
     fix = standardize_apply(fix, standardize_fit(fix))
     return Splits(train=fix, val=fix, test=fix)
+
+
+# values the positive-finite scalars (lr, pos_weight, adam_eps) reject
+NOT_POSITIVE = [0.0, -1, np.nan, np.inf, pytest.param(10**400, id="10**400"), "a", True,
+                None]
 
 
 class TestBceLoss:
@@ -110,6 +116,12 @@ class TestBceLoss:
         loss, _ = bce_loss([np.nan, 0.5], [0, 1])
         assert np.isnan(loss)
 
+    @pytest.mark.parametrize("pos_weight", NOT_POSITIVE)
+    def test_pos_weight_not_finite_positive_is_a_config_error(self, pos_weight):
+        with pytest.raises(ConfigError, match=f"pos_weight must be finite positive, "
+                                              f"got {re.escape(repr(pos_weight))}"):
+            bce_loss([0.4, 0.5], [0, 1], pos_weight=pos_weight)
+
 
 def one_param(value):
     """A ParamStore holding one parameter ``p``; returns ``(store, p)``."""
@@ -137,6 +149,14 @@ class TestSgd:
         p.grad += np.inf
         with pytest.raises(NumericError):
             sgd_step(store, 0.1)
+
+    @pytest.mark.parametrize("lr", NOT_POSITIVE)
+    def test_lr_not_finite_positive_is_a_config_error(self, lr):
+        store, p = one_param([1.0])
+        p.grad += 1.0
+        with pytest.raises(ConfigError, match="lr must be finite positive"):
+            sgd_step(store, lr)
+        assert p.value[0] == 1.0
 
 
 class TestAdam:
@@ -168,11 +188,26 @@ class TestAdam:
             adam_step(store, 0.05, state)
         assert abs(p.value[0]) < 1e-3
 
+    @pytest.mark.parametrize("lr", NOT_POSITIVE)
+    def test_lr_not_finite_positive_is_a_config_error(self, lr):
+        store, p = one_param([1.0])
+        p.grad += 1.0
+        state = AdamState()
+        with pytest.raises(ConfigError, match="lr must be finite positive"):
+            adam_step(store, lr, state)
+        assert p.value[0] == 1.0 and state.t == 0
+
 
 class TestTrainConfig:
     def test_rejects_bad_lr(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "adam_eps", "pos_weight"])
+    @pytest.mark.parametrize("value", NOT_POSITIVE)
+    def test_rejects_scalar_not_finite_positive(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite positive"):
+            TrainConfig(**{name: value})
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ConfigError):
@@ -289,7 +324,8 @@ class TestTrainLoop:
 
 
 class TestPredictProbs:
-    @pytest.mark.parametrize("variant", ["hybrid", "cnn_only", "transformer_only"])
+    @pytest.mark.parametrize("variant", ["hybrid", "cnn_only", "transformer_only",
+                                         "logistic"])
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 2049])
     def test_scores_in_blocks_of_score_block_rows(self, variant, n):
         from dataclasses import replace as dc_replace
@@ -322,7 +358,7 @@ class TestPredictProbs:
     def test_non_finite_row_is_a_data_error(self):
         X = np.zeros((300, 6))
         X[299, 0] = np.nan
-        for model in (Model(SMALL_MODEL), LogisticModel(6)):
+        for model in (Model(SMALL_MODEL), Model(ModelConfig(6, variant="logistic"))):
             with pytest.raises(DataError, match="batch contains non-finite values"):
                 predict_probs(model, X)
 
