@@ -47,7 +47,7 @@ from .errors import (
 from .importance import permutation_importance
 from .metrics import auc, evaluate_scores
 from .model import (Model, ModelConfig, check_types, config_from_dict, load_checkpoint,
-                    reject_unknown_keys, save_checkpoint)
+                    record_to_dict, reject_unknown_keys, save_checkpoint)
 from .training import (
     TrainConfig,
     ablate,
@@ -260,7 +260,11 @@ def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, Fea
     model, header = load_checkpoint(args.checkpoint)
     if header.get("preprocess") is None:
         raise ConfigError(f"checkpoint {args.checkpoint} lacks preprocessing statistics")
-    schema_dict = (header.get("extra") or {}).get("schema")
+    extra = header.get("extra") or {}
+    check_types(f"checkpoint {args.checkpoint}", {"extra": extra}, {"extra": dict})
+    schema_dict = extra.get("schema")
+    check_types(f"checkpoint {args.checkpoint} extra", {"schema": schema_dict},
+                {"schema": Optional[dict]})
     if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):
         cfg = {**cfg, "schema": schema_dict}
     data_path = resolve_data_path(args)
@@ -287,9 +291,7 @@ def cmd_train(args) -> int:
         "model": inputs.model_cfg.to_dict(),
         "train": inputs.train_cfg.to_dict(),
         "schema": inputs.schema.to_dict(),
-        "split": {"fractions": list(inputs.split_spec.fractions),
-                  "seed": inputs.split_spec.seed,
-                  "stratified": inputs.split_spec.stratified},
+        "split": record_to_dict(inputs.split_spec),
         "winsorize": inputs.cfg.get("winsorize"),
         "data": inputs.cfg.get("data") or {},
     }
@@ -400,11 +402,7 @@ def cmd_synth(args) -> int:
         "n_features": args.n_features,
         "seed": seed,
         "spec": args.spec,
-        "generator": {
-            "linear": list(spec.linear),
-            "pairs": [list(p) for p in spec.pairs],
-            "motifs": [list(m) for m in spec.motifs],
-        },
+        "generator": record_to_dict(spec),
         "bayes_auc": auc(bayes, frame.y) if 0 < frame.y.sum() < frame.n_rows else None,
         "positive_rate": float(frame.y.mean()),
     }

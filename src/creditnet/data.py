@@ -21,7 +21,7 @@ from typing import NamedTuple, NoReturn, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
-from .model import check_types, reject_unknown_keys
+from .model import check_types, config_from_dict, record_to_dict, reject_unknown_keys
 from .tensor_ops import sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
@@ -399,12 +399,8 @@ class ImputeStats:
     fill_values: np.ndarray
     fitted_on: str
 
-    def to_dict(self) -> dict:
-        return {"fill_values": self.fill_values.tolist(), "fitted_on": self.fitted_on}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImputeStats":
-        return cls(np.asarray(d["fill_values"], dtype=np.float64), d["fitted_on"])
+    to_dict = record_to_dict
+    from_dict = classmethod(config_from_dict)
 
 
 def _guard_leakage(frame: FeatureFrame, fitted_on: str, what: str) -> None:
@@ -464,13 +460,13 @@ class WinsorStats:
     upper: np.ndarray
     fitted_on: str
 
-    def to_dict(self) -> dict:
-        return {"lower": self.lower.tolist(), "upper": self.upper.tolist(),
-                "fitted_on": self.fitted_on}
+    to_dict = record_to_dict
+    from_dict = classmethod(config_from_dict)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WinsorStats":
-        return cls(np.asarray(d["lower"]), np.asarray(d["upper"]), d["fitted_on"])
+    def __post_init__(self):
+        if np.shape(self.lower) != np.shape(self.upper):
+            raise ConfigError(f"WinsorStats lower has shape {np.shape(self.lower)} "
+                              f"but upper has shape {np.shape(self.upper)}")
 
 
 def winsorize_fit(frame: FeatureFrame, lower_q: float, upper_q: float) -> WinsorStats:
@@ -501,13 +497,13 @@ class StandardizeStats:
     std: np.ndarray  # population std; exact zeros mark constant columns
     fitted_on: str
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist(),
-                "fitted_on": self.fitted_on}
+    to_dict = record_to_dict
+    from_dict = classmethod(config_from_dict)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StandardizeStats":
-        return cls(np.asarray(d["mean"]), np.asarray(d["std"]), d["fitted_on"])
+    def __post_init__(self):
+        if np.shape(self.mean) != np.shape(self.std):
+            raise ConfigError(f"StandardizeStats mean has shape {np.shape(self.mean)} "
+                              f"but std has shape {np.shape(self.std)}")
 
 
 def standardize_fit(frame: FeatureFrame) -> StandardizeStats:
@@ -646,6 +642,9 @@ def synth_preset(name: str, n_features: int) -> SynthSpec:
 def synth_generate(n: int, n_features: int, seed: int,
                    spec: SynthSpec) -> tuple[FeatureFrame, np.ndarray]:
     """Draw a synthetic frame plus its true logits (the Bayes-optimal scores)."""
+    for name, value in (("n", n), ("n_features", n_features), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ConfigError(f"synthetic {name} must be an integer, got {value!r}")
     if n < 100:
         raise ConfigError(f"synthetic datasets need n >= 100, got {n}")
     if n_features < 1:
@@ -673,20 +672,8 @@ class PreprocessStats:
     standardize: StandardizeStats
     winsor: Optional[WinsorStats] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "impute": self.impute.to_dict(),
-            "standardize": self.standardize.to_dict(),
-            "winsor": None if self.winsor is None else self.winsor.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PreprocessStats":
-        return cls(
-            impute=ImputeStats.from_dict(d["impute"]),
-            standardize=StandardizeStats.from_dict(d["standardize"]),
-            winsor=None if d.get("winsor") is None else WinsorStats.from_dict(d["winsor"]),
-        )
+    to_dict = record_to_dict
+    from_dict = classmethod(config_from_dict)
 
 
 def prepare_splits(frame: FeatureFrame, schema: SchemaConfig, spec: SplitSpec,

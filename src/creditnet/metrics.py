@@ -15,12 +15,13 @@ those are swept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, UndefinedMetricError
+from .model import record_to_dict
 from .tensor_ops import as_f64
 
 
@@ -32,8 +33,7 @@ class MetricsRecord:
     n_pos: int
     n_neg: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    to_dict = record_to_dict
 
 
 @dataclass

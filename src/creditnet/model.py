@@ -24,7 +24,7 @@ import json
 import math
 import os
 import re
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import zip_longest
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -61,6 +61,54 @@ LN_EPS = 1e-5
 # configuration
 # ---------------------------------------------------------------------------
 
+def record_to_dict(record):
+    """A record dataclass's JSON form: one key per field, nested records as
+    their own dicts, dicts as dicts, tuples and lists as lists and arrays as
+    (nested) lists, recursively. ``config_from_dict`` reads it back."""
+    if is_dataclass(record):
+        return {f.name: record_to_dict(getattr(record, f.name)) for f in fields(record)}
+    if isinstance(record, dict):
+        return {k: record_to_dict(v) for k, v in record.items()}
+    if isinstance(record, (tuple, list)):
+        return [record_to_dict(v) for v in record]
+    return record.tolist() if isinstance(record, np.ndarray) else record
+
+
+def _from_json(hint, value):
+    """``value`` as decoded from JSON, read for a field typed ``hint`` (or
+    ``Optional[hint]``): an object becomes the record dataclass it names and a
+    list of numbers a float64 array. Anything else is left for ``check_types``."""
+    for h in get_args(hint) if get_origin(hint) is Union else (hint,):
+        if is_dataclass(h) and isinstance(value, dict):
+            return config_from_dict(h, value)
+        if h is np.ndarray and isinstance(value, list) and all(_fits(float, v) for v in value):
+            try:
+                return np.array(value, dtype=np.float64)
+            except OverflowError:  # an integer beyond float64's range
+                return value
+    return value
+
+
+def config_from_dict(cls, d: dict):
+    """The ``cls`` record dataclass that ``record_to_dict`` wrote as ``d``.
+
+    ``d`` must be an object holding every field without a default and no
+    other key. Nested records are read from their dicts and array fields from
+    lists of numbers; then every value must fit its field's type hint. Each
+    fault is a ``ConfigError`` naming ``cls``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
+    reject_unknown_keys(cls.__name__, d, [f.name for f in fields(cls)])
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing {cls.__name__} key(s) {missing}")
+    hints = get_type_hints(cls)
+    d = {key: _from_json(hints[key], value) for key, value in d.items()}
+    check_types(cls.__name__, d, hints)
+    return cls(**d)
+
+
 @dataclass(frozen=True)
 class ConvSpec:
     channels: int = 32
@@ -89,6 +137,9 @@ class ModelConfig:
     mlp_hidden: tuple[int, ...] = (32,)
     activation: str = "relu"
     seed: int = 0
+
+    to_dict = record_to_dict
+    from_dict = classmethod(config_from_dict)
 
     def __post_init__(self):
         object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
@@ -149,19 +200,6 @@ class ModelConfig:
         l1 = conv_out_len(self.n_features, self.conv.kernel, self.conv.stride)
         return conv_out_len(l1, self.conv.pool_window, self.conv.pool_stride)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mlp_hidden"] = list(self.mlp_hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key, spec in (("conv", ConvSpec), ("attn", AttnSpec)):
-            if isinstance(d.get(key), dict):
-                d[key] = config_from_dict(spec, d[key])
-        return config_from_dict(cls, d)
-
 
 def reject_unknown_keys(what: str, d: dict, allowed) -> None:
     unknown = sorted(set(d) - set(allowed))
@@ -185,18 +223,6 @@ def _fits(hint, value) -> bool:
         items = args[:1] * len(value) if args[-1] is Ellipsis else args
         return len(items) == len(value) and all(map(_fits, items, value))
     return isinstance(value, hint)
-
-
-def config_from_dict(cls, d: dict):
-    """``cls(**d)`` for a config dataclass, rejecting keys it does not define,
-    missing required keys and values of the wrong type."""
-    reject_unknown_keys(cls.__name__, d, [f.name for f in fields(cls)])
-    missing = [f.name for f in fields(cls) if f.name not in d
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigError(f"missing {cls.__name__} key(s) {missing}")
-    check_types(cls.__name__, d, get_type_hints(cls))
-    return cls(**d)
 
 
 def check_types(what: str, d: dict, hints: dict) -> None:

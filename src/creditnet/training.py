@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Optional, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
-from .model import BASELINE, Model, ModelConfig, ParamStore, config_from_dict
+from .model import BASELINE, Model, ModelConfig, ParamStore, config_from_dict, record_to_dict
 from .tensor_ops import as_f64
 
 PROB_EPS = 1e-12  # cross-entropy clamp
@@ -67,6 +67,9 @@ class TrainConfig:
     early_stop: Optional[EarlyStop] = field(default_factory=EarlyStop)
     pos_weight: float = 1.0
 
+    to_dict = record_to_dict
+    from_dict = classmethod(config_from_dict)
+
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
@@ -79,16 +82,6 @@ class TrainConfig:
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not (0.0 < b < 1.0):
                 raise ConfigError(f"{name} must be in (0,1), got {b}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if isinstance(d.get("early_stop"), dict):
-            d["early_stop"] = config_from_dict(EarlyStop, d["early_stop"])
-        return config_from_dict(cls, d)
 
 
 def canonical_json(obj) -> str:
@@ -111,16 +104,7 @@ class RunReport:
     curves: dict[str, list[float]]
     final: dict[str, MetricsRecord]
 
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "model_config": self.model_config,
-            "train_config": self.train_config,
-            "epochs_run": self.epochs_run,
-            "best_epoch": self.best_epoch,
-            "curves": self.curves,
-            "final": {split: m.to_dict() for split, m in self.final.items()},
-        }
+    to_dict = record_to_dict
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -200,6 +184,8 @@ def adam_step(params: ParamStore, lr: float, state: AdamState) -> None:
     across steps. Every element sees the operations of
     ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in the same order."""
     _check_positive("lr", lr)
+    if not isinstance(state, AdamState):
+        raise ConfigError(f"adam_step state must be an AdamState, got {state!r}")
     _check_grads(params)
     g = params.grads
     if state.m is None:

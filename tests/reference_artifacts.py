@@ -14,10 +14,11 @@ this file: a 2,000-row synthetic CSV (``synth --n 2000 --n-features 6
 and relative paths, so no output names OUTDIR.
 
 Prints ``sha256[:12]  path`` for every file OUTDIR holds afterwards, in path
-order, except the ``manifest.json`` files (they record wall times), then one
-``sha256[:12]  stdout: <command>`` line per command. A command that exits
-non-zero stops the run with its stderr. This is a helper, not a test module:
-pytest does not collect it.
+order, then one ``sha256[:12]  stdout: <command>`` line per command. A
+``manifest.json`` is hashed with its ``wall_clock_seconds`` key removed (and
+written back as the CLI writes JSON), so its resolved config is compared and
+its wall time is not. A command that exits non-zero stops the run with its
+stderr. This is a helper, not a test module: pytest does not collect it.
 """
 
 import hashlib
@@ -48,6 +49,15 @@ def short_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
+def artifact_bytes(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name != "manifest.json":
+        return data
+    manifest = json.loads(data)
+    del manifest["wall_clock_seconds"]
+    return (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python tests/reference_artifacts.py OUTDIR", file=sys.stderr)
@@ -66,8 +76,7 @@ def main(argv) -> int:
             return 1
         stdouts.append((short_hash(done.stdout), " ".join(command)))
     for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
-        if path.name != "manifest.json":
-            print(f"{short_hash(path.read_bytes())}  {path.relative_to(outdir).as_posix()}")
+        print(f"{short_hash(artifact_bytes(path))}  {path.relative_to(outdir).as_posix()}")
     for digest, command in stdouts:
         print(f"{digest}  stdout: {command}")
     return 0

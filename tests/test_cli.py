@@ -290,6 +290,24 @@ def _transpose_first(params):
     return [first, *params[1:]]
 
 
+DROP = object()
+
+
+def _set_header(header, path, value):
+    """A copy of a checkpoint header with the nested key ``path`` set to
+    ``value``, or removed when ``value`` is ``DROP``."""
+    header = json.loads(json.dumps(header))
+    *parents, last = path
+    node = header
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return header
+
+
 # (case, where the fault goes, the change, exit code, stderr fragment)
 FAULTS = [
     ("train-key", "config", {"train": {"epoch": 3}}, 1, "unknown TrainConfig key(s) ['epoch']"),
@@ -375,6 +393,24 @@ FAULTS = [
     ("transposed-shape", "checkpoint",
      lambda h, p: ({**h, "params": _transpose_first(h["params"])}, p), 1,
      "lists parameter ('embed.weight', [4, 6]) where its config expects ('embed.weight', [6, 4])"),
+    ("preprocess-without-impute", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "impute"), DROP), p), 1,
+     "config error: missing PreprocessStats key(s) ['impute']"),
+    ("string-fill-values", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "impute", "fill_values"), "abc"), p), 1,
+     "config error: ImputeStats key 'fill_values' must be ndarray, got 'abc'"),
+    ("preprocess-is-a-list", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess",), [1, 2]), p), 1,
+     "config error: PreprocessStats must be a JSON object, got [1, 2]"),
+    ("extra-is-a-list", "checkpoint", lambda h, p: (_set_header(h, ("extra",), [1, 2]), p), 1,
+     "key 'extra' must be dict, got [1, 2]"),
+    ("extra-schema-is-a-list", "checkpoint",
+     lambda h, p: (_set_header(h, ("extra", "schema"), [1, 2]), p), 1,
+     "extra key 'schema' must be Optional[dict], got [1, 2]"),
+    ("std-shorter-than-mean", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "standardize", "std"),
+                               h["preprocess"]["standardize"]["std"][:-1]), p), 1,
+     "config error: StandardizeStats mean has shape (6,) but std has shape (5,)"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Data pipeline: CSV parsing, imputation, standardization, splits, synthetics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from creditnet.data import (
     FeatureFrame,
     SchemaConfig,
     SplitSpec,
+    StandardizeStats,
     SynthSpec,
+    WinsorStats,
     apply_preprocess,
     fit_imputer,
     impute,
@@ -226,8 +230,20 @@ class TestStandardize:
         train = frame_of([[0.0], [1.0], [2.0]], [0, 1, 0], tag="train")
         assert standardize_fit(train).fitted_on == "train"
 
+    def test_mean_and_std_of_unequal_shape_are_a_config_error(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("StandardizeStats mean has shape (3,) but std "
+                                           "has shape (2,)")):
+            StandardizeStats(np.zeros(3), np.ones(2), "train")
+
 
 class TestWinsorize:
+    def test_bounds_of_unequal_shape_are_a_config_error(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("WinsorStats lower has shape (2,) but upper "
+                                           "has shape (1,)")):
+            WinsorStats(np.zeros(2), np.ones(1), "train")
+
     def test_clips_extremes(self):
         X = np.concatenate([np.arange(99.0), [1000.0]])[:, None]
         frame = frame_of(X, [i % 2 for i in range(100)], tag="train")
@@ -330,6 +346,17 @@ class TestSynth:
     def test_negative_seed(self):
         with pytest.raises(ConfigError, match="synthetic seed must be >= 0, got -1"):
             synth_generate(200, 4, -1, synth_preset("linear", 4))
+
+    @pytest.mark.parametrize("args, message", [
+        (("a", 3, 0), "synthetic n must be an integer, got 'a'"),
+        ((200.5, 3, 0), "synthetic n must be an integer, got 200.5"),
+        ((200, "a", 0), "synthetic n_features must be an integer, got 'a'"),
+        ((200, 3, "a"), "synthetic seed must be an integer, got 'a'"),
+        ((200, 3, True), "synthetic seed must be an integer, got True"),
+    ])
+    def test_non_integer_argument_is_a_config_error(self, args, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            synth_generate(*args, SynthSpec())
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,10 @@
 """Property-based checks of the model's layer list and gradients, the
-checkpoint format, the AUC and the KS."""
+checkpoint format, the records' JSON round trip, the AUC and the KS."""
 
+import json
+import re
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from creditnet.data import (  # noqa: E402
+    ImputeStats,
+    PreprocessStats,
+    SplitSpec,
+    StandardizeStats,
+    WinsorStats,
+)
 from creditnet.errors import ConfigError  # noqa: E402
 from creditnet.metrics import auc, ks  # noqa: E402
 from creditnet.model import (  # noqa: E402
@@ -18,12 +28,20 @@ from creditnet.model import (  # noqa: E402
     Model,
     ModelConfig,
     build,
+    config_from_dict,
     conv_out_len,
     load_checkpoint,
+    record_to_dict,
     save_checkpoint,
 )
 from creditnet.tensor_ops import Parameter, gradient_check  # noqa: E402
-from creditnet.training import SCORE_BLOCK, bce_loss, predict_probs  # noqa: E402
+from creditnet.training import (  # noqa: E402
+    SCORE_BLOCK,
+    EarlyStop,
+    TrainConfig,
+    bce_loss,
+    predict_probs,
+)
 
 FEW = settings(max_examples=20, deadline=None)
 
@@ -196,6 +214,87 @@ def test_truncated_or_extended_checkpoint_is_a_config_error(config, data):
         path.write_bytes(damaged)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+
+positive = st.floats(1e-12, 1e12)
+unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+train_configs = st.builds(
+    TrainConfig, optimizer=st.sampled_from(["sgd", "adam"]), learning_rate=positive,
+    batch_size=st.integers(1, 4096), epochs=st.integers(1, 1000),
+    seed=st.integers(0, 2**63), beta1=unit_open, beta2=unit_open, adam_eps=positive,
+    shuffle=st.booleans(), pos_weight=positive,
+    early_stop=st.one_of(st.none(), st.builds(EarlyStop, patience=st.integers(1, 100))))
+
+
+@st.composite
+def split_specs(draw):
+    first = draw(st.floats(0.01, 0.6))
+    second = draw(st.floats(0.01, 0.3))
+    return SplitSpec(fractions=(first, second, 1.0 - first - second),
+                     seed=draw(st.integers(0, 2**63)), stratified=draw(st.booleans()))
+
+
+@st.composite
+def preprocess_stats(draw):
+    """Stats of every float64 bit pattern but NaN's, which JSON keeps only as one
+    value: signed zeros, subnormals, infinities and the extremes included."""
+    n = draw(st.integers(0, 6))
+    tag = draw(st.sampled_from(["train", "full", "val"]))
+
+    def column():
+        return np.array(draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)),
+                        dtype=np.float64)
+
+    winsor = draw(st.booleans())
+    return PreprocessStats(
+        impute=ImputeStats(column(), tag),
+        standardize=StandardizeStats(column(), column(), tag),
+        winsor=WinsorStats(column(), column(), tag) if winsor else None)
+
+
+records = st.one_of(model_configs(), train_configs, split_specs(), preprocess_stats())
+
+
+def _arrays(record):
+    """Every array in a PreprocessStats, in field order."""
+    if not isinstance(record, PreprocessStats):
+        return []
+    parts = [record.impute, record.standardize, record.winsor]
+    return [getattr(p, f.name) for p in parts if p is not None for f in fields(p)
+            if isinstance(getattr(p, f.name), np.ndarray)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(records)
+def test_record_round_trips_through_json(record):
+    """``config_from_dict`` reads back what ``record_to_dict`` wrote and JSON
+    carried, arrays as float64 with every bit."""
+    text = json.dumps(record_to_dict(record))
+    again = config_from_dict(type(record), json.loads(text))
+    assert type(again) is type(record)
+    assert json.dumps(record_to_dict(again)) == text
+    assert record_to_dict(again) == record_to_dict(record)
+    for got, want in zip(_arrays(again), _arrays(record), strict=True):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(records, st.data())
+def test_record_with_an_unknown_or_missing_key_or_not_an_object_is_a_config_error(
+        record, data):
+    cls, d = type(record), record_to_dict(record)
+    name = cls.__name__
+    with pytest.raises(ConfigError, match=re.escape(f"unknown {name} key(s) ['bogus']")):
+        config_from_dict(cls, {**d, "bogus": 1})
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be a JSON object, got [{{")):
+        config_from_dict(cls, [d])
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    if required:
+        key = data.draw(st.sampled_from(required), label="dropped")
+        with pytest.raises(ConfigError, match=re.escape(f"missing {name} key(s) ['{key}']")):
+            config_from_dict(cls, {k: v for k, v in d.items() if k != key})
 
 
 scores_and_labels = st.integers(2, 60).flatmap(lambda n: st.tuples(

@@ -197,6 +197,13 @@ class TestAdam:
             adam_step(store, lr, state)
         assert p.value[0] == 1.0 and state.t == 0
 
+    def test_state_not_an_adam_state_is_a_config_error(self):
+        store, p = one_param([1.0])
+        p.grad += 1.0
+        with pytest.raises(ConfigError, match="adam_step state must be an AdamState, got None"):
+            adam_step(store, 0.01, None)
+        assert p.value[0] == 1.0
+
 
 class TestTrainConfig:
     def test_rejects_bad_lr(self):
