@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import make_dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -47,7 +48,7 @@ from .errors import (
 from .importance import permutation_importance
 from .metrics import auc, evaluate_scores
 from .model import (Model, ModelConfig, check_types, config_from_dict, load_checkpoint,
-                    record_to_dict, reject_unknown_keys, save_checkpoint)
+                    read_json_object, record_to_dict, save_checkpoint)
 from .training import (
     TrainConfig,
     ablate,
@@ -94,37 +95,20 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 # ---------------------------------------------------------------------------
 
-# type hints of the config file's top-level keys and of the sections the CLI
-# reads itself (the others go through their config classes); load_csv checks
-# subsample itself, for API callers too
-CONFIG_SECTIONS = dict.fromkeys(
-    ("model", "train", "schema", "split", "winsorize", "data"), Optional[dict])
-DATA_KEYS = {"subsample": object, "subsample_seed": int}
-WINSOR_KEYS = {"lower_quantile": float, "upper_quantile": float}
+# records for the config file's top level and its data and winsorize sections,
+# named for config_from_dict's messages; load_csv checks subsample itself
+ConfigFile = make_dataclass("config", [(name, Optional[dict], None) for name in (
+    "model", "train", "schema", "split", "winsorize", "data")])
+DataSection = make_dataclass("data", [("subsample", object, None), ("subsample_seed", int, 0)])
+WinsorSection = make_dataclass("winsorize", [("lower_quantile", float), ("upper_quantile", float)])
 
 
 def read_config_file(path) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
-    return checked_section("config", cfg, CONFIG_SECTIONS)
-
-
-def checked_section(what: str, section, hints: dict) -> dict:
-    """``section`` (empty if null) after rejecting keys not in ``hints`` and
-    values that do not fit their type hint."""
-    section = section or {}
-    reject_unknown_keys(what, section, hints)
-    check_types(what, section, hints)
-    return section
+    cfg = read_json_object(path, "config file")
+    config_from_dict(ConfigFile, cfg)
+    return cfg
 
 
 def resolve_data_path(args) -> Path:
@@ -143,14 +127,13 @@ def load_frame(path: Path, cfg: dict):
     named non-label header column is a feature."""
     if not Path(path).is_file():
         raise DataError(f"no such data file: {path}")
-    data = checked_section("data", cfg.get("data"), DATA_KEYS)
+    data = config_from_dict(DataSection, cfg.get("data") or {})
     section = {"label_column": "label", **(cfg.get("schema") or {})}
     if not section.get("feature_columns"):
         label = section["label_column"]
         section["feature_columns"] = [c for c in read_header(path) if c and c != label]
     schema = SchemaConfig.from_dict(section)
-    frame = load_csv(path, schema, subsample=data.get("subsample"),
-                     seed=data.get("subsample_seed", 0))
+    frame = load_csv(path, schema, subsample=data.subsample, seed=data.subsample_seed)
     return frame, schema
 
 
@@ -163,14 +146,10 @@ def seeded_section(cfg: dict, name: str, seed_override) -> dict:
 
 
 def winsor_quantiles(cfg: dict):
-    section = checked_section("winsorize", cfg.get("winsorize"), WINSOR_KEYS)
-    if not section:
+    if not cfg.get("winsorize"):
         return None
-    try:
-        return (float(section["lower_quantile"]), float(section["upper_quantile"]))
-    except KeyError as exc:
-        raise ConfigError(f"winsorize needs lower_quantile and upper_quantile; "
-                          f"{exc} is missing") from None
+    section = config_from_dict(WinsorSection, cfg["winsorize"])
+    return (float(section.lower_quantile), float(section.upper_quantile))
 
 
 def sha256_file(path: Path) -> str:
@@ -258,11 +237,9 @@ def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, Fea
     cfg = read_config_file(args.config)
     out = prepare_out_dir(args)
     model, header = load_checkpoint(args.checkpoint)
-    if header.get("preprocess") is None:
+    if header["preprocess"] is None:
         raise ConfigError(f"checkpoint {args.checkpoint} lacks preprocessing statistics")
-    extra = header.get("extra") or {}
-    check_types(f"checkpoint {args.checkpoint}", {"extra": extra}, {"extra": dict})
-    schema_dict = extra.get("schema")
+    schema_dict = header["extra"].get("schema")
     check_types(f"checkpoint {args.checkpoint} extra", {"schema": schema_dict},
                 {"schema": Optional[dict]})
     if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):

@@ -8,27 +8,27 @@ and carry a ``fitted_on`` tag. Applying statistics to a val/test frame raises
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 from itertools import count, islice
-from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
-from .model import check_types, config_from_dict, record_to_dict, reject_unknown_keys
+from .model import config_from_dict, is_integer, read_json_object, record_to_dict
 from .tensor_ops import sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
 
-# JSON type of each key that SchemaConfig.to_dict writes and from_dict reads
-SCHEMA_KEYS = {"label_column": str, "feature_columns": tuple[str, ...],
-               "missing_markers": Optional[tuple[str, ...]], "imputation": Union[str, dict]}
+# the record that SchemaConfig.to_dict writes and from_dict reads
+SchemaSection = make_dataclass("schema", [
+    ("label_column", str), ("feature_columns", tuple[str, ...], ()),
+    ("missing_markers", Optional[tuple[str, ...]], None),
+    ("imputation", Union[str, dict], "median")])
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +108,10 @@ class SchemaConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SchemaConfig":
-        """The schema that ``to_dict`` wrote; an unknown key, a mistyped value,
-        a missing ``label_column`` or a bad imputation object is a ``ConfigError``."""
-        reject_unknown_keys("schema", d, SCHEMA_KEYS)
-        check_types("schema", d, SCHEMA_KEYS)
-        if "label_column" not in d:
-            raise ConfigError("schema needs a label_column")
-        imputation, constant_value = d.get("imputation", "median"), 0.0
+        """The schema that ``to_dict`` wrote, read as a ``SchemaSection`` record;
+        a bad imputation object is a ``ConfigError`` too."""
+        section = config_from_dict(SchemaSection, d)
+        imputation, constant_value = section.imputation, 0.0
         if isinstance(imputation, dict):
             value = imputation.get("value")
             if (set(imputation) != {"kind", "value"} or imputation["kind"] != "constant"
@@ -124,10 +121,10 @@ class SchemaConfig:
                                   f'{{"kind": "constant", "value": <finite number>}}, '
                                   f"got {imputation!r}")
             imputation, constant_value = "constant", float(value)
-        markers = d.get("missing_markers")
+        markers = section.missing_markers
         return cls(
-            label_column=d["label_column"],
-            feature_columns=tuple(d.get("feature_columns", ())),
+            label_column=section.label_column,
+            feature_columns=tuple(section.feature_columns),
             missing_markers=MISSING_DEFAULT if markers is None else tuple(markers),
             imputation=imputation,
             constant_value=constant_value,
@@ -135,18 +132,8 @@ class SchemaConfig:
 
     @classmethod
     def from_json(cls, path) -> "SchemaConfig":
-        """``from_dict`` of a JSON file; a file that cannot be read or is not
-        a JSON object is a ``ConfigError`` naming it."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read schema file {path}: {exc.strerror or exc}") from None
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ConfigError(f"schema file {path} is not valid JSON: {exc}") from None
-        if not isinstance(d, dict):
-            raise ConfigError(f"schema file {path} must contain a JSON object")
-        return cls.from_dict(d)
+        """``from_dict`` of the JSON object ``read_json_object`` reads from ``path``."""
+        return cls.from_dict(read_json_object(path, "schema file"))
 
     def to_dict(self) -> dict:
         return {
@@ -242,9 +229,10 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
     """
     if not isinstance(schema, SchemaConfig):
         raise ConfigError(f"schema must be a SchemaConfig, got {schema!r}")
-    if subsample is not None and (isinstance(subsample, bool)
-                                  or not isinstance(subsample, Integral) or subsample < 1):
+    if subsample is not None and not (is_integer(subsample) and subsample >= 1):
         raise ConfigError(f"subsample must be null or an integer >= 1, got {subsample!r}")
+    if subsample is not None and not is_integer(seed):
+        raise ConfigError(f"subsample seed must be an integer, got {seed!r}")
     if subsample is not None and seed < 0:
         raise ConfigError(f"subsample seed must be >= 0, got {seed}")
     path = Path(path)
@@ -643,7 +631,7 @@ def synth_generate(n: int, n_features: int, seed: int,
                    spec: SynthSpec) -> tuple[FeatureFrame, np.ndarray]:
     """Draw a synthetic frame plus its true logits (the Bayes-optimal scores)."""
     for name, value in (("n", n), ("n_features", n_features), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        if not is_integer(value):
             raise ConfigError(f"synthetic {name} must be an integer, got {value!r}")
     if n < 100:
         raise ConfigError(f"synthetic datasets need n >= 100, got {n}")

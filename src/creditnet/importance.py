@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .data import FeatureFrame
 from .errors import ConfigError
 from .metrics import accuracy, auc
+from .model import is_integer
 from .training import predict_probs, ACC_THRESHOLD
 
 
@@ -70,8 +70,10 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
     Shuffles are seeded per (feature, repeat), so the report is deterministic
     and each column's evaluation is independent of the others.
     """
-    if isinstance(repeats, bool) or not isinstance(repeats, Integral) or repeats < 1:
+    if not (is_integer(repeats) and repeats >= 1):
         raise ConfigError(f"repeats must be an integer >= 1, got {repeats!r}")
+    if not is_integer(seed):
+        raise ConfigError(f"importance seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"importance seed must be >= 0, got {seed}")
     if metric not in _METRICS:

@@ -26,6 +26,7 @@ import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import zip_longest
+from numbers import Integral
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -76,11 +77,13 @@ def record_to_dict(record):
 
 def _from_json(hint, value):
     """``value`` as decoded from JSON, read for a field typed ``hint`` (or
-    ``Optional[hint]``): an object becomes the record dataclass it names and a
-    list of numbers a float64 array. Anything else is left for ``check_types``."""
+    ``Optional[hint]``): an object (a list's items) becomes the record (tuple of
+    records) it names, a list of numbers a float64 array; else it is unchanged."""
     for h in get_args(hint) if get_origin(hint) is Union else (hint,):
         if is_dataclass(h) and isinstance(value, dict):
             return config_from_dict(h, value)
+        if get_origin(h) is tuple and is_dataclass(get_args(h)[0]) and isinstance(value, list):
+            return tuple(config_from_dict(get_args(h)[0], v) for v in value)
         if h is np.ndarray and isinstance(value, list) and all(_fits(float, v) for v in value):
             try:
                 return np.array(value, dtype=np.float64)
@@ -98,7 +101,10 @@ def config_from_dict(cls, d: dict):
     fault is a ``ConfigError`` naming ``cls``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
-    reject_unknown_keys(cls.__name__, d, [f.name for f in fields(cls)])
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} key(s) {unknown}; allowed: {', '.join(names)}")
     missing = [f.name for f in fields(cls) if f.name not in d
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
@@ -107,6 +113,22 @@ def config_from_dict(cls, d: dict):
     d = {key: _from_json(hints[key], value) for key, value in d.items()}
     check_types(cls.__name__, d, hints)
     return cls(**d)
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; a file that cannot be
+    read, is not JSON or holds another value is a ``ConfigError`` naming it
+    as ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} {path} must contain a JSON object")
+    return d
 
 
 @dataclass(frozen=True)
@@ -201,11 +223,9 @@ class ModelConfig:
         return conv_out_len(l1, self.conv.pool_window, self.conv.pool_stride)
 
 
-def reject_unknown_keys(what: str, d: dict, allowed) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s) {unknown}; "
-                          f"allowed: {', '.join(allowed)}")
+def is_integer(value) -> bool:
+    """Whether a config value or library argument is an integer, not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _fits(hint, value) -> bool:
@@ -213,7 +233,7 @@ def _fits(hint, value) -> bool:
     if hint is float:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
+        return is_integer(value)
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:
         return any(_fits(a, value) for a in args)
@@ -777,30 +797,42 @@ class Model:
 CHECKPOINT_MAGIC = "creditnet-checkpoint"
 
 
+@dataclass(frozen=True)
+class ParamEntry:
+    name: str
+    shape: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CheckpointHeader:
+    format: str
+    version: int
+    config: ModelConfig
+    params: tuple[ParamEntry, ...]
+    preprocess: object = None  # any JSON value; PreprocessStats.from_dict reads it
+    extra: dict = field(default_factory=dict)  # the caller's own keys
+
+
 def save_checkpoint(path, model: Model, preprocess: Optional[dict] = None,
                     extra: Optional[dict] = None) -> None:
-    """Write config + parameter manifest as one JSON line, then all parameter
-    values as raw little-endian float64 in manifest order."""
-    header = {
-        "format": CHECKPOINT_MAGIC,
-        "version": 1,
-        "config": model.config.to_dict(),
-        "params": [{"name": p.name, "shape": list(p.value.shape)} for p in model.params],
-        "preprocess": preprocess,
-        "extra": extra or {},
-    }
+    """Write the model's ``CheckpointHeader`` as one JSON line, then all
+    parameter values as raw little-endian float64 in its ``params`` order."""
+    params = tuple(ParamEntry(p.name, p.value.shape) for p in model.params)
+    header = CheckpointHeader(CHECKPOINT_MAGIC, 1, model.config, params, preprocess, extra or {})
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(json.dumps(record_to_dict(header), sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(model.params.values.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Read a checkpoint back into a Model; returns ``(model, header)``.
+    """Read a checkpoint back into a Model; returns ``(model, header)``, the
+    header as the dict form of its ``CheckpointHeader``.
 
-    The header must be version 1 and list exactly the parameters, in order
-    and shape, that its config builds, and the payload must hold exactly
-    their values; anything else is a ``ConfigError``.
+    The header must be an object of this format and version 1 that reads as a
+    ``CheckpointHeader`` and lists exactly the parameters, in order and shape,
+    that its config builds, and the payload must hold exactly their values;
+    anything else is a ``ConfigError``.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigError(f"checkpoint path must be a str or path, got {path!r}")
@@ -814,14 +846,14 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"not a checkpoint file: {path}") from exc
-    if header.get("format") != CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ConfigError(f"unrecognized checkpoint format in {path}")
     if header.get("version") != 1:
-        raise ConfigError(f"unsupported checkpoint version {header.get('version')!r} "
-                          f"in {path}")
-    model = Model(ModelConfig.from_dict(header["config"]))
+        raise ConfigError(f"unsupported checkpoint version {header.get('version')!r} in {path}")
+    header = config_from_dict(CheckpointHeader, header)
+    model = Model(header.config)
     store = model.params
-    found = [(e.get("name"), e.get("shape")) for e in header.get("params", [])]
+    found = [(e.name, list(e.shape)) for e in header.params]
     expected = [(p.name, list(p.value.shape)) for p in store]
     for got, want in zip_longest(found, expected):
         if got != want:
@@ -832,4 +864,4 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise ConfigError(f"checkpoint {path} payload is {len(payload)} bytes, "
                           f"expected {n_bytes}")
     store.values[...] = np.frombuffer(payload, dtype="<f8")
-    return model, header
+    return model, record_to_dict(header)

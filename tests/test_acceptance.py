@@ -208,6 +208,7 @@ def _ablation_median(preset: str, variant: str) -> float:
     return float(np.median(aucs))
 
 
+@pytest.mark.slow
 def test_criterion_5_ablation_ordering():
     t0 = time.perf_counter()
     both = {v: _ablation_median("local-and-long", v)
@@ -265,6 +266,7 @@ def test_criterion_6_real_data_band():
 # 7. learning-rate sweep stability
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_lr_sweep_stability():
     t0 = time.perf_counter()
     grid = (0.005, 0.003, 0.002, 0.001)

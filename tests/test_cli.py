@@ -320,7 +320,7 @@ FAULTS = [
     ("early-stop-key", "config", {"train": {"early_stop": {"patiense": 3}}}, 1,
      "EarlyStop key(s) ['patiense']"),
     ("winsor-quantile", "config", {"winsorize": {"upper_quantile": 0.99}}, 1,
-     "'lower_quantile' is missing"),
+     "missing winsorize key(s) ['lower_quantile']"),
     ("top-level-key", "config", {"trian": {"epochs": 1}}, 1,
      "unknown config key(s) ['trian']; allowed: model, train, schema, split, winsorize, data"),
     ("data-key", "config", {"data": {"subsampel": 100}}, 1,
@@ -407,6 +407,15 @@ FAULTS = [
     ("extra-schema-is-a-list", "checkpoint",
      lambda h, p: (_set_header(h, ("extra", "schema"), [1, 2]), p), 1,
      "extra key 'schema' must be Optional[dict], got [1, 2]"),
+    ("header-is-a-list", "checkpoint", lambda h, p: ([1, 2], p), 1,
+     "config error: unrecognized checkpoint format in "),
+    ("header-without-config", "checkpoint",
+     lambda h, p: (_set_header(h, ("config",), DROP), p), 1,
+     "config error: missing CheckpointHeader key(s) ['config']"),
+    ("params-is-a-number", "checkpoint", lambda h, p: ({**h, "params": 5}, p), 1,
+     "config error: CheckpointHeader key 'params' must be tuple[ParamEntry, ...], got 5"),
+    ("params-of-numbers", "checkpoint", lambda h, p: ({**h, "params": [1, 2]}, p), 1,
+     "config error: ParamEntry must be a JSON object, got 1"),
     ("std-shorter-than-mean", "checkpoint",
      lambda h, p: (_set_header(h, ("preprocess", "standardize", "std"),
                                h["preprocess"]["standardize"]["std"][:-1]), p), 1,
@@ -450,6 +459,15 @@ class TestFaults:
             command = [change, "--checkpoint", str(tmp_path / "nope.bin")]
         assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == code
         assert fragment in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_is_a_config_error_naming_it(self, workspace,
+                                                                     tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff{}")
+        assert run(["train", "--config", str(config), "--data", workspace["csv"],
+                    "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {config} is not valid JSON: ")
 
     @pytest.mark.parametrize("case", ["train-out-is-a-file", "checkpoint-is-a-directory",
                                       "synth-out-is-a-directory"])

@@ -85,6 +85,14 @@ class TestLoadCsv:
         assert np.array_equal(a.X, b.X)
         assert a.n_rows == 10
 
+    @pytest.mark.parametrize("seed", ["a", 1.5, True])
+    def test_non_integer_subsample_seed_is_a_config_error(self, tmp_path, seed):
+        rows = "\n".join(f"{i % 2},{20 + i},{i / 10}" for i in range(50))
+        path = write_csv(tmp_path, "default,age,debt\n" + rows + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"subsample seed must be an integer, got {seed!r}")):
+            load_csv(path, SCHEMA, subsample=10, seed=seed)
+
     def test_missing_file(self):
         with pytest.raises(DataError):
             load_csv("/nonexistent/path.csv", SCHEMA)

@@ -111,6 +111,13 @@ class TestPermutationImportance:
         with pytest.raises(ConfigError, match="importance seed must be >= 0, got -1"):
             permutation_importance(model, test, seed=-1)
 
+    @pytest.mark.parametrize("seed", ["a", 1.5, True])
+    def test_non_integer_seed_is_a_config_error(self, trained_on_dominant_feature, seed):
+        model, test = trained_on_dominant_feature
+        with pytest.raises(ConfigError,
+                           match=f"importance seed must be an integer, got {seed!r}"):
+            permutation_importance(model, test, seed=seed)
+
     def test_single_class_split_undefined(self, trained_on_dominant_feature):
         from dataclasses import replace as dc_replace
         model, test = trained_on_dominant_feature

@@ -216,6 +216,44 @@ def test_truncated_or_extended_checkpoint_is_a_config_error(config, data):
             load_checkpoint(path)
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_configs(), st.data())
+def test_checkpoint_header_edited_in_any_one_place_loads_or_is_a_config_error(config, data):
+    """The header replaced by any JSON value, or one key of it, of its config
+    or of its first parameter entry dropped or given a value of another JSON
+    type: the checkpoint loads or raises ``ConfigError``, nothing else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        header_line, payload = _checkpoint_bytes(Model(config), Path(tmp)).split(b"\n", 1)
+        header = json.loads(header_line)
+        where = data.draw(st.sampled_from(["whole", "header", "config", "params[0]"]),
+                          label="where")
+        if where == "whole":
+            header = data.draw(json_values, label="header")
+        else:
+            node = {"header": header, "config": header["config"],
+                    "params[0]": header["params"][0]}[where]
+            key = data.draw(st.sampled_from(sorted(node)), label="key")
+            if data.draw(st.booleans(), label="drop"):
+                del node[key]
+            else:
+                old = type(node[key])
+                node[key] = data.draw(json_values.filter(lambda v: type(v) is not old),
+                                      label="value")
+        path = Path(tmp) / "edited.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        try:
+            load_checkpoint(path)
+        except ConfigError:
+            pass
+
+
 positive = st.floats(1e-12, 1e12)
 unit_open = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 train_configs = st.builds(
