@@ -321,7 +321,7 @@ def cmd_rows(args) -> int:
                     "train": inputs.train_cfg.to_dict(), **extra},
                    inputs.data_path, inputs.t0)
     for row in rows:
-        _print_row(row)
+        print(_row_line(row))
     return EXIT_OK
 
 
@@ -395,39 +395,49 @@ def row_label(row: dict) -> str:
         f"{k}={row[k]}" for k in ("optimizer", "lr") if k in row)
 
 
-def _print_row(row: dict) -> None:
+def _row_line(row: dict) -> str:
     if row.get("status") != "ok":
-        print(f"{row_label(row)}: FAILED ({row.get('error', 'unknown')})")
-        return
+        return f"{row_label(row)}: FAILED ({row.get('error', 'unknown')})"
     m = row["metrics"]["test"]
-    print(f"{row_label(row)}: acc={m['acc']:.4f} auc={m['auc']:.4f} ks={m['ks']:.4f}")
+    return f"{row_label(row)}: acc={m['acc']:.4f} auc={m['auc']:.4f} ks={m['ks']:.4f}"
+
+
+def report_lines(kind, payload: dict):
+    """The lines ``report`` prints for a ``report.json`` of ``kind``."""
+    if kind == "train":
+        for split_name, m in payload["final"].items():
+            yield (f"{split_name:6s} acc={m['acc']:.4f} auc={m['auc']:.4f} "
+                   f"ks={m['ks']:.4f} (n_pos={m['n_pos']}, n_neg={m['n_neg']})")
+        yield f"epochs_run={payload['epochs_run']} best_epoch={payload['best_epoch']}"
+    elif kind in ROW_COMMANDS:
+        yield from map(_row_line, payload["rows"])
+    elif kind == "eval":
+        m = payload["metrics"]
+        yield (f"n={payload['n_rows']} loss={payload['loss']:.4f} "
+               f"acc={m['acc']:.4f} auc={m['auc']:.4f} ks={m['ks']:.4f}")
+    elif kind == "importance":
+        for entry in payload["features"]:
+            yield (f"{entry['feature']:24s} {entry['mean_drop']:+0.4f} "
+                   f"(std {entry['std_drop']:.4f})")
+    else:
+        yield json.dumps(payload, indent=2, sort_keys=True)
 
 
 def cmd_report(args) -> int:
     path = Path(args.run) / "report.json"
     if not path.exists():
         raise DataError(f"no report.json in {args.run}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = read_json_object(path, "report")
     kind = payload.get("kind", "unknown")
+    try:
+        lines = list(report_lines(kind, payload))
+    except KeyError as exc:
+        raise ConfigError(f"{kind} report {path} has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind} report {path} holds a mistyped value: {exc}") from None
     print(f"# {kind} report ({path})")
-    if kind == "train":
-        for split_name, m in payload["final"].items():
-            print(f"{split_name:6s} acc={m['acc']:.4f} auc={m['auc']:.4f} "
-                  f"ks={m['ks']:.4f} (n_pos={m['n_pos']}, n_neg={m['n_neg']})")
-        print(f"epochs_run={payload['epochs_run']} best_epoch={payload['best_epoch']}")
-    elif kind in ROW_COMMANDS:
-        for row in payload["rows"]:
-            _print_row(row)
-    elif kind == "eval":
-        m = payload["metrics"]
-        print(f"n={payload['n_rows']} loss={payload['loss']:.4f} "
-              f"acc={m['acc']:.4f} auc={m['auc']:.4f} ks={m['ks']:.4f}")
-    elif kind == "importance":
-        for entry in payload["features"]:
-            print(f"{entry['feature']:24s} {entry['mean_drop']:+0.4f} "
-                  f"(std {entry['std_drop']:.4f})")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 

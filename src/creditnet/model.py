@@ -4,18 +4,19 @@ A standardized feature row becomes a sequence of per-feature tokens (learned
 embedding vector scaled by the feature value, plus a learned per-feature
 bias). The hybrid variant runs that sequence through a 1-D conv + max-pool
 block (embedding width as input channels), then through transformer encoder
-blocks (multi-head self-attention + position-wise feed-forward, residual and
-layer-norm gated by a flag), mean-pools over the sequence, and finishes with
-an MLP head and a sigmoid. Ablation variants drop the transformer
-(``cnn_only``) or the conv block (``transformer_only``). The ``logistic``
-baseline is one zero-initialised linear layer under the same sigmoid head.
+blocks, mean-pools over the sequence, and finishes with an MLP head and a
+sigmoid. Ablation variants drop the transformer (``cnn_only``) or the conv
+block (``transformer_only``). The ``logistic`` baseline is one
+zero-initialised linear layer under the same sigmoid head.
 
 ``build(config)`` adds each layer's parameters as it appends the layer that
-reads them; ``Model.forward`` walks that list and ``Model.backward`` walks it
-back. Forward passes are pure. A traced forward (the default) returns the
-per-layer cache list in a ``ForwardTrace`` that ``backward`` consumes exactly
-once; with ``trace=False``, the one scoring runs, each layer's cache is
-dropped as the next layer runs.
+reads them; an encoder block is multi-head self-attention and a feed-forward
+``Linear``, ``Activation``, ``Linear``, each the inner list of a post-LN
+``Residual`` when layer norm is on. ``Model.forward`` walks that list and
+``Model.backward`` walks it back. Forward passes are pure. A traced forward
+(the default) returns the per-layer cache list in a ``ForwardTrace`` that
+``backward`` consumes exactly once; with ``trace=False``, the one scoring
+runs, each layer's cache is dropped as the next layer runs.
 """
 
 from __future__ import annotations
@@ -486,67 +487,6 @@ def multi_head_attention_backward(cache: OpCache, g_out: np.ndarray):
     return (g_tokens, *np.split(g_w, 3, axis=1), g_wo)
 
 
-def transformer_block(tokens: np.ndarray, weights: dict, n_heads: int,
-                      use_layer_norm: bool, activation: str = "relu"):
-    """One encoder block: multi-head self-attention then a position-wise
-    feed-forward net. With ``use_layer_norm`` both sublayers are wrapped as
-    residual + layer-norm; without it the sublayers chain bare. Residuals,
-    layer norms and the activation work in place on sublayer outputs that
-    nothing else holds."""
-    mha, mha_cache = multi_head_attention(
-        tokens, weights["attn.wq"], weights["attn.wk"], weights["attn.wv"],
-        weights["attn.wo"], n_heads)
-    if use_layer_norm:
-        mha += tokens
-        h1, ln1_cache = layer_norm(mha, weights["ln1.gain"], weights["ln1.shift"], LN_EPS,
-                                   out=mha)
-    else:
-        h1, ln1_cache = mha, None
-    f1, f1_cache = linear(h1, weights["ffn.w1"], weights["ffn.b1"])
-    a1, act_cache = elementwise(activation, f1, out=f1)
-    f2, f2_cache = linear(a1, weights["ffn.w2"], weights["ffn.b2"])
-    if use_layer_norm:
-        f2 += h1
-        out, ln2_cache = layer_norm(f2, weights["ln2.gain"], weights["ln2.shift"], LN_EPS,
-                                    out=f2)
-    else:
-        out, ln2_cache = f2, None
-    cache = OpCache("transformer_block", {
-        "mha_cache": mha_cache, "ln1_cache": ln1_cache, "f1_cache": f1_cache,
-        "act_cache": act_cache, "f2_cache": f2_cache, "ln2_cache": ln2_cache,
-        "use_layer_norm": use_layer_norm, "h1": h1,
-    })
-    return out, cache
-
-
-def transformer_block_backward(cache: OpCache, g_out: np.ndarray):
-    """Returns ``(g_tokens, grads)`` with ``grads`` keyed like the weights dict."""
-    saved = cache.expect("transformer_block")
-    use_ln = saved["use_layer_norm"]
-    grads: dict[str, np.ndarray] = {}
-
-    if use_ln:
-        g_f2, grads["ln2.gain"], grads["ln2.shift"] = layer_norm_backward(
-            saved["ln2_cache"], g_out)
-    else:
-        g_f2 = g_out
-    g_a1, grads["ffn.w2"], grads["ffn.b2"] = linear_backward(saved["f2_cache"], g_f2)
-    g_f1 = elementwise_backward(saved["act_cache"], g_a1, out=g_a1)
-    g_h1, grads["ffn.w1"], grads["ffn.b1"] = linear_backward(saved["f1_cache"], g_f1)
-    if use_ln:
-        g_h1 += g_f2  # the residual around the feed-forward net
-        g_mha, grads["ln1.gain"], grads["ln1.shift"] = layer_norm_backward(
-            saved["ln1_cache"], g_h1, out=g_h1)
-    else:
-        g_mha = g_h1
-    (g_tokens, grads["attn.wq"], grads["attn.wk"],
-     grads["attn.wv"], grads["attn.wo"]) = multi_head_attention_backward(
-        saved["mha_cache"], g_mha)
-    if use_ln:
-        g_tokens += g_mha  # the residual around attention
-    return g_tokens, grads
-
-
 # ---------------------------------------------------------------------------
 # layers: what forward walks and backward walks back
 # ---------------------------------------------------------------------------
@@ -554,46 +494,63 @@ def transformer_block_backward(cache: OpCache, g_out: np.ndarray):
 # which adds its parameters' gradients into their grads. Layers hold
 # Parameters, not arrays (``ParamStore.add`` re-points the views), and look the
 # ops up in this module's globals as they run, so a wrapper bound there later
-# sees every call. Up to the mean-pool, x is [..., s, width].
+# sees every call. Up to the mean-pool, x is [..., s, width]. ``Activation``
+# and ``Residual`` work in place on the fresh output of the ``Linear`` (inner
+# list) before them, and on the gradient the walk hands them, held by nothing else.
 
-class _Weighted:
-    """A layer over one weight and one bias Parameter."""
+def _walk(layers: list, x):
+    """Run ``layers`` on ``x``; returns the output and the layers' caches."""
+    caches = []
+    for layer in layers:
+        x, cache = layer.forward(x)
+        caches.append(cache)
+    return x, caches
 
-    def __init__(self, weight: Parameter, bias: Parameter):
-        self.weight, self.bias = weight, bias
 
-    def _accumulate(self, g_x, g_w, g_b):
-        self.weight.grad += g_w
-        self.bias.grad += g_b
+def _walk_back(layers: list, caches: list, g):
+    """Run ``layers`` back from the output gradient ``g`` to the input's."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        g = layer.backward(cache, g)
+    return g
+
+
+class _Layer:
+    """A layer over the Parameters it reads, in order; keyword settings are attributes."""
+
+    def __init__(self, *params: Parameter, **settings):
+        self.params = params
+        vars(self).update(settings)
+
+    def _values(self) -> list:
+        return [p.value for p in self.params]
+
+    def _accumulate(self, g_x, *grads):
+        for p, g in zip(self.params, grads):
+            p.grad += g
         return g_x
 
 
-class Tokenize(_Weighted):
+class Tokenize(_Layer):
     def forward(self, x):
-        return tokenize(x, self.weight.value, self.bias.value)
+        return tokenize(x, *self._values())
 
     def backward(self, cache, g):
         return self._accumulate(*tokenize_backward(cache, g))
 
 
-class Linear(_Weighted):
+class Linear(_Layer):
     def forward(self, x):
-        return linear(x, self.weight.value, self.bias.value)
+        return linear(x, *self._values())
 
     def backward(self, cache, g):
         return self._accumulate(*linear_backward(cache, g))
 
 
-class ConvBlock(_Weighted):
+class ConvBlock(_Layer):
     """``conv1d`` along the token axis, embedding width as channels, then ``maxpool1d``."""
 
-    def __init__(self, weight: Parameter, bias: Parameter, spec: ConvSpec):
-        super().__init__(weight, bias)
-        self.spec = spec
-
     def forward(self, x):
-        z, conv_cache = conv1d(np.swapaxes(x, -1, -2), self.weight.value, self.bias.value,
-                               self.spec.stride)
+        z, conv_cache = conv1d(np.swapaxes(x, -1, -2), *self._values(), self.spec.stride)
         p, pool_cache = maxpool1d(z, self.spec.pool_window, self.spec.pool_stride)
         return np.swapaxes(p, -1, -2), (conv_cache, pool_cache)
 
@@ -603,20 +560,31 @@ class ConvBlock(_Weighted):
         return np.swapaxes(self._accumulate(*conv1d_backward(conv_cache, g_z)), -1, -2)
 
 
-class TransformerBlock:
-    def __init__(self, params: list, spec: AttnSpec, activation: str):
-        # transformer_block's weights are keyed by the name inside the block
-        self.weights = tuple((p.name.partition(".")[2], p) for p in params)
-        self.spec, self.activation = spec, activation
+class MultiHeadAttention(_Layer):
+    """Self-attention with ``n_heads`` heads over ``wq``, ``wk``, ``wv`` and ``wo``."""
 
     def forward(self, x):
-        return transformer_block(x, {key: p.value for key, p in self.weights},
-                                 self.spec.n_heads, self.spec.layer_norm, self.activation)
+        return multi_head_attention(x, *self._values(), self.n_heads)
 
     def backward(self, cache, g):
-        g_x, grads = transformer_block_backward(cache, g)
-        for key, p in self.weights:
-            p.grad += grads[key]
+        return self._accumulate(*multi_head_attention_backward(cache, g))
+
+
+class Residual(_Layer):
+    """The post-LN sublayer ``layer_norm(x + inner(x))`` over a gain and a
+    shift, walking its ``inner`` layer list forward and back."""
+
+    def forward(self, x):
+        y, caches = _walk(self.inner, x)
+        y += x
+        y, ln_cache = layer_norm(y, *self._values(), LN_EPS, out=y)
+        return y, (caches, ln_cache)
+
+    def backward(self, cache, g):
+        caches, ln_cache = cache
+        g_y = self._accumulate(*layer_norm_backward(ln_cache, g, out=g))
+        g_x = _walk_back(self.inner, caches, g_y)
+        g_x += g_y
         return g_x
 
 
@@ -630,15 +598,14 @@ class MeanPool:
         return np.repeat(g[..., None, :], s, axis=-2) / s
 
 
-class Activation:
-    def __init__(self, kind: str):
-        self.kind = kind
+class Activation(_Layer):
+    """The nonlinearity ``kind``."""
 
     def forward(self, x):
-        return elementwise(self.kind, x)
+        return elementwise(self.kind, x, out=x)
 
     def backward(self, cache, g):
-        return elementwise_backward(cache, g)
+        return elementwise_backward(cache, g, out=g)
 
 
 def build(config: ModelConfig) -> tuple[ParamStore, list]:
@@ -678,7 +645,7 @@ def build(config: ModelConfig) -> tuple[ParamStore, list]:
     if config.uses_conv():
         k, c = cv.kernel, cv.channels
         layers.append(ConvBlock(weight("conv.weight", width * k, c * k, (c, width, k)),
-                                zeros("conv.bias", c), cv))
+                                zeros("conv.bias", c), spec=cv))
         width = c
     if config.uses_transformer():
         d, f = at.d_model, config.ffn_dim
@@ -691,14 +658,50 @@ def build(config: ModelConfig) -> tuple[ParamStore, list]:
             params += [weight(f"{pre}.ffn.w1", d, f), zeros(f"{pre}.ffn.b1", f),
                        weight(f"{pre}.ffn.w2", f, d), zeros(f"{pre}.ffn.b2", d)]
             params += norm(f"{pre}.ln2")
-            layers.append(TransformerBlock(params, at, config.activation))
+            layers += block_layers({p.name.partition(".")[2]: p for p in params},
+                                   at.n_heads, at.layer_norm, config.activation)
     layers.append(MeanPool())
     widths = [width, *config.mlp_hidden, 1]
     for i, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
         if i:
-            layers.append(Activation(config.activation))
+            layers.append(Activation(kind=config.activation))
         layers.append(linear_layer(f"mlp.{i}", w_in, w_out))
     return store, layers
+
+
+def block_layers(p: dict, n_heads: int, use_layer_norm: bool, activation: str) -> list:
+    """One encoder block's layers over its Parameters ``p``, keyed by their
+    names within the block (``attn.wq``, ``ln1.gain``, ``ffn.w1``, ...):
+    multi-head attention, then the feed-forward ``Linear``, ``Activation``,
+    ``Linear``. With layer norm each of the two is a ``Residual``'s inner
+    list; without it the four layers chain bare."""
+    attn = [MultiHeadAttention(p["attn.wq"], p["attn.wk"], p["attn.wv"], p["attn.wo"],
+                               n_heads=n_heads)]
+    ffn = [Linear(p["ffn.w1"], p["ffn.b1"]), Activation(kind=activation),
+           Linear(p["ffn.w2"], p["ffn.b2"])]
+    if not use_layer_norm:
+        return attn + ffn
+    return [Residual(p["ln1.gain"], p["ln1.shift"], inner=attn),
+            Residual(p["ln2.gain"], p["ln2.shift"], inner=ffn)]
+
+
+def transformer_block(tokens: np.ndarray, weights: dict, n_heads: int,
+                      use_layer_norm: bool, activation: str = "relu"):
+    """``block_layers`` run over Parameters made from ``weights``, keyed like them."""
+    params = {key: Parameter(key, value) for key, value in weights.items()}
+    layers = block_layers(params, n_heads, use_layer_norm, activation)
+    out, caches = _walk(layers, tokens)
+    return out, OpCache("transformer_block",
+                        {"params": params, "layers": layers, "caches": caches})
+
+
+def transformer_block_backward(cache: OpCache, g_out: np.ndarray):
+    """Returns ``(g_tokens, grads)``, ``grads`` keyed like the weights; ``g_out`` is kept."""
+    saved = cache.expect("transformer_block")
+    for p in saved["params"].values():
+        p.grad = np.zeros_like(p.value)
+    g_tokens = _walk_back(saved["layers"], saved["caches"], g_out.copy())
+    return g_tokens, {key: p.grad for key, p in saved["params"].items()}
 
 
 def init_params(config: ModelConfig) -> ParamStore:
@@ -752,10 +755,7 @@ class Model:
         """
         h = check_batch(batch, self.config.n_features)
         if trace:
-            caches = []
-            for layer in self.layers:
-                h, cache = layer.forward(h)
-                caches.append(cache)
+            h, caches = _walk(self.layers, h)
         else:
             for layer in self.layers:
                 h = layer.forward(h)[0]  # its cache is freed at once
@@ -785,8 +785,7 @@ class Model:
         # sigmoid head (clamp is flat outside the open interval, but the
         # clamp bounds are unreachable for any finite logit that matters)
         g = (grad_probs * trace.probs * (1.0 - trace.probs))[..., None]
-        for layer, cache in zip(reversed(self.layers), reversed(trace.caches)):
-            g = layer.backward(cache, g)
+        g = _walk_back(self.layers, trace.caches, g)
         return g if want_input_grad else None
 
 

@@ -9,9 +9,11 @@ The commands go through ``python -m creditnet.cli`` on the ``src/`` next to
 this file: a 2,000-row synthetic CSV (``synth --n 2000 --n-features 6
 --seed 4``), then ``train``, ``eval``, ``ablate``, ``sweep-lr`` and
 ``sweep-opt`` on it with the config ``{"train": {"epochs": 3}}`` and
-``--seed 5``, ``importance --repeats 2`` on the trained checkpoint, and
-``report`` on the training run. They run with OUTDIR as the working directory
-and relative paths, so no output names OUTDIR.
+``--seed 5``, ``importance --repeats 2`` on the trained checkpoint, ``report``
+on the training run, and one more ``train`` whose encoder blocks run without
+layer norm (``{"model": {"attn": {"layer_norm": false}}}`` added). They run
+with OUTDIR as the working directory and relative paths, so no output names
+OUTDIR.
 
 Prints ``sha256[:12]  path`` for every file OUTDIR holds afterwards, in path
 order, then one ``sha256[:12]  stdout: <command>`` line per command. A
@@ -30,8 +32,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-CONFIG = {"train": {"epochs": 3}}
-TRAINED = ["--config", "config.json", "--data", "synth.csv", "--seed", "5"]
+CONFIGS = {
+    "config.json": {"train": {"epochs": 3}},
+    "config-bare.json": {"train": {"epochs": 3}, "model": {"attn": {"layer_norm": False}}},
+}
+DATA = ["--data", "synth.csv", "--seed", "5"]
+TRAINED = ["--config", "config.json", *DATA]
 CHECKPOINT = ["--checkpoint", "train/checkpoint.bin"]
 COMMANDS = [
     ["synth", "--n", "2000", "--n-features", "6", "--seed", "4", "--out", "synth.csv"],
@@ -42,6 +48,7 @@ COMMANDS = [
     ["sweep-opt", *TRAINED, "--out", "sweep-opt"],
     ["importance", *TRAINED, *CHECKPOINT, "--repeats", "2", "--out", "importance"],
     ["report", "--run", "train"],
+    ["train", "--config", "config-bare.json", *DATA, "--out", "train-bare"],
 ]
 
 
@@ -64,7 +71,8 @@ def main(argv) -> int:
         return 2
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(json.dumps(CONFIG))
+    for name, config in CONFIGS.items():
+        (outdir / name).write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     stdouts = []
     for command in COMMANDS:

@@ -420,6 +420,9 @@ FAULTS = [
      lambda h, p: (_set_header(h, ("preprocess", "standardize", "std"),
                                h["preprocess"]["standardize"]["std"][:-1]), p), 1,
      "config error: StandardizeStats mean has shape (6,) but std has shape (5,)"),
+    ("report-not-json", "report", '{"kind": "train"', 1, "report.json is not valid JSON: "),
+    ("train-report-without-final", "report", '{"kind": "train"}', 1,
+     "report.json has no key 'final'"),
 ]
 
 
@@ -457,7 +460,11 @@ class TestFaults:
             command = ["eval", "--checkpoint", str(checkpoint)]
         elif where == "no-checkpoint":
             command = [change, "--checkpoint", str(tmp_path / "nope.bin")]
-        assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == code
+        argv = [*command, "--data", str(data), "--out", str(tmp_path / "out")]
+        if where == "report":
+            (tmp_path / "report.json").write_text(change)
+            argv = ["report", "--run", str(tmp_path)]
+        assert run(argv) == code
         assert fragment in capsys.readouterr().err
 
     def test_config_file_that_is_not_utf8_is_a_config_error_naming_it(self, workspace,

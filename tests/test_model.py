@@ -10,8 +10,10 @@ from creditnet.model import (
     Model,
     ModelConfig,
     ParamStore,
+    Residual,
     attention,
     attention_backward,
+    block_layers,
     init_params,
     load_checkpoint,
     multi_head_attention,
@@ -271,9 +273,12 @@ class TestMultiHead:
         tokens = rng.standard_normal((5, 4))
         weights = random_block_weights(rng, 4, 8)
         weights["attn.wo"] = np.zeros((4, 4))
-        out, cache = transformer_block(tokens, weights, n_heads=2, use_layer_norm=True)
+        params = {key: Parameter(key, value) for key, value in weights.items()}
+        attention_sublayer = block_layers(params, n_heads=2, use_layer_norm=True,
+                                          activation="relu")[0]
+        h1, _ = attention_sublayer.forward(tokens)
         expected, _ = layer_norm(tokens, weights["ln1.gain"], weights["ln1.shift"])
-        assert np.allclose(cache.saved["h1"], expected, atol=1e-12)
+        assert np.allclose(h1, expected, atol=1e-12)
 
     @pytest.mark.parametrize("use_ln", [True, False])
     def test_block_gradient_check(self, use_ln):
@@ -293,6 +298,98 @@ class TestMultiHead:
             return float(np.sum(out * g_up))
 
         assert gradient_check(f, params, h=1e-5, seed=0) < 1e-4
+
+
+
+def layer_kinds(layers):
+    """The layer classes of ``layers`` by name, a ``Residual`` with its inner list."""
+    return [(type(layer).__name__, layer_kinds(layer.inner)) if isinstance(layer, Residual)
+            else type(layer).__name__ for layer in layers]
+
+
+def sublayer_caches(layers, caches):
+    """``(layer, cache)`` for every layer of a walk, inner lists included."""
+    for layer, cache in zip(layers, caches):
+        if isinstance(layer, Residual):
+            yield from sublayer_caches(layer.inner, cache[0])
+        yield layer, cache
+
+
+class TestBlockLayers:
+    FFN = ["Linear", "Activation", "Linear"]
+    HEAD = ["MeanPool", "Linear", "Activation", "Linear"]
+
+    @pytest.mark.parametrize("variant", ["hybrid", "transformer_only"])
+    @pytest.mark.parametrize("use_ln", [True, False])
+    def test_build_emits_each_block_as_sublayers(self, variant, use_ln):
+        from dataclasses import replace
+        config = replace(SMALL, variant=variant,
+                         attn=AttnSpec(n_heads=2, d_model=8, n_blocks=2, layer_norm=use_ln))
+        if use_ln:
+            block = [("Residual", ["MultiHeadAttention"]), ("Residual", self.FFN)]
+        else:
+            block = ["MultiHeadAttention", *self.FFN]
+        stem = ["Tokenize", "ConvBlock"] if variant == "hybrid" else ["Tokenize"]
+        layers = Model(config).layers
+        assert layer_kinds(layers) == [*stem, "Linear", *block, *block, *self.HEAD]
+        if use_ln:
+            residuals = [layer for layer in layers if isinstance(layer, Residual)]
+            assert [p.name for r in residuals for p in r.params] == [
+                f"block{b}.ln{i}.{key}" for b in (0, 1) for i in (1, 2)
+                for key in ("gain", "shift")]
+
+    @pytest.mark.parametrize("use_ln", [True, False])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_wrappers_match_the_model_sublayers_bit_for_bit(self, use_ln, activation):
+        from dataclasses import replace
+        config = replace(SMALL, variant="transformer_only", activation=activation,
+                         attn=AttnSpec(n_heads=2, d_model=8, n_blocks=1, layer_norm=use_ln))
+        model = Model(config)
+        model.params.values += 0.1 * np.random.default_rng(16).standard_normal(
+            model.params.values.size)
+        block = model.layers[2:4] if use_ln else model.layers[2:6]
+        weights = {p.name.partition(".")[2]: p.value.copy() for p in model.params
+                   if p.name.startswith("block0.")}
+        rng = np.random.default_rng(17)
+        tokens = rng.standard_normal((5, 4, 8))
+        g_out = rng.standard_normal((5, 4, 8))
+
+        out, cache = transformer_block(tokens, weights, 2, use_ln, activation)
+        g_tokens, grads = transformer_block_backward(cache, g_out)
+        h, caches = tokens, []
+        for layer in block:
+            h, layer_cache = layer.forward(h)
+            caches.append(layer_cache)
+        model.params.zero_grads()
+        g = g_out.copy()
+        for layer, layer_cache in zip(reversed(block), reversed(caches)):
+            g = layer.backward(layer_cache, g)
+
+        assert np.array_equal(out, h)
+        assert np.array_equal(g_tokens, g)
+        assert sorted(grads) == sorted(weights)
+        for key, grad in grads.items():
+            assert np.array_equal(grad, model.params[f"block0.{key}"].grad), key
+
+    @pytest.mark.parametrize("use_ln", [True, False])
+    def test_consumed_trace_keeps_attention_weights_and_ffn_activations(self, use_ln):
+        from dataclasses import replace
+        model = Model(replace(SMALL, attn=AttnSpec(n_heads=2, d_model=8, n_blocks=2,
+                                                   layer_norm=use_ln)))
+        probs, trace = model.forward(np.random.default_rng(18).standard_normal((6, 8)))
+        held = [(type(layer).__name__, cache) for layer, cache
+                in sublayer_caches(model.layers, trace.caches)]
+        weights = [c.saved["att_cache"].saved["weights"] for kind, c in held
+                   if kind == "MultiHeadAttention"]
+        activations = [c.saved["out"] for kind, c in held if kind == "Activation"]
+        assert len(weights) == 2 and len(activations) == 3  # two blocks and the head
+        before = [a.copy() for a in weights + activations]
+        model.backward(trace, np.ones_like(probs))
+        assert trace.used
+        for a, b in zip(weights + activations, before):
+            assert np.array_equal(a, b)
+        for w in weights:
+            assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestForward:
