@@ -13,10 +13,14 @@ zero-initialised linear layer under the same sigmoid head.
 reads them; an encoder block is multi-head self-attention and a feed-forward
 ``Linear``, ``Activation``, ``Linear``, each the inner list of a post-LN
 ``Residual`` when layer norm is on. ``Model.forward`` walks that list and
-``Model.backward`` walks it back. Forward passes are pure. A traced forward
-(the default) returns the per-layer cache list in a ``ForwardTrace`` that
-``backward`` consumes exactly once; with ``trace=False``, the one scoring
-runs, each layer's cache is dropped as the next layer runs.
+``Model.backward`` walks it back. A traced forward (the default) returns the
+per-layer cache list in a ``ForwardTrace`` that ``backward`` consumes exactly
+once; with ``trace=False``, the one scoring runs, each layer's cache is
+dropped as the next layer runs. A consumed trace's caches stay readable until
+the model's next traced forward, which frees each of them just before its
+layer makes the replacement, so a training step holds one set of activations,
+not two. Forwards change nothing else: the parameters and unconsumed traces
+are left as they are, and an untraced forward frees no trace at all.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import math
 import os
 import re
+import weakref
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import zip_longest
 from numbers import Integral
@@ -498,10 +503,14 @@ def multi_head_attention_backward(cache: OpCache, g_out: np.ndarray):
 # and ``Residual`` work in place on the fresh output of the ``Linear`` (inner
 # list) before them, and on the gradient the walk hands them, held by nothing else.
 
-def _walk(layers: list, x):
-    """Run ``layers`` on ``x``; returns the output and the layers' caches."""
+def _walk(layers: list, x, spent: Optional[list] = None):
+    """Run ``layers`` on ``x``; returns the output and the layers' caches.
+    Each of the ``spent`` caches of an earlier walk is set to None just
+    before its layer runs, so it is freed before its replacement is made."""
     caches = []
-    for layer in layers:
+    for i, layer in enumerate(layers):
+        if spent is not None:
+            spent[i] = None
         x, cache = layer.forward(x)
         caches.append(cache)
     return x, caches
@@ -595,7 +604,7 @@ class MeanPool:
         return np.mean(x, axis=-2), x.shape[-2]
 
     def backward(self, s, g):
-        return np.repeat(g[..., None, :], s, axis=-2) / s
+        return np.repeat(g[..., None, :] / s, s, axis=-2)
 
 
 class Activation(_Layer):
@@ -715,7 +724,12 @@ def init_params(config: ModelConfig) -> ParamStore:
 
 @dataclass
 class ForwardTrace:
-    """The per-layer cache list of one forward pass; consumed at most once."""
+    """The per-layer cache list of one forward pass; consumed at most once.
+
+    Once ``Model.backward`` has consumed it, the caches stay readable until
+    that model's next traced forward, which sets each to None just before
+    its layer runs again.
+    """
 
     probs: np.ndarray
     caches: list
@@ -743,6 +757,9 @@ class Model:
     def __init__(self, config: ModelConfig):
         self.config = config
         self.params, self.layers = build(config)
+        # the trace the last completed backward consumed; weak, so that a
+        # fitted model does not keep its last step's activations alive
+        self._spent = None
 
     def forward(self, batch: np.ndarray, *, trace: bool = True):
         """Default probabilities for a ``[B, n_features]`` batch.
@@ -751,11 +768,15 @@ class Model:
         value strictly inside (0, 1) and ``trace`` is the ``ForwardTrace``
         that ``backward`` needs. With ``trace=False`` no layer cache is kept,
         so each layer's intermediates are freed as the forward moves on, and
-        ``trace`` is None; the probabilities are the same bits.
+        ``trace`` is None; the probabilities are the same bits. A traced
+        forward frees the caches of the trace the last backward consumed,
+        each just before its layer allocates the replacement.
         """
         h = check_batch(batch, self.config.n_features)
         if trace:
-            h, caches = _walk(self.layers, h)
+            spent = self._spent() if self._spent else None
+            self._spent = None
+            h, caches = _walk(self.layers, h, None if spent is None else spent.caches)
         else:
             for layer in self.layers:
                 h = layer.forward(h)[0]  # its cache is freed at once
@@ -769,23 +790,25 @@ class Model:
 
         ``grad_probs`` is d(loss)/d(probs), shape ``[B]``. Call
         ``params.zero_grads()`` first unless accumulation across batches is
-        intended. Returns d(loss)/d(batch) when ``want_input_grad``.
+        intended. Returns d(loss)/d(batch) when ``want_input_grad``. A
+        ``grad_probs`` it rejects leaves the trace unconsumed, for a retry.
         """
         if trace is None:
             raise StateError("no ForwardTrace to run backward on: the forward ran "
                              "with trace=False")
         if trace.used:
             raise StateError("ForwardTrace already consumed by a backward pass")
-        trace.used = True
         grad_probs = as_f64(grad_probs)
         if grad_probs.shape != trace.probs.shape:
             raise ShapeError(
                 f"grad_probs shape {grad_probs.shape} != probs shape {trace.probs.shape}"
             )
+        trace.used = True
         # sigmoid head (clamp is flat outside the open interval, but the
         # clamp bounds are unreachable for any finite logit that matters)
         g = (grad_probs * trace.probs * (1.0 - trace.probs))[..., None]
         g = _walk_back(self.layers, trace.caches, g)
+        self._spent = weakref.ref(trace)
         return g if want_input_grad else None
 
 

@@ -283,11 +283,10 @@ def _fit(model: Model, train_cfg: TrainConfig, splits: Splits) -> RunReport:
         for b_start in range(0, n, train_cfg.batch_size):
             batch_idx = idx[b_start: b_start + train_cfg.batch_size]
             X, y = train.X[batch_idx], train.y[batch_idx]
-            # the consumed trace stays bound until this line rebinds it next
-            # step: dropping it after backward cut the benchmark's ablate
-            # peak RSS from 63.4-63.9 to 56.1-56.3 MiB but slowed ablate()
-            # from 1.38-1.67 to 1.67-1.83 s (4 pairs, 2-vCPU x86-64 VM): the
-            # freed caches are trimmed and the next forward faults them back in
+            # this forward frees the last step's consumed trace layer by layer,
+            # each cache just before its replacement is made, so the heap
+            # stays level; dropping the trace after backward instead lets the
+            # allocator trim the freed pages, which this forward faults back in
             probs, trace = model.forward(X)
             loss, g_probs = bce_loss(probs, y, train_cfg.pos_weight)
             if not np.isfinite(loss):

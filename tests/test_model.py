@@ -1,5 +1,8 @@
 """Architecture wiring, initialization, gradients, and checkpoint format."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from creditnet.model import (
     transformer_block_backward,
 )
 from creditnet.tensor_ops import Parameter, gradient_check, layer_norm, softmax_rows
-from creditnet.training import bce_loss
+from creditnet.training import TrainConfig, bce_loss, make_optimizer, predict_probs
 
 
 SMALL = ModelConfig(
@@ -315,6 +318,20 @@ def sublayer_caches(layers, caches):
         yield layer, cache
 
 
+def held_arrays(model, trace):
+    """``(attention weights, activation outputs)`` that ``trace`` holds."""
+    held = [(type(layer).__name__, cache) for layer, cache
+            in sublayer_caches(model.layers, trace.caches)]
+    return ([c.saved["att_cache"].saved["weights"] for kind, c in held
+             if kind == "MultiHeadAttention"],
+            [c.saved["out"] for kind, c in held if kind == "Activation"])
+
+
+def held_refs(model, trace):
+    """Weak references to every array ``held_arrays`` finds."""
+    return [weakref.ref(a) for arrays in held_arrays(model, trace) for a in arrays]
+
+
 class TestBlockLayers:
     FFN = ["Linear", "Activation", "Linear"]
     HEAD = ["MeanPool", "Linear", "Activation", "Linear"]
@@ -377,11 +394,7 @@ class TestBlockLayers:
         model = Model(replace(SMALL, attn=AttnSpec(n_heads=2, d_model=8, n_blocks=2,
                                                    layer_norm=use_ln)))
         probs, trace = model.forward(np.random.default_rng(18).standard_normal((6, 8)))
-        held = [(type(layer).__name__, cache) for layer, cache
-                in sublayer_caches(model.layers, trace.caches)]
-        weights = [c.saved["att_cache"].saved["weights"] for kind, c in held
-                   if kind == "MultiHeadAttention"]
-        activations = [c.saved["out"] for kind, c in held if kind == "Activation"]
+        weights, activations = held_arrays(model, trace)
         assert len(weights) == 2 and len(activations) == 3  # two blocks and the head
         before = [a.copy() for a in weights + activations]
         model.backward(trace, np.ones_like(probs))
@@ -503,6 +516,102 @@ class TestBackward:
         g_x = model.backward(trace, np.ones_like(probs), want_input_grad=True)
         assert g_x.shape == X.shape
         assert np.any(g_x != 0.0)
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((4, 1)), "abc"])
+    def test_rejected_gradient_leaves_the_trace_for_a_retry(self, bad):
+        rng = np.random.default_rng(19)
+        X, y = rng.standard_normal((4, 8)), np.array([0, 1, 1, 0])
+        fresh = Model(SMALL)
+        probs, trace = fresh.forward(X)
+        fresh.params.zero_grads()
+        fresh.backward(trace, bce_loss(probs, y)[1])
+
+        model = Model(SMALL)
+        probs, trace = model.forward(X)
+        model.params.zero_grads()
+        with pytest.raises(DataError if isinstance(bad, str) else ShapeError):
+            model.backward(trace, bad)
+        assert not trace.used
+        model.backward(trace, bce_loss(probs, y)[1])
+        assert model.params.grads.tobytes() == fresh.params.grads.tobytes()
+
+
+class TestTraceLifetime:
+    """A consumed trace's caches live until the model's next traced forward."""
+
+    def step(self, model, X):
+        probs, trace = model.forward(X)
+        model.params.zero_grads()
+        model.backward(trace, np.ones_like(probs))
+        return trace
+
+    def test_next_traced_forward_frees_the_consumed_trace(self):
+        model = Model(SMALL)
+        X = np.random.default_rng(20).standard_normal((6, 8))
+        trace = self.step(model, X)
+        refs = held_refs(model, trace)
+        assert len(refs) == 5 and all(r() is not None for r in refs)
+        model.forward(X)
+        assert trace.caches == [None] * len(model.layers)
+        assert all(r() is None for r in refs)
+
+    def test_model_holds_no_strong_reference_to_a_consumed_trace(self):
+        model = Model(SMALL)
+        trace = self.step(model, np.random.default_rng(21).standard_normal((6, 8)))
+        refs = [weakref.ref(trace), *held_refs(model, trace)]
+        del trace
+        assert all(r() is None for r in refs)
+        model.forward(np.zeros((2, 8)))  # the dead reference is passed over
+
+    def test_untraced_forwards_and_unconsumed_traces_are_left_intact(self):
+        model = Model(SMALL)
+        X = np.random.default_rng(22).standard_normal((6, 8))
+        consumed = self.step(model, X)
+        kept = list(consumed.caches)
+        model.forward(X, trace=False)
+        predict_probs(model, X)
+        assert all(a is b for a, b in zip(consumed.caches, kept))
+
+        model.forward(X)  # frees ``consumed``; its own trace is never consumed
+        _, unconsumed = model.forward(X)
+        kept = list(unconsumed.caches)
+        model.forward(X)
+        assert all(a is b for a, b in zip(unconsumed.caches, kept))
+        assert all(cache is not None for cache in kept[:-1])  # MeanPool's is an int
+        assert all(r() is not None for r in held_refs(model, unconsumed))
+
+    @pytest.mark.parametrize("variant", ["transformer_only", "hybrid"])
+    def test_a_training_step_holds_one_trace_not_two(self, variant):
+        """tracemalloc's peak over 4 training steps at batch 128, the
+        previous step's trace bound as ``_fit`` keeps it, is at most 1.5
+        traces; with both traces alive at once it reads about 2."""
+        model = Model(ModelConfig(n_features=10, variant=variant))
+        rng = np.random.default_rng(23)
+        X, y = rng.standard_normal((128, 10)), rng.integers(0, 2, 128)
+        step = make_optimizer(TrainConfig())
+
+        def train_step():
+            probs, trace = model.forward(X)
+            model.params.zero_grads()
+            model.backward(trace, bce_loss(probs, y)[1])
+            step(model.params)
+            return trace
+
+        train_step()  # optimizer state and one-off buffers come first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, trace = model.forward(X)
+            one_trace = tracemalloc.get_traced_memory()[0] - base
+            del trace
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(4):
+                trace = train_step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / one_trace <= 1.5, (peak, one_trace)
 
 
 class TestVariantWiring:
