@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import make_dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -47,8 +46,8 @@ from .errors import (
 )
 from .importance import permutation_importance
 from .metrics import auc, evaluate_scores
-from .model import (Model, ModelConfig, check_types, config_from_dict, load_checkpoint,
-                    read_json_object, record_to_dict, save_checkpoint)
+from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .records import check_arg, config_from_dict, make_record, read_json_object, record_to_dict
 from .training import (
     TrainConfig,
     ablate,
@@ -97,10 +96,10 @@ class _Parser(argparse.ArgumentParser):
 
 # records for the config file's top level and its data and winsorize sections,
 # named for config_from_dict's messages; load_csv checks subsample itself
-ConfigFile = make_dataclass("config", [(name, Optional[dict], None) for name in (
+ConfigFile = make_record("config", [(name, Optional[dict], None) for name in (
     "model", "train", "schema", "split", "winsorize", "data")])
-DataSection = make_dataclass("data", [("subsample", object, None), ("subsample_seed", int, 0)])
-WinsorSection = make_dataclass("winsorize", [("lower_quantile", float), ("upper_quantile", float)])
+DataSection = make_record("data", [("subsample", object, None), ("subsample_seed", int, 0)])
+WinsorSection = make_record("winsorize", [("lower_quantile", float), ("upper_quantile", float)])
 
 
 def read_config_file(path) -> dict:
@@ -240,8 +239,7 @@ def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, Fea
     if header["preprocess"] is None:
         raise ConfigError(f"checkpoint {args.checkpoint} lacks preprocessing statistics")
     schema_dict = header["extra"].get("schema")
-    check_types(f"checkpoint {args.checkpoint} extra", {"schema": schema_dict},
-                {"schema": Optional[dict]})
+    check_arg(f"checkpoint {args.checkpoint} extra key 'schema'", schema_dict, Optional[dict])
     if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):
         cfg = {**cfg, "schema": schema_dict}
     data_path = resolve_data_path(args)

@@ -11,7 +11,7 @@ import csv
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import count, islice
 from pathlib import Path
 from typing import NamedTuple, NoReturn, Optional, Sequence, Union
@@ -19,13 +19,14 @@ from typing import NamedTuple, NoReturn, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
-from .model import config_from_dict, is_integer, read_json_object, record_to_dict
-from .tensor_ops import sigmoid
+from .records import (check_arg, check_path, config_from_dict, is_integer, make_record,
+                      read_json_object, record, record_to_dict)
+from .tensor_ops import as_f64, sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
 
 # the record that SchemaConfig.to_dict writes and from_dict reads
-SchemaSection = make_dataclass("schema", [
+SchemaSection = make_record("schema", [
     ("label_column", str), ("feature_columns", tuple[str, ...], ()),
     ("missing_markers", Optional[tuple[str, ...]], None),
     ("imputation", Union[str, dict], "median")])
@@ -41,7 +42,9 @@ class FeatureFrame:
 
     Missing cells are NaN in ``X``, and NaN marks nothing else: ``load_csv``
     rejects every other non-finite cell. Imputation clears them.
-    ``split_tag`` is one of full/train/val/test.
+    ``split_tag`` is one of full/train/val/test. Names that are not strings
+    are a ``ConfigError``; an ``X`` or ``y`` that is not numeric, and a label
+    other than 0 or 1, a ``DataError``.
     """
 
     feature_names: tuple[str, ...]
@@ -51,8 +54,11 @@ class FeatureFrame:
     split_tag: str = "full"
 
     def __post_init__(self):
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
+        check_arg("feature_names", self.feature_names, tuple[str, ...])
+        object.__setattr__(self, "X", as_f64(self.X))
+        y = self.y
+        if not (isinstance(y, np.ndarray) and y.dtype.kind in "biu"):  # integer labels stay uncopied
+            y = as_f64(y)
         if self.X.ndim != 2:
             raise ShapeError(f"X must be 2-D, got shape {self.X.shape}")
         if self.X.shape[1] != len(self.feature_names):
@@ -60,11 +66,12 @@ class FeatureFrame:
                 f"{len(self.feature_names)} feature names but X has "
                 f"{self.X.shape[1]} columns"
             )
-        if self.y.shape != (self.X.shape[0],):
-            raise ShapeError(f"y shape {self.y.shape} != ({self.X.shape[0]},)")
-        bad = ~np.isin(self.y, (0, 1))
+        if y.shape != (self.X.shape[0],):
+            raise ShapeError(f"y shape {y.shape} != ({self.X.shape[0]},)")
+        bad = (y != 0) & (y != 1)
         if np.any(bad):
-            raise DataError(f"labels must be 0/1, found {np.unique(self.y[bad])!r}")
+            raise DataError(f"labels must be 0/1, found {np.unique(y[bad])!r}")
+        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
 
     @property
     def n_rows(self) -> int:
@@ -86,7 +93,7 @@ class FeatureFrame:
         return replace(self, X=self.X[idx], y=self.y[idx], split_tag=split_tag)
 
 
-@dataclass(frozen=True)
+@record
 class SchemaConfig:
     """Column contract for a credit CSV."""
 
@@ -124,8 +131,8 @@ class SchemaConfig:
         markers = section.missing_markers
         return cls(
             label_column=section.label_column,
-            feature_columns=tuple(section.feature_columns),
-            missing_markers=MISSING_DEFAULT if markers is None else tuple(markers),
+            feature_columns=section.feature_columns,
+            missing_markers=MISSING_DEFAULT if markers is None else markers,
             imputation=imputation,
             constant_value=constant_value,
         )
@@ -136,19 +143,15 @@ class SchemaConfig:
         return cls.from_dict(read_json_object(path, "schema file"))
 
     def to_dict(self) -> dict:
-        return {
-            "label_column": self.label_column,
-            "feature_columns": list(self.feature_columns),
-            "missing_markers": list(self.missing_markers),
-            "imputation": (
-                {"kind": "constant", "value": self.constant_value}
-                if self.imputation == "constant"
-                else self.imputation
-            ),
-        }
+        """The record's fields, ``constant_value`` folded into ``imputation``."""
+        d = record_to_dict(self)
+        value = d.pop("constant_value")
+        if self.imputation == "constant":
+            d["imputation"] = {"kind": "constant", "value": value}
+        return d
 
 
-@dataclass(frozen=True)
+@record
 class SplitSpec:
     fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
     seed: int = 0
@@ -157,7 +160,7 @@ class SplitSpec:
     def __post_init__(self):
         fr = tuple(float(f) for f in self.fractions)
         object.__setattr__(self, "fractions", fr)
-        if len(fr) != 3 or any(not (0.0 < f < 1.0) for f in fr):
+        if any(not (0.0 < f < 1.0) for f in fr):
             raise ConfigError(f"fractions must be three values in (0,1), got {fr}")
         if abs(sum(fr) - 1.0) > 1e-12:
             raise ConfigError(f"fractions must sum to 1, got {sum(fr)!r}")
@@ -227,6 +230,7 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
     ``subsample`` (None or an int >= 1) keeps a random subset of rows drawn
     with ``seed`` (>= 0).
     """
+    check_path(path, "CSV")
     if not isinstance(schema, SchemaConfig):
         raise ConfigError(f"schema must be a SchemaConfig, got {schema!r}")
     if subsample is not None and not (is_integer(subsample) and subsample >= 1):
@@ -382,13 +386,10 @@ def _raise_first_fault(path: Path, schema: SchemaConfig, label_i: int,
 # imputation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ImputeStats:
     fill_values: np.ndarray
     fitted_on: str
-
-    to_dict = record_to_dict
-    from_dict = classmethod(config_from_dict)
 
 
 def _guard_leakage(frame: FeatureFrame, fitted_on: str, what: str) -> None:
@@ -401,6 +402,8 @@ def _guard_leakage(frame: FeatureFrame, fitted_on: str, what: str) -> None:
 
 def fit_imputer(frame: FeatureFrame, schema: SchemaConfig) -> ImputeStats:
     """Per-column fill values from this frame (use the training split)."""
+    check_arg("frame", frame, FeatureFrame)
+    check_arg("schema", schema, SchemaConfig)
     fills = np.empty(frame.n_features)
     for j in range(frame.n_features):
         col = frame.X[:, j]
@@ -422,6 +425,8 @@ def fit_imputer(frame: FeatureFrame, schema: SchemaConfig) -> ImputeStats:
 def impute(frame: FeatureFrame, schema: Optional[SchemaConfig] = None,
            stats: Optional[ImputeStats] = None) -> FeatureFrame:
     """Fill missing cells; fit values come from ``stats`` or from ``frame`` itself."""
+    check_arg("frame", frame, FeatureFrame)
+    check_arg("stats", stats, Optional[ImputeStats])
     if stats is None:
         if schema is None:
             raise ConfigError("impute needs a schema when no fitted stats are given")
@@ -442,14 +447,11 @@ def impute(frame: FeatureFrame, schema: Optional[SchemaConfig] = None,
 # winsorization (optional, default off)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class WinsorStats:
     lower: np.ndarray
     upper: np.ndarray
     fitted_on: str
-
-    to_dict = record_to_dict
-    from_dict = classmethod(config_from_dict)
 
     def __post_init__(self):
         if np.shape(self.lower) != np.shape(self.upper):
@@ -479,14 +481,11 @@ def winsorize_apply(frame: FeatureFrame, stats: WinsorStats) -> FeatureFrame:
 STD_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class StandardizeStats:
     mean: np.ndarray
     std: np.ndarray  # population std; exact zeros mark constant columns
     fitted_on: str
-
-    to_dict = record_to_dict
-    from_dict = classmethod(config_from_dict)
 
     def __post_init__(self):
         if np.shape(self.mean) != np.shape(self.std):
@@ -496,6 +495,7 @@ class StandardizeStats:
 
 def standardize_fit(frame: FeatureFrame) -> StandardizeStats:
     """Per-column mean and population std from this frame (use the training split)."""
+    check_arg("frame", frame, FeatureFrame)
     if frame.n_missing_cells:
         raise DataError("standardize_fit requires an imputed frame (missing cells present)")
     mean = np.mean(frame.X, axis=0)
@@ -506,6 +506,8 @@ def standardize_fit(frame: FeatureFrame) -> StandardizeStats:
 
 def standardize_apply(frame: FeatureFrame, stats: StandardizeStats) -> FeatureFrame:
     """x' = (x - mean) / std per column; constant columns map to all zeros."""
+    check_arg("frame", frame, FeatureFrame)
+    check_arg("stats", stats, StandardizeStats)
     _guard_leakage(frame, stats.fitted_on, "standardization")
     if stats.mean.shape[0] != frame.n_features:
         raise SchemaError(
@@ -535,6 +537,8 @@ def _largest_remainder(n: int, fractions: Sequence[float]) -> list[int]:
 def split(frame: FeatureFrame, spec: SplitSpec) -> Splits:
     """Deterministic seeded 3-way split; stratified mode preserves the label
     ratio within one sample per split."""
+    check_arg("frame", frame, FeatureFrame)
+    check_arg("spec", spec, SplitSpec)
     n = frame.n_rows
     if n < 10:
         raise ConfigError(f"need at least 10 rows to split, got {n}")
@@ -610,6 +614,8 @@ SYNTH_PRESETS = ("noise", "strong-single", "linear", "long-range",
 
 def synth_preset(name: str, n_features: int) -> SynthSpec:
     """Named generator recipes used by experiments and the CLI."""
+    check_arg("name", name, str)
+    check_arg("n_features", n_features, int)
     far = n_features - 1
     if name == "noise":
         return SynthSpec()
@@ -630,6 +636,7 @@ def synth_preset(name: str, n_features: int) -> SynthSpec:
 def synth_generate(n: int, n_features: int, seed: int,
                    spec: SynthSpec) -> tuple[FeatureFrame, np.ndarray]:
     """Draw a synthetic frame plus its true logits (the Bayes-optimal scores)."""
+    check_arg("spec", spec, SynthSpec)
     for name, value in (("n", n), ("n_features", n_features), ("seed", seed)):
         if not is_integer(value):
             raise ConfigError(f"synthetic {name} must be an integer, got {value!r}")
@@ -652,7 +659,7 @@ def synth_generate(n: int, n_features: int, seed: int,
 # end-to-end preparation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class PreprocessStats:
     """Everything fitted on train that eval-time data must be pushed through."""
 
@@ -660,14 +667,12 @@ class PreprocessStats:
     standardize: StandardizeStats
     winsor: Optional[WinsorStats] = None
 
-    to_dict = record_to_dict
-    from_dict = classmethod(config_from_dict)
-
 
 def prepare_splits(frame: FeatureFrame, schema: SchemaConfig, spec: SplitSpec,
                    winsor_quantiles: Optional[tuple[float, float]] = None,
                    ) -> tuple[Splits, PreprocessStats]:
     """Split, then impute/winsorize/standardize every split with train-fitted stats."""
+    check_arg("winsor_quantiles", winsor_quantiles, Optional[tuple[float, float]])
     raw = split(frame, spec)
     imp = fit_imputer(raw.train, schema)
     parts = [impute(f, schema, imp) for f in raw]
@@ -682,6 +687,7 @@ def prepare_splits(frame: FeatureFrame, schema: SchemaConfig, spec: SplitSpec,
 
 def apply_preprocess(frame: FeatureFrame, stats: PreprocessStats) -> FeatureFrame:
     """Push a raw frame through train-fitted imputation/winsor/standardization."""
+    check_arg("stats", stats, PreprocessStats)
     out = impute(frame, stats=stats.impute)
     if stats.winsor is not None:
         out = winsorize_apply(out, stats.winsor)

@@ -15,7 +15,7 @@ import numpy as np
 from .data import FeatureFrame
 from .errors import ConfigError
 from .metrics import accuracy, auc
-from .model import is_integer
+from .records import check_arg, is_integer
 from .training import predict_probs, ACC_THRESHOLD
 
 
@@ -70,6 +70,8 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
     Shuffles are seeded per (feature, repeat), so the report is deterministic
     and each column's evaluation is independent of the others.
     """
+    check_arg("frame", frame, FeatureFrame)
+    check_arg("metric", metric, str)
     if not (is_integer(repeats) and repeats >= 1):
         raise ConfigError(f"repeats must be an integer >= 1, got {repeats!r}")
     if not is_integer(seed):

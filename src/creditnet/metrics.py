@@ -21,19 +21,17 @@ from numbers import Real
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, UndefinedMetricError
-from .model import record_to_dict
+from .records import record
 from .tensor_ops import as_f64
 
 
-@dataclass
+@record
 class MetricsRecord:
     acc: float
     auc: float
     ks: float
     n_pos: int
     n_neg: int
-
-    to_dict = record_to_dict
 
 
 @dataclass

@@ -27,17 +27,15 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import re
 import weakref
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
-from numbers import Integral
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, StateError
+from .records import check_arg, check_path, config_from_dict, record, record_to_dict
 from .tensor_ops import (
     ACTIVATIONS,
     OpCache,
@@ -68,76 +66,7 @@ LN_EPS = 1e-5
 # configuration
 # ---------------------------------------------------------------------------
 
-def record_to_dict(record):
-    """A record dataclass's JSON form: one key per field, nested records as
-    their own dicts, dicts as dicts, tuples and lists as lists and arrays as
-    (nested) lists, recursively. ``config_from_dict`` reads it back."""
-    if is_dataclass(record):
-        return {f.name: record_to_dict(getattr(record, f.name)) for f in fields(record)}
-    if isinstance(record, dict):
-        return {k: record_to_dict(v) for k, v in record.items()}
-    if isinstance(record, (tuple, list)):
-        return [record_to_dict(v) for v in record]
-    return record.tolist() if isinstance(record, np.ndarray) else record
-
-
-def _from_json(hint, value):
-    """``value`` as decoded from JSON, read for a field typed ``hint`` (or
-    ``Optional[hint]``): an object (a list's items) becomes the record (tuple of
-    records) it names, a list of numbers a float64 array; else it is unchanged."""
-    for h in get_args(hint) if get_origin(hint) is Union else (hint,):
-        if is_dataclass(h) and isinstance(value, dict):
-            return config_from_dict(h, value)
-        if get_origin(h) is tuple and is_dataclass(get_args(h)[0]) and isinstance(value, list):
-            return tuple(config_from_dict(get_args(h)[0], v) for v in value)
-        if h is np.ndarray and isinstance(value, list) and all(_fits(float, v) for v in value):
-            try:
-                return np.array(value, dtype=np.float64)
-            except OverflowError:  # an integer beyond float64's range
-                return value
-    return value
-
-
-def config_from_dict(cls, d: dict):
-    """The ``cls`` record dataclass that ``record_to_dict`` wrote as ``d``.
-
-    ``d`` must be an object holding every field without a default and no
-    other key. Nested records are read from their dicts and array fields from
-    lists of numbers; then every value must fit its field's type hint. Each
-    fault is a ``ConfigError`` naming ``cls``."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(d) - set(names))
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} key(s) {unknown}; allowed: {', '.join(names)}")
-    missing = [f.name for f in fields(cls) if f.name not in d
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigError(f"missing {cls.__name__} key(s) {missing}")
-    hints = get_type_hints(cls)
-    d = {key: _from_json(hints[key], value) for key, value in d.items()}
-    check_types(cls.__name__, d, hints)
-    return cls(**d)
-
-
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at ``path``; a file that cannot be
-    read, is not JSON or holds another value is a ``ConfigError`` naming it
-    as ``what``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} {path} must contain a JSON object")
-    return d
-
-
-@dataclass(frozen=True)
+@record
 class ConvSpec:
     channels: int = 32
     kernel: int = 3
@@ -146,7 +75,7 @@ class ConvSpec:
     pool_stride: int = 2
 
 
-@dataclass(frozen=True)
+@record
 class AttnSpec:
     n_heads: int = 4
     d_model: int = 32
@@ -154,7 +83,7 @@ class AttnSpec:
     layer_norm: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class ModelConfig:
     n_features: int
     variant: str = "hybrid"
@@ -166,11 +95,7 @@ class ModelConfig:
     activation: str = "relu"
     seed: int = 0
 
-    to_dict = record_to_dict
-    from_dict = classmethod(config_from_dict)
-
     def __post_init__(self):
-        object.__setattr__(self, "mlp_hidden", tuple(self.mlp_hidden))
         self.validate()
 
     def validate(self) -> None:
@@ -194,7 +119,7 @@ class ModelConfig:
             **{f"mlp_hidden[{i}]": w for i, w in enumerate(self.mlp_hidden)},
         }
         for name, value in dims.items():
-            if int(value) < 1:
+            if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.seed < 0:
             raise ConfigError(f"model seed must be >= 0, got {self.seed}")
@@ -229,39 +154,6 @@ class ModelConfig:
         return conv_out_len(l1, self.conv.pool_window, self.conv.pool_stride)
 
 
-def is_integer(value) -> bool:
-    """Whether a config value or library argument is an integer, not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _fits(hint, value) -> bool:
-    """Whether a JSON-decoded ``value`` fits a config field's type hint."""
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return is_integer(value)
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:
-        return any(_fits(a, value) for a in args)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        items = args[:1] * len(value) if args[-1] is Ellipsis else args
-        return len(items) == len(value) and all(map(_fits, items, value))
-    return isinstance(value, hint)
-
-
-def check_types(what: str, d: dict, hints: dict) -> None:
-    """Raise ``ConfigError`` naming the first key of ``d`` whose value does not
-    fit its type hint in ``hints``."""
-    for key, value in d.items():
-        hint = hints[key]
-        if not _fits(hint, value):
-            # "Optional[creditnet.training.EarlyStop]" -> "Optional[EarlyStop]"
-            expected = re.sub(r"\w+\.", "", str(hint)) if get_origin(hint) else hint.__name__
-            raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
-
-
 def conv_out_len(length: int, window: int, stride: int) -> int:
     return (length - window) // stride + 1
 
@@ -292,6 +184,7 @@ class ParamStore:
                 self.grads[offset:end].reshape(shape))
 
     def add(self, name: str, value: np.ndarray) -> Parameter:
+        check_arg("name", name, str)
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         value = as_f64(value)
@@ -626,6 +519,7 @@ def build(config: ModelConfig) -> tuple[ParamStore, list]:
     give bit-identical stores. The logistic baseline is one ``Linear`` with
     zero weights, so its seed is unused.
     """
+    check_arg("config", config, ModelConfig)
     rng = np.random.default_rng(config.seed)
     store = ParamStore()
     cv, at = config.conv, config.attn
@@ -819,13 +713,13 @@ class Model:
 CHECKPOINT_MAGIC = "creditnet-checkpoint"
 
 
-@dataclass(frozen=True)
+@record
 class ParamEntry:
     name: str
     shape: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CheckpointHeader:
     format: str
     version: int
@@ -838,13 +732,25 @@ class CheckpointHeader:
 def save_checkpoint(path, model: Model, preprocess: Optional[dict] = None,
                     extra: Optional[dict] = None) -> None:
     """Write the model's ``CheckpointHeader`` as one JSON line, then all
-    parameter values as raw little-endian float64 in its ``params`` order."""
+    parameter values as raw little-endian float64 in its ``params`` order.
+    A header that JSON cannot hold, or a file that cannot be written, is a
+    ``ConfigError``."""
+    check_path(path, "checkpoint")
+    check_arg("model", model, Model)
     params = tuple(ParamEntry(p.name, p.value.shape) for p in model.params)
-    header = CheckpointHeader(CHECKPOINT_MAGIC, 1, model.config, params, preprocess, extra or {})
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(record_to_dict(header), sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(model.params.values.astype("<f8", copy=False).tobytes())
+    header = CheckpointHeader(CHECKPOINT_MAGIC, 1, model.config, params, preprocess,
+                              {} if extra is None else extra)
+    try:
+        line = json.dumps(record_to_dict(header), sort_keys=True).encode("utf-8")
+    except (TypeError, ValueError) as exc:  # an object or circular value in preprocess/extra
+        raise ConfigError(f"checkpoint header is not JSON: {exc}") from None
+    try:
+        with open(path, "wb") as fh:
+            fh.write(line)
+            fh.write(b"\n")
+            fh.write(model.params.values.astype("<f8", copy=False).tobytes())
+    except OSError as exc:
+        raise ConfigError(f"cannot write checkpoint {path}: {exc.strerror or exc}") from None
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
@@ -856,8 +762,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     that its config builds, and the payload must hold exactly their values;
     anything else is a ``ConfigError``.
     """
-    if not isinstance(path, (str, os.PathLike)):
-        raise ConfigError(f"checkpoint path must be a str or path, got {path!r}")
+    check_path(path, "checkpoint")
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()

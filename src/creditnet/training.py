@@ -20,7 +20,8 @@ import numpy as np
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
-from .model import BASELINE, Model, ModelConfig, ParamStore, config_from_dict, record_to_dict
+from .model import BASELINE, Model, ModelConfig, ParamStore
+from .records import check_arg, record, record_to_dict
 from .tensor_ops import as_f64
 
 PROB_EPS = 1e-12  # cross-entropy clamp
@@ -37,11 +38,18 @@ def _check_positive(name: str, value) -> None:
         raise ConfigError(f"{name} must be finite positive, got {value!r}")
 
 
+def _check_betas(beta1, beta2) -> None:
+    """Raise ``ConfigError`` unless both Adam decay rates are real numbers in (0, 1)."""
+    for name, b in (("beta1", beta1), ("beta2", beta2)):
+        if isinstance(b, bool) or not isinstance(b, Real) or not 0.0 < b < 1.0:
+            raise ConfigError(f"{name} must be in (0,1), got {b}")
+
+
 # ---------------------------------------------------------------------------
 # configuration and report records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class EarlyStop:
     metric: str = "val_auc"
     patience: int = 10
@@ -53,7 +61,7 @@ class EarlyStop:
             raise ConfigError("early-stop patience must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class TrainConfig:
     optimizer: str = "adam"
     learning_rate: float = 1e-3
@@ -67,9 +75,6 @@ class TrainConfig:
     early_stop: Optional[EarlyStop] = field(default_factory=EarlyStop)
     pos_weight: float = 1.0
 
-    to_dict = record_to_dict
-    from_dict = classmethod(config_from_dict)
-
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
@@ -79,9 +84,7 @@ class TrainConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"train seed must be >= 0, got {self.seed}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not (0.0 < b < 1.0):
-                raise ConfigError(f"{name} must be in (0,1), got {b}")
+        _check_betas(self.beta1, self.beta2)
 
 
 def canonical_json(obj) -> str:
@@ -153,6 +156,7 @@ def bce_loss(probs, labels, pos_weight: float = 1.0):
 # ---------------------------------------------------------------------------
 
 def _check_grads(params: ParamStore) -> None:
+    check_arg("params", params, ParamStore)
     if not np.all(np.isfinite(params.grads)):
         bad = next(p.name for p in params if not np.all(np.isfinite(p.grad)))
         raise NumericError(f"non-finite gradient in parameter {bad!r}")
@@ -170,6 +174,8 @@ class AdamState:
     buffers and allocated on the first step, plus the shared step counter."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        _check_betas(beta1, beta2)
+        _check_positive("eps", eps)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: Optional[np.ndarray] = None
@@ -239,7 +245,10 @@ SCORE_BLOCK = 256
 def predict_probs(model: Model, X: np.ndarray) -> np.ndarray:
     """Probabilities for every row of ``X``, one untraced ``model.forward``
     per ``SCORE_BLOCK`` rows, for a ``Model`` of any variant."""
+    check_arg("model", model, Model)
     X = as_f64(X)
+    if X.ndim != 2:
+        raise ShapeError(f"X must be 2-D [rows, n_features], got shape {X.shape}")
     out = np.empty(X.shape[0])
     for start in range(0, X.shape[0], SCORE_BLOCK):
         out[start: start + SCORE_BLOCK], _ = model.forward(
@@ -251,6 +260,7 @@ def evaluate(model: Model, frame: FeatureFrame, pos_weight: float = 1.0,
              probs: Optional[np.ndarray] = None):
     """``(bce loss, MetricsRecord)`` on one split: a fresh pass unless
     ``probs`` already holds the model's probabilities for ``frame``."""
+    check_arg("frame", frame, FeatureFrame)
     if probs is None:
         probs = predict_probs(model, frame.X)
     loss, _ = bce_loss(probs, frame.y, pos_weight)
@@ -343,9 +353,18 @@ def _fit(model: Model, train_cfg: TrainConfig, splits: Splits) -> RunReport:
     )
 
 
+def _check_run(model_cfg, train_cfg, splits) -> None:
+    """Raise ``ConfigError`` naming the first argument of a training run
+    that is not of its type."""
+    check_arg("model_cfg", model_cfg, ModelConfig)
+    check_arg("train_cfg", train_cfg, TrainConfig)
+    check_arg("splits", splits, Splits)
+
+
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
           splits: Splits) -> tuple[Model, RunReport]:
     """Train the configured variant; returns the fitted model and its report."""
+    _check_run(model_cfg, train_cfg, splits)
     model = Model(model_cfg)
     report = _fit(model, train_cfg, splits)
     return model, report
@@ -355,6 +374,7 @@ def train_baseline_logistic(train_cfg: TrainConfig,
                             splits: Splits) -> tuple[Model, RunReport]:
     """Linear floor that any interaction-capable model should beat: the
     ``logistic`` variant, trained by ``train``."""
+    check_arg("splits", splits, Splits)
     return train(ModelConfig(splits.train.n_features, variant=BASELINE), train_cfg, splits)
 
 
@@ -378,6 +398,8 @@ def _run_row(model_cfg, train_cfg, splits, label: dict) -> dict:
 def sweep_lr(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
              lrs: Sequence[float], splits: Splits) -> list[dict]:
     """One seeded run per learning rate, identical otherwise."""
+    _check_run(model_cfg, base_train_cfg, splits)
+    check_arg("lrs", lrs, tuple[float, ...])
     if not lrs:
         raise ConfigError("sweep_lr needs a non-empty learning-rate grid")
     return [
@@ -391,6 +413,9 @@ def sweep_optimizer(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
                     lrs: Sequence[float], splits: Splits,
                     optimizers: Sequence[str] = OPTIMIZERS) -> list[dict]:
     """Full {optimizer} x {learning rate} grid."""
+    _check_run(model_cfg, base_train_cfg, splits)
+    check_arg("lrs", lrs, tuple[float, ...])
+    check_arg("optimizers", optimizers, tuple[str, ...])
     if not lrs:
         raise ConfigError("sweep_optimizer needs a non-empty learning-rate grid")
     rows = []
@@ -405,6 +430,7 @@ def sweep_optimizer(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
 def ablate(model_cfg: ModelConfig, train_cfg: TrainConfig,
            splits: Splits) -> list[dict]:
     """Train cnn_only / transformer_only / hybrid on shared data and seed."""
+    _check_run(model_cfg, train_cfg, splits)
     rows = []
     for variant in ("cnn_only", "transformer_only", "hybrid"):
         cfg = replace(model_cfg, variant=variant)

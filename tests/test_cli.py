@@ -377,6 +377,22 @@ FAULTS = [
      "schema key 'feature_columns' must be tuple[str, ...], got 'f0'"),
     ("int-label-column", "config", {"schema": {"label_column": 5}}, 1,
      "schema key 'label_column' must be str, got 5"),
+    ("string-mlp-hidden", "config", {"model": {"mlp_hidden": "ab"}}, 1,
+     "ModelConfig key 'mlp_hidden' must be tuple[int, ...], got 'ab'"),
+    ("string-model-seed", "config", {"model": {"seed": "a"}}, 1,
+     "ModelConfig key 'seed' must be int, got 'a'"),
+    ("number-conv", "config", {"model": {"conv": 2}}, 1,
+     "ModelConfig key 'conv' must be ConvSpec, got 2"),
+    ("string-split-seed", "config", {"split": {"seed": "a"}}, 1,
+     "SplitSpec key 'seed' must be int, got 'a'"),
+    ("string-fractions", "config", {"split": {"fractions": "abc"}}, 1,
+     "SplitSpec key 'fractions' must be tuple[float, float, float], got 'abc'"),
+    ("string-patience", "config", {"train": {"early_stop": {"patience": "a"}}}, 1,
+     "EarlyStop key 'patience' must be int, got 'a'"),
+    ("fractional-epochs", "config", {"train": {"epochs": 2.5}}, 1,
+     "TrainConfig key 'epochs' must be int, got 2.5"),
+    ("bool-batch-size", "config", {"train": {"batch_size": True}}, 1,
+     "TrainConfig key 'batch_size' must be int, got True"),
     ("fractional-label", "csv", (5, "label", "0.5"), 2,
      "line 5, column 'label': label must be 0 or 1, got 0.5"),
     ("inf-cell", "csv", (7, "f2", "inf"), 2, "line 7, column 'f2': non-finite value, got inf"),

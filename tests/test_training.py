@@ -204,6 +204,17 @@ class TestAdam:
             adam_step(store, 0.01, None)
         assert p.value[0] == 1.0
 
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"beta1": "a"}, "beta1 must be in (0,1), got a"),
+        ({"beta2": 1.0}, "beta2 must be in (0,1), got 1.0"),
+        ({"beta1": np.nan}, "beta1 must be in (0,1), got nan"),
+        ({"eps": None}, "eps must be finite positive, got None"),
+        ({"eps": 0.0}, "eps must be finite positive, got 0.0"),
+    ])
+    def test_state_with_a_bad_rate_is_a_config_error_when_built(self, kwargs, fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            AdamState(**kwargs)
+
 
 class TestTrainConfig:
     def test_rejects_bad_lr(self):
@@ -213,7 +224,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("name", ["learning_rate", "adam_eps", "pos_weight"])
     @pytest.mark.parametrize("value", NOT_POSITIVE)
     def test_rejects_scalar_not_finite_positive(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} must be finite positive"):
+        # a value that is no number fails the record's field type check first
+        expected = (f"TrainConfig key '{name}' must be float"
+                    if isinstance(value, (str, bool, type(None))) else
+                    f"{name} must be finite positive")
+        with pytest.raises(ConfigError, match=expected):
             TrainConfig(**{name: value})
 
     def test_rejects_bad_beta(self):
