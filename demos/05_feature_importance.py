@@ -27,9 +27,9 @@ print(f"model test AUC: {report.final['test'].auc:.4f}")
 imp = permutation_importance(model, splits.test, metric="auc", repeats=5, seed=0)
 print(f"\nbaseline {imp.metric} = {imp.baseline:.4f}, {imp.repeats} repeats")
 print(f"{'feature':>8}  {'mean drop':>10}  {'std':>8}")
-for entry in imp.entries:
+for entry in imp.features:
     bar = "#" * max(0, int(120 * max(entry.mean_drop, 0.0)))
-    print(f"{entry.name:>8}  {entry.mean_drop:>10.4f}  {entry.std_drop:>8.4f}  {bar}")
+    print(f"{entry.feature:>8}  {entry.mean_drop:>10.4f}  {entry.std_drop:>8.4f}  {bar}")
 
 expected = ["f0", "f1", "f2"]
 recovered = imp.ranking()[:3]
@@ -42,7 +42,7 @@ one = permutation_importance(model, splits.test, repeats=1, seed=3)
 ten = permutation_importance(model, splits.test, repeats=10, seed=3)
 lead_1 = one.ranking()[0]
 lead_10 = ten.ranking()[0]
-std_10 = [e.std_drop for e in ten.entries if e.name == lead_10][0]
+std_10 = [e.std_drop for e in ten.features if e.feature == lead_10][0]
 print(f"\nleader with 1 repeat: {lead_1}, with 10 repeats: {lead_10} "
       f"(std at 10 repeats {std_10:.4f})")
 

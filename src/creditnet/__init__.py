@@ -28,6 +28,7 @@ from .tensor_ops import (
 )
 from .metrics import MetricsRecord, RocCurve, accuracy, auc, evaluate_scores, ks, roc_points
 from .data import (
+    ConstantFill,
     FeatureFrame,
     PreprocessStats,
     SchemaConfig,

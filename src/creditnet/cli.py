@@ -5,8 +5,8 @@ One merged JSON config file (``model`` / ``train`` / ``schema`` / ``split`` /
 flags override file values. Every run directory receives a ``manifest.json``
 with the fully resolved config, seeds, input hash, and package version.
 
-Exit codes: 0 success, 1 usage/config error, 2 data/schema error, 3 numeric
-error (divergence or NaN).
+Exit codes: 0 success, 1 usage/config error (or a model refusing its input),
+2 data/schema error, 3 numeric error (divergence or NaN).
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .errors import (
     LeakageError,
     NumericError,
     SchemaError,
+    ShapeError,
+    StateError,
     UndefinedMetricError,
 )
 from .importance import permutation_importance
@@ -242,10 +244,14 @@ def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, Fea
     check_arg(f"checkpoint {args.checkpoint} extra key 'schema'", schema_dict, Optional[dict])
     if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):
         cfg = {**cfg, "schema": schema_dict}
+    stats = PreprocessStats.from_dict(header["preprocess"])
+    n_stats = len(stats.standardize.mean)  # apply_preprocess checks the others against it
+    if n_stats != model.config.n_features:
+        raise ConfigError(f"checkpoint {args.checkpoint} preprocessing statistics cover "
+                          f"{n_stats} features, its model expects {model.config.n_features}")
     data_path = resolve_data_path(args)
     frame, schema = load_frame(data_path, cfg)
-    prepared = apply_preprocess(frame, PreprocessStats.from_dict(header["preprocess"]))
-    return t0, out, model, data_path, schema, prepared
+    return t0, out, model, data_path, schema, apply_preprocess(frame, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +359,9 @@ def cmd_importance(args) -> int:
                                              "metric": args.metric,
                                              "repeats": args.repeats},
                    data_path, t0)
-    top = report.entries[0]
+    top = report.features[0]
     print(f"importance: baseline {report.metric}={report.baseline:.4f}; "
-          f"top feature {top.name} (drop {top.mean_drop:.4f})")
+          f"top feature {top.feature} (drop {top.mean_drop:.4f})")
     return EXIT_OK
 
 
@@ -524,6 +530,9 @@ def run(argv) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ShapeError, StateError) as exc:  # the model refused its input
+        print(f"model error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:  # e.g. an --out that is a file, or a directory where a file goes
         print(f"path error: {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,53 +8,40 @@ Averaged over repeats; model parameters are never touched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FeatureFrame
 from .errors import ConfigError
 from .metrics import accuracy, auc
-from .records import check_arg, is_integer
+from .records import check_arg, is_integer, record
 from .training import predict_probs, ACC_THRESHOLD
 
 
-@dataclass(frozen=True)
+@record
 class FeatureImportance:
-    name: str
-    index: int
+    feature: str
     mean_drop: float
     std_drop: float
 
 
-@dataclass(frozen=True)
+@record
 class ImportanceReport:
-    baseline: float
     metric: str
+    baseline: float
     repeats: int
-    entries: tuple[FeatureImportance, ...]  # sorted by mean_drop desc, index asc
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "repeats": self.repeats,
-            "features": [
-                {"feature": e.name, "mean_drop": e.mean_drop, "std_drop": e.std_drop}
-                for e in self.entries
-            ],
-        }
+    features: tuple[FeatureImportance, ...]  # by mean_drop desc, then column order
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         lines = ["feature,mean_drop,std_drop"]
-        lines += [f"{e.name},{e.mean_drop!r},{e.std_drop!r}" for e in self.entries]
+        lines += [f"{f.feature},{f.mean_drop!r},{f.std_drop!r}" for f in self.features]
         return "\n".join(lines) + "\n"
 
     def ranking(self) -> list[str]:
-        return [e.name for e in self.entries]
+        return [f.feature for f in self.features]
 
 
 _METRICS = {
@@ -83,7 +70,7 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
     score = _METRICS[metric]
 
     baseline = score(predict_probs(model, frame.X), frame.y)
-    entries = []
+    rows = []  # (mean drop, column, std drop)
     for f_idx in range(frame.n_features):
         drops = np.empty(repeats)
         for rep in range(repeats):
@@ -91,13 +78,9 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
             X_perm = frame.X.copy()
             X_perm[:, f_idx] = X_perm[rng.permutation(frame.n_rows), f_idx]
             drops[rep] = baseline - score(predict_probs(model, X_perm), frame.y)
-        entries.append(FeatureImportance(
-            name=frame.feature_names[f_idx],
-            index=f_idx,
-            mean_drop=float(np.mean(drops)),
-            std_drop=float(np.std(drops)),
-        ))
-
-    entries.sort(key=lambda e: (-e.mean_drop, e.index))
-    return ImportanceReport(baseline=float(baseline), metric=metric,
-                            repeats=repeats, entries=tuple(entries))
+        rows.append((float(np.mean(drops)), f_idx, float(np.std(drops))))
+    rows.sort(key=lambda row: (-row[0], row[1]))
+    return ImportanceReport(
+        metric=metric, baseline=float(baseline), repeats=repeats,
+        features=tuple(FeatureImportance(frame.feature_names[j], mean, std)
+                       for mean, j, std in rows))

@@ -666,6 +666,7 @@ class Model:
         forward frees the caches of the trace the last backward consumed,
         each just before its layer allocates the replacement.
         """
+        check_arg("trace", trace, bool)
         h = check_batch(batch, self.config.n_features)
         if trace:
             spent = self._spent() if self._spent else None
@@ -687,6 +688,7 @@ class Model:
         intended. Returns d(loss)/d(batch) when ``want_input_grad``. A
         ``grad_probs`` it rejects leaves the trace unconsumed, for a retry.
         """
+        check_arg("want_input_grad", want_input_grad, bool)
         if trace is None:
             raise StateError("no ForwardTrace to run backward on: the forward ran "
                              "with trace=False")

@@ -4,17 +4,16 @@
 dataclass with:
 
 - a JSON form, ``to_dict`` (``record_to_dict``): one key per field, nested
-  records as objects, tuples and arrays as lists. A class's own
-  ``to_dict``/``from_dict`` are kept;
+  records as objects, tuples and arrays as lists;
 - a reader, ``from_dict`` (``config_from_dict``), which rejects a value that
   is not an object, an unknown key and a missing required key, reads nested
   records from objects and array fields from lists of numbers, then builds;
 - a construction check: every build, direct or from JSON, checks each field
   against its type hint before the class's own ``__post_init__`` range
   rules. A mistyped value is a ``ConfigError`` naming class and field. A
-  list fitting a tuple hint is stored as a tuple; an array field takes
-  arrays only. The hints are resolved once per class, since
-  ``get_type_hints`` costs more than the check.
+  list fitting a tuple hint is stored as a tuple, lists inside it too; an
+  array field takes arrays only. The hints are resolved once per class,
+  since ``get_type_hints`` costs more than the check.
 
 This module imports only ``errors``, the standard library and numpy.
 """
@@ -89,21 +88,26 @@ def _field_checks(cls) -> tuple:
                  for name, hint in _hints(cls).items())
 
 
+def _as_tuple(value):
+    """A list or tuple, and every list or tuple inside it, as a tuple."""
+    return tuple(_as_tuple(v) if isinstance(v, (list, tuple)) else v for v in value)
+
+
 def _check_fields(self) -> None:
     """Check each field of a record against its hint; a list that fits a
-    tuple hint is stored as a tuple."""
+    tuple hint is stored as a tuple, nested lists as nested tuples."""
     for name, hint, fits, takes_tuple in _field_checks(type(self)):
         value = getattr(self, name)
         if not fits(value):
             check_arg(f"{type(self).__name__} key {name!r}", value, hint)
-        if takes_tuple and isinstance(value, list):
-            object.__setattr__(self, name, tuple(value))
+        if takes_tuple and isinstance(value, (list, tuple)):
+            object.__setattr__(self, name, _as_tuple(value))
 
 
 def record(cls):
     """Make ``cls`` a record: a frozen dataclass whose ``__post_init__`` checks
     every field's type before the class's own rules, with ``to_dict`` and
-    ``from_dict`` unless it defines them."""
+    ``from_dict``."""
     rules = cls.__dict__.get("__post_init__")
 
     def __post_init__(self):
@@ -112,10 +116,8 @@ def record(cls):
             rules(self)
 
     cls.__post_init__ = __post_init__
-    for name, value in (("to_dict", record_to_dict),
-                        ("from_dict", classmethod(config_from_dict))):
-        if name not in cls.__dict__:
-            setattr(cls, name, value)
+    cls.to_dict = record_to_dict
+    cls.from_dict = classmethod(config_from_dict)
     return dataclass(frozen=True)(cls)
 
 

@@ -138,7 +138,7 @@ def conv1d_backward(cache: OpCache, g_out: np.ndarray):
     Returns ``(g_x, g_w, g_b)`` matching the shapes of ``x``, ``w``, ``b``.
     """
     saved = cache.expect("conv1d")
-    cols, w, stride = saved["cols"], saved["w"], saved["stride"]
+    cols, w, stride, x_shape = saved["cols"], saved["w"], saved["stride"], saved["x_shape"]
     c_out, c_in, k = w.shape
     l_out = g_out.shape[-1]
 
@@ -146,7 +146,8 @@ def conv1d_backward(cache: OpCache, g_out: np.ndarray):
     g_b = g_rows.sum(axis=0)
     g_w = (g_rows.T @ cols.reshape(-1, c_in * k)).reshape(w.shape)
     g_cols = (g_rows @ w.reshape(c_out, c_in * k)).reshape(cols.shape)
-    g_x = np.zeros(saved["x_shape"])
+    # zeroed in the [..., L, c_in] layout that the forward input arrives in
+    g_x = np.swapaxes(np.zeros((*x_shape[:-2], x_shape[-1], x_shape[-2])), -1, -2)
     # each kernel tap t contributes to input positions l * stride + t
     span = (l_out - 1) * stride + 1
     for t in range(k):
@@ -186,7 +187,7 @@ def maxpool1d_backward(cache: OpCache, g_out: np.ndarray) -> np.ndarray:
     saved = cache.expect("maxpool1d")
     x, out, stride = saved["x"], saved["out"], saved["stride"]
     span = (out.shape[-1] - 1) * stride + 1
-    g_x = np.zeros(x.shape)
+    g_x = np.zeros_like(x, dtype=np.float64)  # in the memory layout of x
     unrouted = np.ones(out.shape, dtype=bool)
     for t in range(saved["window"]):
         # the first tap equal to its window's max takes the gradient

@@ -236,8 +236,8 @@ EVAL_BATCH = 2048
 # and Q/K/V take several MB, overflow a 2 MiB L2 and land on fresh pages each
 # call. Untraced forwards of the default config at 10 features, median us/row
 # of 7 runs at 128/256/512/2,048-row blocks (2-CPU x86-64 host): hybrid
-# 31.5/31.9/31.3/30.2, cnn_only 4.3/3.8/3.7/7.5, transformer_only
-# 47.3/45.9/66.0/61.1. 256 is at or near the best for every variant, and
+# 15.2/13.7/13.0/14.0, transformer_only 28.8/28.3/30.1/39.7, cnn_only
+# 2.70/2.46/2.47/2.74. 256 is at or near the best for every variant, and
 # blocks bound the `score` benchmark's peak RSS (193 MiB in one forward).
 SCORE_BLOCK = 256
 

@@ -10,6 +10,7 @@ import pytest
 import creditnet.cli as cli
 import creditnet.training as training
 from creditnet.cli import run
+from creditnet.errors import ShapeError, StateError
 
 
 FAST_CONFIG = {
@@ -351,7 +352,8 @@ FAULTS = [
     ("split-key", "config", {"split": {"fraction": [0.5, 0.25, 0.25]}}, 1,
      "unknown SplitSpec key(s) ['fraction']; allowed: fractions, seed, stratified"),
     ("schema-key", "config", {"schema": {"label": "label"}}, 1,
-     "unknown schema key(s) ['label']; allowed: label_column, feature_columns"),
+     "unknown SchemaConfig key(s) ['label']; allowed: label_column, feature_columns, "
+     "missing_markers, imputation"),
     ("negative-model-seed", "config", {"model": {"seed": -1}}, 1,
      "model seed must be >= 0, got -1"),
     ("negative-train-seed", "config", {"train": {"epochs": 2, "seed": -1}}, 1,
@@ -362,21 +364,24 @@ FAULTS = [
      1, "subsample seed must be >= 0, got -1"),
     ("string-imputation-value", "config",
      {"schema": {"imputation": {"kind": "constant", "value": "abc"}}}, 1,
-     "schema key 'imputation' must be a policy name or "
-     '{"kind": "constant", "value": <finite number>}, got '
-     "{'kind': 'constant', 'value': 'abc'}"),
+     "ConstantFill key 'value' must be float, got 'abc'"),
     ("nan-imputation-value", "config",
      {"schema": {"imputation": {"kind": "constant", "value": float("nan")}}}, 1,
-     "got {'kind': 'constant', 'value': nan}"),
+     "ConstantFill value must be finite, got nan"),
     ("imputation-object-key", "config",
      {"schema": {"imputation": {"kind": "constant", "valu": 5}}}, 1,
-     "got {'kind': 'constant', 'valu': 5}"),
+     "unknown ConstantFill key(s) ['valu']; allowed: value, kind"),
+    ("imputation-object-kind", "config",
+     {"schema": {"imputation": {"kind": "median", "value": 5}}}, 1,
+     "ConstantFill kind must be 'constant', got 'median'"),
+    ("number-imputation", "config", {"schema": {"imputation": 5}}, 1,
+     "SchemaConfig key 'imputation' must be Union[str, ConstantFill], got 5"),
     ("string-missing-markers", "config", {"schema": {"missing_markers": "NA"}}, 1,
-     "schema key 'missing_markers' must be Optional[tuple[str, ...]], got 'NA'"),
+     "SchemaConfig key 'missing_markers' must be Optional[tuple[str, ...]], got 'NA'"),
     ("string-feature-columns", "config", {"schema": {"feature_columns": "f0"}}, 1,
-     "schema key 'feature_columns' must be tuple[str, ...], got 'f0'"),
+     "SchemaConfig key 'feature_columns' must be tuple[str, ...], got 'f0'"),
     ("int-label-column", "config", {"schema": {"label_column": 5}}, 1,
-     "schema key 'label_column' must be str, got 5"),
+     "SchemaConfig key 'label_column' must be str, got 5"),
     ("string-mlp-hidden", "config", {"model": {"mlp_hidden": "ab"}}, 1,
      "ModelConfig key 'mlp_hidden' must be tuple[int, ...], got 'ab'"),
     ("string-model-seed", "config", {"model": {"seed": "a"}}, 1,
@@ -442,8 +447,45 @@ FAULTS = [
 ]
 
 
+def _splice_five_features(header):
+    """A copy of a six-feature checkpoint header whose preprocessing statistics
+    and schema are cut to the first five features, as a five-feature run
+    writes them; its config still builds a six-feature model."""
+    header = json.loads(json.dumps(header))
+    impute, standardize = header["preprocess"]["impute"], header["preprocess"]["standardize"]
+    for stats, key in ((impute, "fill_values"), (standardize, "mean"), (standardize, "std")):
+        stats[key] = stats[key][:5]
+    schema = header["extra"]["schema"]
+    schema["feature_columns"] = schema["feature_columns"][:5]
+    return header
+
+
 class TestFaults:
     """Every bad input ends as its documented exit code; ``run`` never raises."""
+
+    @pytest.mark.parametrize("command", ["eval", "importance"])
+    def test_checkpoint_spliced_from_two_runs_is_a_config_error(self, command, workspace,
+                                                                trained, tmp_path, capsys):
+        header_line, payload = (trained / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        checkpoint = tmp_path / "spliced.bin"
+        header = _splice_five_features(json.loads(header_line))
+        checkpoint.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert run([command, "--checkpoint", str(checkpoint), "--data", workspace["csv"],
+                    "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: checkpoint {checkpoint} preprocessing statistics cover 5 "
+            f"features, its model expects 6\n")
+
+    @pytest.mark.parametrize("error", [ShapeError, StateError])
+    def test_a_model_refusing_its_input_exits_1(self, error, workspace, trained, tmp_path,
+                                                monkeypatch, capsys):
+        def refuse(model, X):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "predict_probs", refuse)
+        assert run(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                    "--data", workspace["csv"], "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "model error: refused\n"
 
     @pytest.mark.parametrize("command", ["train", "synth", "importance"])
     def test_negative_seed_flag_is_a_usage_error(self, command, workspace, trained,

@@ -7,6 +7,8 @@ import pytest
 
 from creditnet.cli import load_frame
 from creditnet.data import (
+    MISSING_DEFAULT,
+    ConstantFill,
     FeatureFrame,
     SchemaConfig,
     SplitSpec,
@@ -127,6 +129,8 @@ class TestSchemaConfig:
     def test_empty_features_rejected(self):
         with pytest.raises(SchemaError):
             SchemaConfig(label_column="a", feature_columns=())
+        with pytest.raises(SchemaError, match="feature_columns must be non-empty"):
+            SchemaConfig.from_dict({"label_column": "a"})
 
     def test_infer_skips_label_and_unnamed(self, tmp_path):
         path = write_csv(tmp_path, ",label,x1,x2\n1,0,2,3\n")
@@ -146,10 +150,33 @@ class TestSchemaConfig:
             SchemaConfig.from_json(tmp_path / name)
 
     def test_dict_roundtrip_with_constant(self):
-        schema = SchemaConfig("y", ("a",), imputation="constant", constant_value=7.0)
+        schema = SchemaConfig("y", ("a",), imputation=ConstantFill(7))
+        assert schema.to_dict()["imputation"] == {"kind": "constant", "value": 7.0}
         again = SchemaConfig.from_dict(schema.to_dict())
-        assert again.imputation == "constant"
-        assert again.constant_value == 7.0
+        assert again.imputation == ConstantFill(7.0)
+        assert again == schema
+
+    def test_constant_policy_name_is_a_zero_fill(self):
+        schema = SchemaConfig("y", ("a",), imputation="constant")
+        assert schema.imputation == ConstantFill(value=0.0)
+        assert schema.to_dict()["imputation"] == {"kind": "constant", "value": 0.0}
+
+    def test_null_markers_are_the_defaults(self):
+        schema = SchemaConfig.from_dict({"label_column": "y", "feature_columns": ["a"],
+                                         "missing_markers": None})
+        assert schema.missing_markers == MISSING_DEFAULT
+
+    @pytest.mark.parametrize("fill, message", [
+        ({"kind": "constant", "value": float("inf")},
+         "^ConstantFill value must be finite, got inf"),
+        ({"kind": "constant", "value": 10 ** 400}, "^ConstantFill value must be finite"),
+        ({"kind": "constant", "value": True},
+         "^ConstantFill key 'value' must be float, got True"),
+    ], ids=["inf", "huge-int", "bool"])
+    def test_bad_constant_fill_is_a_config_error(self, fill, message):
+        with pytest.raises(ConfigError, match=message):
+            SchemaConfig.from_dict({"label_column": "y", "feature_columns": ["a"],
+                                    "imputation": fill})
 
 
 class TestImpute:
@@ -161,7 +188,7 @@ class TestImpute:
 
     def test_constant_policy(self):
         frame = frame_of([[np.nan], [5.0]], [0, 1], tag="train")
-        schema = SchemaConfig("y", ("f0",), imputation="constant", constant_value=0.0)
+        schema = SchemaConfig("y", ("f0",), imputation=ConstantFill(0.0))
         out = impute(frame, schema)
         assert out.X[0, 0] == 0.0
 
@@ -233,6 +260,23 @@ class TestStandardize:
         assert frame.n_missing_cells == 2
         with pytest.raises(DataError, match="requires an imputed frame"):
             standardize_fit(frame)
+
+    @pytest.mark.parametrize("tag", ["Test", None, 5, "holdout"])
+    def test_a_split_tag_outside_the_four_is_a_config_error(self, tag):
+        """The leakage guard reads the tag: one it does not know would let
+        full-fitted statistics through to a test frame."""
+        with pytest.raises(ConfigError, match="^split_tag must be one of "):
+            frame_of([[0.0], [1.0], [2.0]], [0, 1, 0], tag=tag)
+
+    def test_full_fitted_stats_on_a_test_frame_is_leakage(self):
+        full = frame_of([[0.0], [1.0], [2.0]], [0, 1, 0])
+        with pytest.raises(LeakageError):
+            standardize_apply(full.take(np.arange(3), "test"), standardize_fit(full))
+
+    @pytest.mark.parametrize("flag", [1, "yes", None, np.bool_(True)])
+    def test_a_standardized_flag_that_is_not_a_bool_is_a_config_error(self, flag):
+        with pytest.raises(ConfigError, match="^standardized must be bool"):
+            FeatureFrame(("a",), np.zeros((2, 1)), np.array([0, 1]), standardized=flag)
 
     def test_train_fitted_stats_carry_train_tag(self):
         train = frame_of([[0.0], [1.0], [2.0]], [0, 1, 0], tag="train")
@@ -369,6 +413,31 @@ class TestSynth:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             synth_preset("nope", 10)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"linear": (1.0, None)}, "^SynthSpec key 'linear' must be tuple"),
+        ({"pairs": ((0, 1),)}, "^SynthSpec key 'pairs' must be tuple"),
+        ({"motifs": ((0, 1.5, 2.0),)}, "^SynthSpec key 'motifs' must be tuple"),
+        ({"linear": (float("nan"),)}, "^SynthSpec coefficients must be finite"),
+        ({"pairs": ((0, 1, float("inf")),)}, "^SynthSpec coefficients must be finite"),
+    ], ids=["none-weight", "short-pair", "float-width", "nan-weight", "inf-pair"])
+    def test_bad_spec_is_a_config_error_where_it_is_built(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            SynthSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [{"pairs": ((-1, 1, 1.0),)},
+                                        {"motifs": ((0, 0, 1.0),)}])
+    def test_negative_index_or_empty_motif_is_a_config_error(self, fields):
+        with pytest.raises(ConfigError, match="out of range"):
+            synth_generate(200, 3, 0, SynthSpec(**fields))
+
+    def test_spec_reads_back_from_its_json_form(self):
+        spec = synth_preset("local-and-long", 6)
+        assert spec.to_dict() == {"linear": [0.0, 0.5], "pairs": [[0, 5, 2.0]],
+                                  "motifs": [[2, 2, 2.0]]}
+        again = SynthSpec.from_dict(spec.to_dict())
+        assert again == spec
+        hash(again)
 
 
 class TestPrepareSplits:

@@ -65,7 +65,7 @@ class TestPermutationImportance:
         one = permutation_importance(model, test, repeats=1, seed=2)
         many = permutation_importance(model, test, repeats=10, seed=2)
         assert one.ranking()[0] == many.ranking()[0] == "f1"
-        lead = [e for e in many.entries if e.name == "f1"][0]
+        lead = [e for e in many.features if e.feature == "f1"][0]
         assert lead.std_drop < lead.mean_drop  # stable leader at 10 repeats
 
     def test_unused_feature_has_negligible_drop(self):
@@ -76,7 +76,7 @@ class TestPermutationImportance:
         model.params["embed.bias"].value[2, :] = 0.0
         frame, _ = synth_generate(5000, 6, 32, SynthSpec(linear=(1.0, 1.0)))
         report = permutation_importance(model, frame, repeats=3, seed=3)
-        f2 = [e for e in report.entries if e.name == "f2"][0]
+        f2 = [e for e in report.features if e.feature == "f2"][0]
         assert abs(f2.mean_drop) < 0.01
 
     def test_column_independence(self, trained_on_dominant_feature):
@@ -91,8 +91,8 @@ class TestPermutationImportance:
         report_scrambled = permutation_importance(model, scrambled, repeats=2, seed=4)
         # drops are measured against each frame's own baseline; the shuffle
         # recipe for f1 is identical in both
-        a = [e.mean_drop for e in report_full.entries if e.name == "f1"][0]
-        b = [e.mean_drop for e in report_scrambled.entries if e.name == "f1"][0]
+        a = [e.mean_drop for e in report_full.features if e.feature == "f1"][0]
+        b = [e.mean_drop for e in report_scrambled.features if e.feature == "f1"][0]
         assert a == pytest.approx(b, abs=0.02)
 
     def test_bad_repeats(self, trained_on_dominant_feature):

@@ -487,6 +487,17 @@ class TestBackward:
         with pytest.raises(StateError, match="forward ran with trace=False"):
             model.backward(trace, np.ones_like(probs))
 
+    @pytest.mark.parametrize("flag", [np.array([1, 0]), "yes", None, 0])
+    def test_trace_flags_that_are_not_bools_are_config_errors(self, flag):
+        model = Model(SMALL)
+        X = np.random.default_rng(16).standard_normal((4, 8))
+        with pytest.raises(ConfigError, match="^trace must be bool"):
+            model.forward(X, trace=flag)
+        probs, trace = model.forward(X)
+        with pytest.raises(ConfigError, match="^want_input_grad must be bool"):
+            model.backward(trace, np.ones_like(probs), want_input_grad=flag)
+        assert not trace.used
+
     @pytest.mark.parametrize("variant", ["hybrid", "cnn_only", "transformer_only"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_full_model_gradient_check(self, variant, seed):

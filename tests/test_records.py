@@ -38,6 +38,17 @@ PROBES = [
     (cn.TrainConfig, {"early_stop": {"patience": 3}}, "early_stop"),
     (cn.PreprocessStats, {"impute": {"fill_values": [0.0], "fitted_on": "train"},
                           "standardize": None}, "impute"),
+    (cn.SynthSpec, {"linear": (1.0, None)}, "linear"),
+    (cn.SynthSpec, {"pairs": ((0, 1, "a"),)}, "pairs"),
+    (cn.ConstantFill, {"value": "abc"}, "value"),
+    (cn.SchemaConfig, {"label_column": "y", "feature_columns": ("a",),
+                       "imputation": {"kind": "constant", "value": 1.0}}, "imputation"),
+    (cn.ImportanceReport, {"metric": "auc", "baseline": 0.5, "repeats": 1,
+                           "features": ({"feature": "a"},)}, "features"),
+    (cn.ImportanceReport, {"metric": "auc", "baseline": 0.5, "repeats": "1",
+                           "features": ()}, "repeats"),
+    (cn.importance.FeatureImportance, {"feature": "a", "mean_drop": None, "std_drop": 0.0},
+     "mean_drop"),
 ]
 
 
@@ -154,15 +165,17 @@ def world(tmp_path_factory):
         "PreprocessStats": (cn.PreprocessStats, dict(impute=stats.impute,
                                                      standardize=stats.standardize,
                                                      winsor=None)),
+        "ConstantFill": (cn.ConstantFill, dict(value=0.0, kind="constant")),
         "SchemaConfig": (cn.SchemaConfig, dict(label_column="label", feature_columns=("a",),
-                                               missing_markers=("NA",), imputation="median",
-                                               constant_value=0.0)),
+                                               missing_markers=("NA",),
+                                               imputation=cn.ConstantFill(1.5))),
         "SchemaConfig.from_json": (cn.SchemaConfig.from_json,
                                    dict(path=ROOT / "data" / "gmsc_schema.json")),
         "SchemaConfig.from_dict": (cn.SchemaConfig.from_dict, dict(d=schema.to_dict())),
         "SplitSpec": (cn.SplitSpec, dict(fractions=(0.7, 0.15, 0.15), seed=0, stratified=True)),
         "Splits": (cn.Splits, dict(train=splits.train, val=splits.val, test=splits.test)),
-        "SynthSpec": (cn.SynthSpec, dict(linear=(1.0,), pairs=(), motifs=())),
+        "SynthSpec": (cn.SynthSpec, dict(linear=(1.0,), pairs=((0, 3, 2.0),),
+                                         motifs=((1, 2, 3.0),))),
         "AttnSpec": (cn.AttnSpec, dict(n_heads=1, d_model=2, n_blocks=1, layer_norm=True)),
         "ConvSpec": (cn.ConvSpec, dict(channels=2, kernel=2, stride=1, pool_window=2,
                                        pool_stride=1)),
@@ -182,8 +195,9 @@ def world(tmp_path_factory):
                                              batch_size=64, epochs=1, seed=0, beta1=0.9,
                                              beta2=0.999, adam_eps=1e-8, shuffle=True,
                                              early_stop=None, pos_weight=1.0)),
-        "ImportanceReport": (cn.ImportanceReport, dict(baseline=0.5, metric="auc", repeats=1,
-                                                       entries=())),
+        "ImportanceReport": (cn.ImportanceReport, dict(
+            metric="auc", baseline=0.5, repeats=1,
+            features=(cn.importance.FeatureImportance("a", 0.25, 0.0),))),
         # metrics
         "accuracy": (cn.accuracy, dict(scores=probs, labels=y, threshold=0.5)),
         "auc": (cn.auc, dict(scores=probs, labels=y)),
@@ -238,7 +252,8 @@ def world(tmp_path_factory):
 
 
 CASES = [
-    "AdamState", "AttnSpec", "ConvSpec", "EarlyStop", "FeatureFrame", "ImportanceReport",
+    "AdamState", "AttnSpec", "ConstantFill", "ConvSpec", "EarlyStop", "FeatureFrame",
+    "ImportanceReport",
     "MetricsRecord", "MetricsRecord.to_dict", "Model", "ModelConfig", "ModelConfig.from_dict",
     "ParamStore.add", "PreprocessStats", "RocCurve", "RunReport", "SchemaConfig",
     "SchemaConfig.from_dict", "SchemaConfig.from_json", "SplitSpec", "Splits", "SynthSpec",

@@ -187,6 +187,33 @@ class TestConv1d:
             assert np.max(rel) < 1e-4
 
 
+class TestBackwardLayout:
+    """The model feeds conv1d a swapaxes view of its ``[B, L, d]`` tokens and
+    maxpool1d the conv output: each input gradient comes back in its input's
+    memory layout, with the bits of a C-ordered input's."""
+
+    def test_conv1d_input_gradient_matches_the_token_layout(self):
+        rng = np.random.default_rng(21)
+        x = np.swapaxes(rng.standard_normal((3, 9, 4)), -1, -2)
+        w, b = rng.standard_normal((5, 4, 3)), rng.standard_normal(5)
+        out, cache = conv1d(x, w, b, 2)
+        g_up = rng.standard_normal(out.shape)
+        g_x = conv1d_backward(cache, g_up)[0]
+        assert np.swapaxes(g_x, -1, -2).flags.c_contiguous
+        want = conv1d_backward(conv1d(np.ascontiguousarray(x), w, b, 2)[1], g_up)[0]
+        assert g_x.tobytes() == want.tobytes()
+
+    def test_maxpool1d_input_gradient_matches_the_input_layout(self):
+        rng = np.random.default_rng(22)
+        x = np.swapaxes(rng.integers(0, 3, (3, 8, 4)).astype(float), -1, -2)  # ties
+        out, cache = maxpool1d(x, 3, 2)
+        g_up = rng.standard_normal(out.shape)
+        g_x = maxpool1d_backward(cache, g_up)
+        assert np.swapaxes(g_x, -1, -2).flags.c_contiguous
+        want = maxpool1d_backward(maxpool1d(np.ascontiguousarray(x), 3, 2)[1], g_up)
+        assert g_x.tobytes() == want.tobytes()
+
+
 class TestMaxPool:
     def test_pairs(self):
         out, _ = maxpool1d(np.array([[1.0, 3, 2, 5]]), 2, 2)
