@@ -15,12 +15,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import count, islice
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Optional, Sequence, Union
+from typing import Annotated, NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
-from .records import check_arg, check_path, is_integer, read_json_object, record
+from .records import (Count, Rate, Seed, at_least, check_arg, check_path, read_json_object,
+                      record)
 from .tensor_ops import as_f64, sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
@@ -144,19 +145,15 @@ class SchemaConfig:
 
 @record
 class SplitSpec:
-    fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
-    seed: int = 0
+    fractions: tuple[Rate, Rate, Rate] = (0.7, 0.15, 0.15)
+    seed: Seed = 0
     stratified: bool = True
 
     def __post_init__(self):
         fr = tuple(float(f) for f in self.fractions)
         object.__setattr__(self, "fractions", fr)
-        if any(not (0.0 < f < 1.0) for f in fr):
-            raise ConfigError(f"fractions must be three values in (0,1), got {fr}")
         if abs(sum(fr) - 1.0) > 1e-12:
             raise ConfigError(f"fractions must sum to 1, got {sum(fr)!r}")
-        if self.seed < 0:
-            raise ConfigError(f"split seed must be >= 0, got {self.seed}")
 
 
 class Splits(NamedTuple):
@@ -209,8 +206,8 @@ def read_header(path) -> list[str]:
     raise SchemaError(f"{path} is empty")
 
 
-def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
-             seed: int = 0) -> FeatureFrame:
+def load_csv(path, schema: SchemaConfig, subsample: Optional[Count] = None,
+             seed: Seed = 0) -> FeatureFrame:
     """Parse a comma-separated UTF-8 file with a header row.
 
     Cells are read as the ``csv`` module reads them (``"``-quoted, blank lines
@@ -220,17 +217,12 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[int] = None,
     label other than exactly 0 or 1, raises ``DataError`` naming its line (and
     column); so does a file that is not UTF-8 or cannot be opened.
     ``subsample`` (None or an int >= 1) keeps a random subset of rows drawn
-    with ``seed`` (>= 0).
+    with ``seed`` (an int >= 0).
     """
     check_path(path, "CSV")
-    if not isinstance(schema, SchemaConfig):
-        raise ConfigError(f"schema must be a SchemaConfig, got {schema!r}")
-    if subsample is not None and not (is_integer(subsample) and subsample >= 1):
-        raise ConfigError(f"subsample must be null or an integer >= 1, got {subsample!r}")
-    if subsample is not None and not is_integer(seed):
-        raise ConfigError(f"subsample seed must be an integer, got {seed!r}")
-    if subsample is not None and seed < 0:
-        raise ConfigError(f"subsample seed must be >= 0, got {seed}")
+    check_arg("schema", schema, SchemaConfig)
+    check_arg("subsample", subsample, Optional[Count])
+    check_arg("subsample seed", seed, Seed)
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -633,19 +625,16 @@ def synth_preset(name: str, n_features: int) -> SynthSpec:
     raise ConfigError(f"unknown synth preset {name!r}; known: {SYNTH_PRESETS}")
 
 
-def synth_generate(n: int, n_features: int, seed: int,
+SynthRows = Annotated[int, at_least(100)]
+
+
+def synth_generate(n: SynthRows, n_features: Count, seed: Seed,
                    spec: SynthSpec) -> tuple[FeatureFrame, np.ndarray]:
     """Draw a synthetic frame plus its true logits (the Bayes-optimal scores)."""
     check_arg("spec", spec, SynthSpec)
-    for name, value in (("n", n), ("n_features", n_features), ("seed", seed)):
-        if not is_integer(value):
-            raise ConfigError(f"synthetic {name} must be an integer, got {value!r}")
-    if n < 100:
-        raise ConfigError(f"synthetic datasets need n >= 100, got {n}")
-    if n_features < 1:
-        raise ConfigError("n_features must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"synthetic seed must be >= 0, got {seed}")
+    check_arg("synthetic n", n, SynthRows)
+    check_arg("synthetic n_features", n_features, Count)
+    check_arg("synthetic seed", seed, Seed)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, n_features))
     logit = spec.logits(X)

@@ -14,7 +14,7 @@ import numpy as np
 from .data import FeatureFrame
 from .errors import ConfigError
 from .metrics import accuracy, auc
-from .records import check_arg, is_integer, record
+from .records import Count, Seed, check_arg, record
 from .training import predict_probs, ACC_THRESHOLD
 
 
@@ -51,7 +51,7 @@ _METRICS = {
 
 
 def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
-                           repeats: int = 5, seed: int = 0) -> ImportanceReport:
+                           repeats: Count = 5, seed: Seed = 0) -> ImportanceReport:
     """Rank features by mean metric drop under per-column shuffling.
 
     Shuffles are seeded per (feature, repeat), so the report is deterministic
@@ -59,12 +59,8 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
     """
     check_arg("frame", frame, FeatureFrame)
     check_arg("metric", metric, str)
-    if not (is_integer(repeats) and repeats >= 1):
-        raise ConfigError(f"repeats must be an integer >= 1, got {repeats!r}")
-    if not is_integer(seed):
-        raise ConfigError(f"importance seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"importance seed must be >= 0, got {seed}")
+    check_arg("repeats", repeats, Count)
+    check_arg("importance seed", seed, Seed)
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
     score = _METRICS[metric]

@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, StateError
-from .records import check_arg, check_path, config_from_dict, record, record_to_dict
+from .records import (Count, Seed, check_arg, check_path, config_from_dict, record,
+                      record_to_dict)
 from .tensor_ops import (
     ACTIVATIONS,
     OpCache,
@@ -68,32 +69,32 @@ LN_EPS = 1e-5
 
 @record
 class ConvSpec:
-    channels: int = 32
-    kernel: int = 3
-    stride: int = 1
-    pool_window: int = 2
-    pool_stride: int = 2
+    channels: Count = 32
+    kernel: Count = 3
+    stride: Count = 1
+    pool_window: Count = 2
+    pool_stride: Count = 2
 
 
 @record
 class AttnSpec:
-    n_heads: int = 4
-    d_model: int = 32
-    n_blocks: int = 2
+    n_heads: Count = 4
+    d_model: Count = 32
+    n_blocks: Count = 2
     layer_norm: bool = True
 
 
 @record
 class ModelConfig:
-    n_features: int
+    n_features: Count
     variant: str = "hybrid"
-    d_embed: int = 16
+    d_embed: Count = 16
     conv: ConvSpec = field(default_factory=ConvSpec)
     attn: AttnSpec = field(default_factory=AttnSpec)
-    ffn_dim: int = 64
-    mlp_hidden: tuple[int, ...] = (32,)
+    ffn_dim: Count = 64
+    mlp_hidden: tuple[Count, ...] = (32,)
     activation: str = "relu"
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         self.validate()
@@ -104,25 +105,6 @@ class ModelConfig:
                               f"expected {(*VARIANTS, BASELINE)}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        dims = {
-            "n_features": self.n_features,
-            "d_embed": self.d_embed,
-            "ffn_dim": self.ffn_dim,
-            "conv.channels": self.conv.channels,
-            "conv.kernel": self.conv.kernel,
-            "conv.stride": self.conv.stride,
-            "conv.pool_window": self.conv.pool_window,
-            "conv.pool_stride": self.conv.pool_stride,
-            "attn.n_heads": self.attn.n_heads,
-            "attn.d_model": self.attn.d_model,
-            "attn.n_blocks": self.attn.n_blocks,
-            **{f"mlp_hidden[{i}]": w for i, w in enumerate(self.mlp_hidden)},
-        }
-        for name, value in dims.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"model seed must be >= 0, got {self.seed}")
         if self.attn.d_model % self.attn.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.attn.d_model} not divisible by "
@@ -273,6 +255,10 @@ def linear_backward(cache: OpCache, g_out: np.ndarray):
     """Returns ``(g_x, g_w, g_b)``; ``g_b`` is None for bias-free layers."""
     saved = cache.expect("linear")
     x, w = saved["x"], saved["w"]
+    out_shape = (*x.shape[:-1], w.shape[1])
+    if g_out.shape != out_shape:
+        raise ShapeError(f"linear_backward: g_out shape {g_out.shape} != output shape "
+                         f"{out_shape}")
     g_x = g_out @ w.T
     g_flat = g_out.reshape(-1, w.shape[1])
     g_w = x.reshape(-1, w.shape[0]).T @ g_flat
@@ -343,7 +329,7 @@ def _qkv_views(qkv: np.ndarray) -> tuple:
     return tuple(np.swapaxes(qkv[..., i, :, :], -2, -3) for i in range(3))
 
 
-def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: int):
+def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: Count):
     """Self-attention with ``n_heads`` parallel heads, concatenated and
     recombined by the output projection ``wo``. Projections are bias-free;
     Q, K and V are views of one ``linear`` over ``[wq | wk | wv]``."""
@@ -351,8 +337,7 @@ def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: int):
         raise ShapeError(f"multi_head_attention: tokens must be [..., s, d_model], "
                          f"got {tokens.shape}")
     d_model = tokens.shape[-1]
-    if n_heads < 1:
-        raise ConfigError(f"n_heads must be >= 1, got {n_heads}")
+    check_arg("n_heads", n_heads, Count)
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
     for name, w in zip("QKVO", (wq, wk, wv, wo)):
@@ -618,7 +603,8 @@ def init_params(config: ModelConfig) -> ParamStore:
 
 @dataclass
 class ForwardTrace:
-    """The per-layer cache list of one forward pass; consumed at most once.
+    """The per-layer cache list of one forward pass of ``model``; consumed at
+    most once, by that model's ``backward``.
 
     Once ``Model.backward`` has consumed it, the caches stay readable until
     that model's next traced forward, which sets each to None just before
@@ -627,6 +613,7 @@ class ForwardTrace:
 
     probs: np.ndarray
     caches: list
+    model: Model
     used: bool = False
 
 
@@ -677,7 +664,7 @@ class Model:
                 h = layer.forward(h)[0]  # its cache is freed at once
         probs = np.clip(sigmoid(h[..., 0]), PROB_CLAMP, 1.0 - PROB_CLAMP)
         check_finite(probs, "model probabilities")
-        return probs, (ForwardTrace(probs=probs, caches=caches) if trace else None)
+        return probs, (ForwardTrace(probs, caches, self) if trace else None)
 
     def backward(self, trace: ForwardTrace, grad_probs: np.ndarray,
                  want_input_grad: bool = False):
@@ -686,12 +673,15 @@ class Model:
         ``grad_probs`` is d(loss)/d(probs), shape ``[B]``. Call
         ``params.zero_grads()`` first unless accumulation across batches is
         intended. Returns d(loss)/d(batch) when ``want_input_grad``. A
-        ``grad_probs`` it rejects leaves the trace unconsumed, for a retry.
+        ``grad_probs`` it rejects, or a trace another model made, leaves the
+        trace unconsumed, for a retry.
         """
         check_arg("want_input_grad", want_input_grad, bool)
         if trace is None:
             raise StateError("no ForwardTrace to run backward on: the forward ran "
                              "with trace=False")
+        if trace.model is not self:
+            raise StateError("ForwardTrace was made by another model's forward")
         if trace.used:
             raise StateError("ForwardTrace already consumed by a backward pass")
         grad_probs = as_f64(grad_probs)

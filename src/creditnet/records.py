@@ -9,11 +9,15 @@ dataclass with:
   is not an object, an unknown key and a missing required key, reads nested
   records from objects and array fields from lists of numbers, then builds;
 - a construction check: every build, direct or from JSON, checks each field
-  against its type hint before the class's own ``__post_init__`` range
-  rules. A mistyped value is a ``ConfigError`` naming class and field. A
-  list fitting a tuple hint is stored as a tuple, lists inside it too; an
-  array field takes arrays only. The hints are resolved once per class,
-  since ``get_type_hints`` costs more than the check.
+  against its type hint, and against the range of a bounded number
+  (``Count``, ``Seed``, ``Positive``, ``Rate``: ``Annotated`` hints), before
+  the class's own ``__post_init__`` cross-field rules. A mistyped or
+  out-of-range value is a ``ConfigError`` naming class and field. A list
+  fitting a tuple hint is stored as a tuple, lists inside it too; an array
+  field takes arrays only. The hints are resolved once per class, since
+  ``get_type_hints`` costs more than the check.
+
+``check_arg`` gives a library argument the same check against the same hints.
 
 This module imports only ``errors``, the standard library and numpy.
 """
@@ -23,10 +27,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from numbers import Integral
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,6 +44,28 @@ def is_integer(value) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
+class Bound(NamedTuple):
+    """The range of a number, as the ``Annotated`` metadata of its hint:
+    ``holds`` tests a value that fits the hint's type, ``text`` spells the
+    range out in messages."""
+
+    holds: Callable[[float], bool]
+    text: str
+
+    def __repr__(self):  # how the range reads inside str(hint)
+        return self.text
+
+
+def at_least(k: int) -> Bound:
+    return Bound(lambda v: v >= k, f">= {k}")
+
+
+Count = Annotated[int, at_least(1)]  # sizes, widths, counts
+Seed = Annotated[int, at_least(0)]  # what numpy's generators take
+Positive = Annotated[float, Bound(lambda v: 0 < v <= sys.float_info.max, "> 0 and finite")]
+Rate = Annotated[float, Bound(lambda v: 0 < v < 1, "in (0, 1)")]  # the open interval
+
+
 def _alternatives(hint) -> tuple:
     """The types a hint admits: the members of a ``Union``/``Optional``, else itself."""
     return get_args(hint) if get_origin(hint) is Union else (hint,)
@@ -46,13 +73,16 @@ def _alternatives(hint) -> tuple:
 
 @cache
 def _fits(hint):
-    """The predicate for values that fit a record field's type hint, built
-    once per hint."""
+    """The predicate for values that fit a record field's type hint, and its
+    bound if it has one, built once per hint."""
     if hint is float:
         return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     if hint is int:
         return is_integer
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:
+        fits, bound = _fits(args[0]), args[1]
+        return lambda v: fits(v) and bound.holds(v)
     if origin is Union:
         alternatives = [_fits(a) for a in args]
         return lambda v: any(fits(v) for fits in alternatives)
@@ -69,15 +99,17 @@ def _fits(hint):
 def check_arg(name: str, value, hint) -> None:
     """Raise ``ConfigError`` naming ``name`` unless ``value`` fits ``hint``."""
     if not _fits(hint)(value):
-        # "Optional[creditnet.training.EarlyStop]" -> "Optional[EarlyStop]"
+        # "Optional[creditnet.training.EarlyStop]" -> "Optional[EarlyStop]",
+        # "tuple[typing.Annotated[int, >= 1], ...]" -> "tuple[int >= 1, ...]"
         expected = re.sub(r"\w+\.", "", str(hint)) if get_origin(hint) else hint.__name__
+        expected = re.sub(r"Annotated\[(\w+), ([^]]+)\]", r"\1 \2", expected)
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 @cache
 def _hints(cls) -> dict:
-    """A record class's field type hints, resolved once."""
-    return get_type_hints(cls)
+    """A record class's field type hints, bounds kept, resolved once."""
+    return get_type_hints(cls, include_extras=True)
 
 
 @cache

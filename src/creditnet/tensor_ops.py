@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
+from .records import Count, Positive, check_arg
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -89,7 +90,7 @@ class OpCache:
 # conv1d (cross-correlation, valid padding)
 # ---------------------------------------------------------------------------
 
-def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
+def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: Count = 1):
     """Valid cross-correlation over the last axis, as im2col plus one GEMM.
 
     Args:
@@ -103,8 +104,7 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
         ``L_out = (L - K) // stride + 1``; ``out`` is a channel-last array
         seen through a transposed view.
     """
-    if not isinstance(stride, int) or stride < 1:
-        raise ConfigError(f"conv1d stride must be a positive int, got {stride!r}")
+    check_arg("conv1d stride", stride, Count)
     if x.ndim < 2 or w.ndim != 3 or b.ndim != 1:
         raise ShapeError(
             f"conv1d expects x[..., c_in, L], w[c_out, c_in, K], b[c_out]; "
@@ -159,7 +159,7 @@ def conv1d_backward(cache: OpCache, g_out: np.ndarray):
 # maxpool1d
 # ---------------------------------------------------------------------------
 
-def maxpool1d(x: np.ndarray, window: int, stride: int):
+def maxpool1d(x: np.ndarray, window: Count, stride: Count):
     """Max over sliding windows on the last axis.
 
     Returns ``(out, cache)`` with ``out`` of shape ``[..., c, L_out]``. The
@@ -168,10 +168,8 @@ def maxpool1d(x: np.ndarray, window: int, stride: int):
     to exactly one input position: the lowest index in its window holding
     the max.
     """
-    if not isinstance(window, int) or window < 1:
-        raise ConfigError(f"pool window must be a positive int, got {window!r}")
-    if not isinstance(stride, int) or stride < 1:
-        raise ConfigError(f"pool stride must be a positive int, got {stride!r}")
+    check_arg("pool window", window, Count)
+    check_arg("pool stride", stride, Count)
     length = x.shape[-1]
     if window > length:
         raise ShapeError(f"pool window {window} exceeds input length {length}")
@@ -279,11 +277,10 @@ def sigmoid(x: np.ndarray, *, out=None) -> np.ndarray:
 # layer normalization
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: float = 1e-5,
+def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: Positive = 1e-5,
                *, out=None):
     """Normalize each row (last axis) to mean 0 / variance 1, then scale+shift."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps!r}")
+    check_arg("layer_norm eps", eps, Positive)
     _check_rows("layer_norm", x)
     n = x.shape[-1]
     if gain.shape != (n,) or shift.shape != (n,):
@@ -304,6 +301,9 @@ def layer_norm_backward(cache: OpCache, g_out: np.ndarray, *, out=None):
     """Returns ``(g_x, g_gain, g_shift)``."""
     saved = cache.expect("layer_norm")
     xhat, inv_std, gain = saved["xhat"], saved["inv_std"], saved["gain"]
+    if g_out.shape != xhat.shape:
+        raise ShapeError(f"layer_norm_backward: g_out shape {g_out.shape} != output "
+                         f"shape {xhat.shape}")
     n = xhat.shape[-1]
 
     g_shift = g_out.reshape(-1, n).sum(axis=0)

@@ -10,39 +10,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Splits, FeatureFrame
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, StateError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
 from .model import BASELINE, Model, ModelConfig, ParamStore
-from .records import check_arg, record, record_to_dict
+from .records import Count, Positive, Rate, Seed, check_arg, record, record_to_dict
 from .tensor_ops import as_f64
 
 PROB_EPS = 1e-12  # cross-entropy clamp
 ACC_THRESHOLD = 0.5
 
 OPTIMIZERS = ("sgd", "adam")
-
-
-def _check_positive(name: str, value) -> None:
-    """Raise ``ConfigError`` naming ``name`` unless ``value`` is a real
-    number, not a bool, finite as a float64 and > 0."""
-    if (isinstance(value, bool) or not isinstance(value, Real)
-            or not 0 < value <= sys.float_info.max):
-        raise ConfigError(f"{name} must be finite positive, got {value!r}")
-
-
-def _check_betas(beta1, beta2) -> None:
-    """Raise ``ConfigError`` unless both Adam decay rates are real numbers in (0, 1)."""
-    for name, b in (("beta1", beta1), ("beta2", beta2)):
-        if isinstance(b, bool) or not isinstance(b, Real) or not 0.0 < b < 1.0:
-            raise ConfigError(f"{name} must be in (0,1), got {b}")
 
 
 # ---------------------------------------------------------------------------
@@ -52,39 +35,30 @@ def _check_betas(beta1, beta2) -> None:
 @record
 class EarlyStop:
     metric: str = "val_auc"
-    patience: int = 10
+    patience: Count = 10
 
     def __post_init__(self):
         if self.metric != "val_auc":
             raise ConfigError(f"unsupported early-stop metric {self.metric!r}")
-        if self.patience < 1:
-            raise ConfigError("early-stop patience must be >= 1")
 
 
 @record
 class TrainConfig:
     optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    batch_size: int = 128
-    epochs: int = 100
-    seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
+    learning_rate: Positive = 1e-3
+    batch_size: Count = 128
+    epochs: Count = 100
+    seed: Seed = 0
+    beta1: Rate = 0.9
+    beta2: Rate = 0.999
+    adam_eps: Positive = 1e-8
     shuffle: bool = True
     early_stop: Optional[EarlyStop] = field(default_factory=EarlyStop)
-    pos_weight: float = 1.0
+    pos_weight: Positive = 1.0
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
-        for name in ("learning_rate", "adam_eps", "pos_weight"):
-            _check_positive(name, getattr(self, name))
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"train seed must be >= 0, got {self.seed}")
-        _check_betas(self.beta1, self.beta2)
 
 
 def canonical_json(obj) -> str:
@@ -126,17 +100,17 @@ def write_curves_csv(report: RunReport, path) -> None:
 # objective
 # ---------------------------------------------------------------------------
 
-def bce_loss(probs, labels, pos_weight: float = 1.0):
+def bce_loss(probs, labels, pos_weight: Positive = 1.0):
     """Mean binary cross-entropy with probabilities clamped to
     ``[1e-12, 1 - 1e-12]``; returns ``(loss, d loss / d probs)``.
 
     The gradient is the exact derivative of the clamped mean: coordinates
     whose raw probability sits outside the clamp window get gradient zero.
     A label other than 0 or 1 is a ``DataError`` and a ``pos_weight`` that
-    is not finite positive a ``ConfigError``; probabilities are not checked,
+    is not finite and > 0 a ``ConfigError``; probabilities are not checked,
     so a NaN from a diverged model reaches the loss.
     """
-    _check_positive("pos_weight", pos_weight)
+    check_arg("pos_weight", pos_weight, Positive)
     probs = as_f64(probs).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if probs.shape != labels.shape:
@@ -162,9 +136,9 @@ def _check_grads(params: ParamStore) -> None:
         raise NumericError(f"non-finite gradient in parameter {bad!r}")
 
 
-def sgd_step(params: ParamStore, lr: float) -> None:
+def sgd_step(params: ParamStore, lr: Positive) -> None:
     """Vanilla gradient descent: values <- values - lr * grads."""
-    _check_positive("lr", lr)
+    check_arg("lr", lr, Positive)
     _check_grads(params)
     params.values -= lr * params.grads
 
@@ -173,9 +147,10 @@ class AdamState:
     """First/second moment vectors, aligned with one ParamStore's flat
     buffers and allocated on the first step, plus the shared step counter."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        _check_betas(beta1, beta2)
-        _check_positive("eps", eps)
+    def __init__(self, beta1: Rate = 0.9, beta2: Rate = 0.999, eps: Positive = 1e-8):
+        check_arg("beta1", beta1, Rate)
+        check_arg("beta2", beta2, Rate)
+        check_arg("eps", eps, Positive)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: Optional[np.ndarray] = None
@@ -185,15 +160,18 @@ class AdamState:
         self._work: Optional[np.ndarray] = None
 
 
-def adam_step(params: ParamStore, lr: float, state: AdamState) -> None:
+def adam_step(params: ParamStore, lr: Positive, state: AdamState) -> None:
     """Bias-corrected Adam update over the whole store; ``state`` persists
-    across steps. Every element sees the operations of
+    across steps and serves the one store its first step sized it for.
+    Every element sees the operations of
     ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in the same order."""
-    _check_positive("lr", lr)
-    if not isinstance(state, AdamState):
-        raise ConfigError(f"adam_step state must be an AdamState, got {state!r}")
+    check_arg("lr", lr, Positive)
+    check_arg("state", state, AdamState)
     _check_grads(params)
     g = params.grads
+    if state.m is not None and state.m.shape != g.shape:
+        raise StateError(f"AdamState holds moments for {state.m.size} parameter values, "
+                         f"the store has {g.size}")
     if state.m is None:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
         state._work = np.empty((2, g.size))
@@ -256,7 +234,7 @@ def predict_probs(model: Model, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(model: Model, frame: FeatureFrame, pos_weight: float = 1.0,
+def evaluate(model: Model, frame: FeatureFrame, pos_weight: Positive = 1.0,
              probs: Optional[np.ndarray] = None):
     """``(bce loss, MetricsRecord)`` on one split: a fresh pass unless
     ``probs`` already holds the model's probabilities for ``frame``."""

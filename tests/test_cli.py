@@ -309,6 +309,8 @@ def _set_header(header, path, value):
     return header
 
 
+RATE = "float in (0, 1)"  # how a message spells a bound in the open interval
+
 # (case, where the fault goes, the change, exit code, stderr fragment)
 FAULTS = [
     ("train-key", "config", {"train": {"epoch": 3}}, 1, "unknown TrainConfig key(s) ['epoch']"),
@@ -329,39 +331,39 @@ FAULTS = [
     ("winsorize-key", "config", {"winsorize": {"lowr": 0.01, "upper_quantile": 0.99}}, 1,
      "unknown winsorize key(s) ['lowr']; allowed: lower_quantile, upper_quantile"),
     ("string-subsample", "config", {"data": {"subsample": "abc"}}, 1,
-     "subsample must be null or an integer >= 1, got 'abc'"),
+     "subsample must be Optional[int >= 1], got 'abc'"),
     ("negative-subsample", "config", {"data": {"subsample": -5}}, 1,
-     "subsample must be null or an integer >= 1, got -5"),
+     "subsample must be Optional[int >= 1], got -5"),
     ("fractional-subsample", "config", {"data": {"subsample": 2.5}}, 1,
-     "subsample must be null or an integer >= 1, got 2.5"),
+     "subsample must be Optional[int >= 1], got 2.5"),
     ("string-subsample-seed", "config", {"data": {"subsample_seed": "x"}}, 1,
      "data key 'subsample_seed' must be int, got 'x'"),
     ("string-quantile", "config",
      {"winsorize": {"lower_quantile": "abc", "upper_quantile": 0.99}}, 1,
      "winsorize key 'lower_quantile' must be float, got 'abc'"),
     ("negative-pos-weight", "config", {"train": {"epochs": 2, "pos_weight": -1}}, 1,
-     "pos_weight must be finite positive, got -1"),
+     "TrainConfig key 'pos_weight' must be float > 0 and finite, got -1"),
     ("zero-adam-eps", "config", {"train": {"epochs": 2, "adam_eps": 0}}, 1,
-     "adam_eps must be finite positive, got 0"),
+     "TrainConfig key 'adam_eps' must be float > 0 and finite, got 0"),
     ("nan-learning-rate", "config", {"train": {"epochs": 2, "learning_rate": float("nan")}},
-     1, "learning_rate must be finite positive, got nan"),
+     1, "TrainConfig key 'learning_rate' must be float > 0 and finite, got nan"),
     ("string-epochs", "config", {"train": {"epochs": "2"}}, 1,
-     "TrainConfig key 'epochs' must be int, got '2'"),
+     "TrainConfig key 'epochs' must be int >= 1, got '2'"),
     ("string-d-embed", "config", {"model": {"d_embed": "abc"}}, 1,
-     "ModelConfig key 'd_embed' must be int, got 'abc'"),
+     "ModelConfig key 'd_embed' must be int >= 1, got 'abc'"),
     ("split-key", "config", {"split": {"fraction": [0.5, 0.25, 0.25]}}, 1,
      "unknown SplitSpec key(s) ['fraction']; allowed: fractions, seed, stratified"),
     ("schema-key", "config", {"schema": {"label": "label"}}, 1,
      "unknown SchemaConfig key(s) ['label']; allowed: label_column, feature_columns, "
      "missing_markers, imputation"),
     ("negative-model-seed", "config", {"model": {"seed": -1}}, 1,
-     "model seed must be >= 0, got -1"),
+     "ModelConfig key 'seed' must be int >= 0, got -1"),
     ("negative-train-seed", "config", {"train": {"epochs": 2, "seed": -1}}, 1,
-     "train seed must be >= 0, got -1"),
+     "TrainConfig key 'seed' must be int >= 0, got -1"),
     ("negative-split-seed", "config", {"split": {"seed": -1}}, 1,
-     "split seed must be >= 0, got -1"),
+     "SplitSpec key 'seed' must be int >= 0, got -1"),
     ("negative-subsample-seed", "config", {"data": {"subsample": 100, "subsample_seed": -1}},
-     1, "subsample seed must be >= 0, got -1"),
+     1, "subsample seed must be int >= 0, got -1"),
     ("string-imputation-value", "config",
      {"schema": {"imputation": {"kind": "constant", "value": "abc"}}}, 1,
      "ConstantFill key 'value' must be float, got 'abc'"),
@@ -383,21 +385,33 @@ FAULTS = [
     ("int-label-column", "config", {"schema": {"label_column": 5}}, 1,
      "SchemaConfig key 'label_column' must be str, got 5"),
     ("string-mlp-hidden", "config", {"model": {"mlp_hidden": "ab"}}, 1,
-     "ModelConfig key 'mlp_hidden' must be tuple[int, ...], got 'ab'"),
+     "ModelConfig key 'mlp_hidden' must be tuple[int >= 1, ...], got 'ab'"),
     ("string-model-seed", "config", {"model": {"seed": "a"}}, 1,
-     "ModelConfig key 'seed' must be int, got 'a'"),
+     "ModelConfig key 'seed' must be int >= 0, got 'a'"),
     ("number-conv", "config", {"model": {"conv": 2}}, 1,
      "ModelConfig key 'conv' must be ConvSpec, got 2"),
     ("string-split-seed", "config", {"split": {"seed": "a"}}, 1,
-     "SplitSpec key 'seed' must be int, got 'a'"),
+     "SplitSpec key 'seed' must be int >= 0, got 'a'"),
     ("string-fractions", "config", {"split": {"fractions": "abc"}}, 1,
-     "SplitSpec key 'fractions' must be tuple[float, float, float], got 'abc'"),
+     f"SplitSpec key 'fractions' must be tuple[{RATE}, {RATE}, {RATE}], got 'abc'"),
     ("string-patience", "config", {"train": {"early_stop": {"patience": "a"}}}, 1,
-     "EarlyStop key 'patience' must be int, got 'a'"),
+     "EarlyStop key 'patience' must be int >= 1, got 'a'"),
     ("fractional-epochs", "config", {"train": {"epochs": 2.5}}, 1,
-     "TrainConfig key 'epochs' must be int, got 2.5"),
+     "TrainConfig key 'epochs' must be int >= 1, got 2.5"),
     ("bool-batch-size", "config", {"train": {"batch_size": True}}, 1,
-     "TrainConfig key 'batch_size' must be int, got True"),
+     "TrainConfig key 'batch_size' must be int >= 1, got True"),
+    ("zero-conv-channels", "config", {"model": {"conv": {"channels": 0}}}, 1,
+     "ConvSpec key 'channels' must be int >= 1, got 0"),
+    ("zero-attn-heads", "config", {"model": {"attn": {"n_heads": 0}}}, 1,
+     "AttnSpec key 'n_heads' must be int >= 1, got 0"),
+    ("zero-mlp-width", "config", {"model": {"mlp_hidden": [8, 0]}}, 1,
+     "ModelConfig key 'mlp_hidden' must be tuple[int >= 1, ...], got [8, 0]"),
+    ("zero-patience", "config", {"train": {"early_stop": {"patience": 0}}}, 1,
+     "EarlyStop key 'patience' must be int >= 1, got 0"),
+    ("unit-beta1", "config", {"train": {"beta1": 1.0}}, 1,
+     f"TrainConfig key 'beta1' must be {RATE}, got 1.0"),
+    ("zero-fraction", "config", {"split": {"fractions": [0.0, 0.5, 0.5]}}, 1,
+     f"SplitSpec key 'fractions' must be tuple[{RATE}, {RATE}, {RATE}], got [0.0, 0.5, 0.5]"),
     ("fractional-label", "csv", (5, "label", "0.5"), 2,
      "line 5, column 'label': label must be 0 or 1, got 0.5"),
     ("inf-cell", "csv", (7, "f2", "inf"), 2, "line 7, column 'f2': non-finite value, got inf"),

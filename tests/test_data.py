@@ -92,7 +92,7 @@ class TestLoadCsv:
         rows = "\n".join(f"{i % 2},{20 + i},{i / 10}" for i in range(50))
         path = write_csv(tmp_path, "default,age,debt\n" + rows + "\n")
         with pytest.raises(ConfigError, match=re.escape(
-                f"subsample seed must be an integer, got {seed!r}")):
+                f"subsample seed must be int >= 0, got {seed!r}")):
             load_csv(path, SCHEMA, subsample=10, seed=seed)
 
     def test_missing_file(self):
@@ -117,7 +117,7 @@ class TestLoadCsv:
 
     def test_schema_none_is_a_config_error_naming_it(self, tmp_path):
         path = write_csv(tmp_path, "default,age,debt\n0,30,1.5\n")
-        with pytest.raises(ConfigError, match="schema must be a SchemaConfig, got None"):
+        with pytest.raises(ConfigError, match="^schema must be SchemaConfig, got None$"):
             load_csv(path, None)
 
 
@@ -396,15 +396,15 @@ class TestSynth:
             synth_generate(50, 3, 0, SynthSpec())
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigError, match="synthetic seed must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match="^synthetic seed must be int >= 0, got -1$"):
             synth_generate(200, 4, -1, synth_preset("linear", 4))
 
     @pytest.mark.parametrize("args, message", [
-        (("a", 3, 0), "synthetic n must be an integer, got 'a'"),
-        ((200.5, 3, 0), "synthetic n must be an integer, got 200.5"),
-        ((200, "a", 0), "synthetic n_features must be an integer, got 'a'"),
-        ((200, 3, "a"), "synthetic seed must be an integer, got 'a'"),
-        ((200, 3, True), "synthetic seed must be an integer, got True"),
+        (("a", 3, 0), "synthetic n must be int >= 100, got 'a'"),
+        ((200.5, 3, 0), "synthetic n must be int >= 100, got 200.5"),
+        ((200, "a", 0), "synthetic n_features must be int >= 1, got 'a'"),
+        ((200, 3, "a"), "synthetic seed must be int >= 0, got 'a'"),
+        ((200, 3, True), "synthetic seed must be int >= 0, got True"),
     ])
     def test_non_integer_argument_is_a_config_error(self, args, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -103,19 +103,19 @@ class TestPermutationImportance:
     @pytest.mark.parametrize("repeats", [2.5, True, "3"])
     def test_non_integer_repeats(self, trained_on_dominant_feature, repeats):
         model, test = trained_on_dominant_feature
-        with pytest.raises(ConfigError, match="repeats must be an integer >= 1"):
+        with pytest.raises(ConfigError, match="^repeats must be int >= 1, got "):
             permutation_importance(model, test, repeats=repeats)
 
     def test_negative_seed(self, trained_on_dominant_feature):
         model, test = trained_on_dominant_feature
-        with pytest.raises(ConfigError, match="importance seed must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match="^importance seed must be int >= 0, got -1$"):
             permutation_importance(model, test, seed=-1)
 
     @pytest.mark.parametrize("seed", ["a", 1.5, True])
     def test_non_integer_seed_is_a_config_error(self, trained_on_dominant_feature, seed):
         model, test = trained_on_dominant_feature
         with pytest.raises(ConfigError,
-                           match=f"importance seed must be an integer, got {seed!r}"):
+                           match=f"^importance seed must be int >= 0, got {seed!r}$"):
             permutation_importance(model, test, seed=seed)
 
     def test_single_class_split_undefined(self, trained_on_dominant_feature):

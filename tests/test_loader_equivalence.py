@@ -238,7 +238,7 @@ def test_subsample_matches_reference(subsample, tmp_path):
 def test_subsample_outside_none_or_positive_int_is_a_config_error(subsample, tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(HEADER + "\n1,0,1,2\n")
-    with pytest.raises(ConfigError, match="subsample must be null or an integer >= 1"):
+    with pytest.raises(ConfigError, match=r"^subsample must be Optional\[int >= 1\], got "):
         load_csv(path, SchemaConfig("label", FEATURES), subsample=subsample)
 
 

@@ -256,7 +256,7 @@ class TestMultiHead:
 
     def test_zero_heads_is_a_config_error(self):
         w = np.eye(4)
-        with pytest.raises(ConfigError, match="n_heads must be >= 1"):
+        with pytest.raises(ConfigError, match="^n_heads must be int >= 1, got 0$"):
             multi_head_attention(np.ones((3, 4)), w, w, w, w, n_heads=0)
 
     def test_one_dimensional_tokens_are_a_shape_error(self):
@@ -545,6 +545,33 @@ class TestBackward:
         assert not trace.used
         model.backward(trace, bce_loss(probs, y)[1])
         assert model.params.grads.tobytes() == fresh.params.grads.tobytes()
+
+    @pytest.mark.parametrize("variant", ["hybrid", "transformer_only"])
+    def test_a_trace_from_another_model_is_a_state_error(self, variant):
+        """Another model's trace is refused before it is consumed: a hybrid
+        of another seed would take gradients of the maker's activations and
+        weights, a transformer_only would fail on mismatched shapes."""
+        X = np.random.default_rng(24).standard_normal((4, 10))
+        fresh = Model(ModelConfig(n_features=10, seed=0))
+        probs, trace = fresh.forward(X)
+        fresh.params.zero_grads()
+        fresh.backward(trace, np.ones(4))
+
+        maker = Model(ModelConfig(n_features=10, seed=0))
+        _, trace = maker.forward(X)
+        other = Model(ModelConfig(n_features=10, variant=variant, seed=1))
+        _, own = other.forward(X)
+        other.backward(own, np.ones(4))
+        other.params.zero_grads()
+        with pytest.raises(StateError, match="made by another model"):
+            other.backward(trace, np.ones(4))
+        assert not trace.used
+        assert other._spent() is own
+        assert not other.params.grads.any()
+
+        maker.params.zero_grads()
+        maker.backward(trace, np.ones(4))
+        assert maker.params.grads.tobytes() == fresh.params.grads.tobytes()
 
 
 class TestTraceLifetime:

@@ -3,8 +3,11 @@ public entry points end every bad argument as a typed ``CreditNetError``."""
 
 import math
 import os
+import re
 import tempfile
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -299,3 +302,95 @@ def test_every_hostile_argument_ends_as_a_creditnet_error(world, scratch_cwd, ca
             except CreditNetError:
                 pass
     assert issubclass(DataError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# bounded numbers: every record field and library argument whose hint holds
+# a range refuses each value at or past its edges
+# ---------------------------------------------------------------------------
+
+COUNT, SEED, POSITIVE, RATE = "int >= 1", "int >= 0", "float > 0 and finite", "float in (0, 1)"
+FRACTIONS = f"tuple[{RATE}, {RATE}, {RATE}]"
+
+# (case, argument) -> the bound as messages spell it
+BOUNDED = {
+    **{("ConvSpec", f): COUNT for f in ("channels", "kernel", "stride", "pool_window",
+                                       "pool_stride")},
+    **{("AttnSpec", f): COUNT for f in ("n_heads", "d_model", "n_blocks")},
+    **{("ModelConfig", f): COUNT for f in ("n_features", "d_embed", "ffn_dim")},
+    ("ModelConfig", "mlp_hidden"): "tuple[int >= 1, ...]",
+    ("ModelConfig", "seed"): SEED,
+    ("EarlyStop", "patience"): COUNT,
+    ("TrainConfig", "learning_rate"): POSITIVE,
+    ("TrainConfig", "batch_size"): COUNT,
+    ("TrainConfig", "epochs"): COUNT,
+    ("TrainConfig", "seed"): SEED,
+    ("TrainConfig", "beta1"): RATE,
+    ("TrainConfig", "beta2"): RATE,
+    ("TrainConfig", "adam_eps"): POSITIVE,
+    ("TrainConfig", "pos_weight"): POSITIVE,
+    ("SplitSpec", "fractions"): FRACTIONS,
+    ("SplitSpec", "seed"): SEED,
+    ("AdamState", "beta1"): RATE,
+    ("AdamState", "beta2"): RATE,
+    ("AdamState", "eps"): POSITIVE,
+    ("bce_loss", "pos_weight"): POSITIVE,
+    ("evaluate", "pos_weight"): POSITIVE,
+    ("sgd_step", "lr"): POSITIVE,
+    ("adam_step", "lr"): POSITIVE,
+    ("permutation_importance", "repeats"): COUNT,
+    ("permutation_importance", "seed"): SEED,
+    ("synth_generate", "n"): "int >= 100",
+    ("synth_generate", "n_features"): COUNT,
+    ("synth_generate", "seed"): SEED,
+    ("load_csv", "subsample"): "Optional[int >= 1]",
+    ("load_csv", "seed"): SEED,
+}
+
+# values at or past each bound's edges: k - 1, 0, -1, NaN, inf, 1 for the
+# open interval, and the bool that equals the edge
+EDGES = {
+    COUNT: [0, -1, math.nan, math.inf, True],
+    SEED: [-1, math.nan, math.inf, False],
+    "int >= 100": [99, 0, -1, math.nan, math.inf, True],
+    POSITIVE: [0, 0.0, -1, math.nan, math.inf, 10**400, True],
+    RATE: [0, 0.0, 1, 1.0, -1, math.nan, math.inf, True],
+    "Optional[int >= 1]": [0, -1, math.nan, math.inf, True],
+    "tuple[int >= 1, ...]": [(0,), (32, -1), (math.nan,), (True,)],
+    FRACTIONS: [(0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.5, -0.25, -0.25),
+                (math.nan, 0.5, 0.5), (0.5, math.inf, 0.5)],
+}
+
+
+def _bounded_arguments(fn) -> set:
+    """The arguments (fields) of ``fn`` whose type hint holds a range."""
+    target = fn.__init__ if isinstance(fn, type) and not is_dataclass(fn) else fn
+    hints = get_type_hints(target, include_extras=True)
+    return {name for name, hint in hints.items() if "Annotated" in str(hint)}
+
+
+def test_the_bounded_arguments_are_the_ones_whose_hints_hold_a_range(world):
+    declared = {(case, arg) for case in CASES for arg in _bounded_arguments(world[case][0])}
+    assert declared == set(BOUNDED)
+
+
+@pytest.mark.parametrize("case, arg", list(BOUNDED), ids=[f"{c}-{a}" for c, a in BOUNDED])
+def test_a_value_past_a_bound_is_a_config_error_naming_the_argument(world, case, arg):
+    fn, kwargs = world[case]
+    bound = BOUNDED[case, arg]
+    for value in EDGES[bound]:
+        with pytest.raises(ConfigError) as info:
+            fn(**{**kwargs, arg: value})
+        assert re.fullmatch(rf"(\w+ key '{arg}'|(\w+ )?{arg}) must be {re.escape(bound)}, "
+                            rf"got {re.escape(repr(value))}", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (cn.ConvSpec, {"channels": 0}, "ConvSpec key 'channels' must be int >= 1, got 0"),
+    (cn.ConvSpec, {"kernel": -3, "stride": 0}, "ConvSpec key 'kernel' must be int >= 1, got -3"),
+    (cn.AttnSpec, {"n_heads": 0, "d_model": 0}, "AttnSpec key 'n_heads' must be int >= 1, got 0"),
+])
+def test_a_spec_built_on_its_own_checks_its_ranges(cls, kwargs, message):
+    """``ModelConfig`` used to check these; a spec built alone took them."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cls(**kwargs)

@@ -10,11 +10,14 @@ import numpy as np
 import pytest
 
 import reference_ops as ref
+from creditnet.errors import ShapeError
 from creditnet.model import (
     Model,
     ModelConfig,
     ParamStore,
     init_params,
+    linear,
+    linear_backward,
     multi_head_attention,
     multi_head_attention_backward,
     save_checkpoint,
@@ -162,6 +165,20 @@ class TestRowOps:
             for got, expected in zip(layer_norm_backward(cache, g_out),
                                      ref.layer_norm_backward(want_cache, g_out)):
                 assert_close(got, expected)
+
+    def test_mis_shaped_upstream_gradient_is_a_shape_error(self):
+        """A gradient of another shape than the output is refused, not
+        broadcast (layer_norm) or flattened into rows (linear)."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((8, 5, 4))
+        _, cache = linear(x, rng.standard_normal((4, 3)), np.zeros(3))
+        with pytest.raises(ShapeError, match=r"g_out shape \(40, 3\) != output shape "
+                                             r"\(8, 5, 3\)"):
+            linear_backward(cache, rng.standard_normal((40, 3)))
+        _, cache = layer_norm(x, np.ones(4), np.zeros(4))
+        with pytest.raises(ShapeError, match=r"g_out shape \(5, 4\) != output shape "
+                                             r"\(8, 5, 4\)"):
+            layer_norm_backward(cache, rng.standard_normal((5, 4)))
 
     @pytest.mark.parametrize("batch", BATCH_SHAPES)
     def test_softmax(self, batch):

@@ -7,8 +7,8 @@ import pytest
 
 from creditnet.data import SchemaConfig, SplitSpec, Splits, standardize_apply, \
     standardize_fit, synth_generate, synth_preset, prepare_splits
-from creditnet.errors import ConfigError, DataError, NumericError, ShapeError
-from creditnet.model import Model, ModelConfig, AttnSpec, ConvSpec, ParamStore
+from creditnet.errors import ConfigError, DataError, NumericError, ShapeError, StateError
+from creditnet.model import Model, ModelConfig, AttnSpec, ConvSpec, ParamStore, init_params
 from creditnet.training import (
     SCORE_BLOCK,
     AdamState,
@@ -118,8 +118,8 @@ class TestBceLoss:
 
     @pytest.mark.parametrize("pos_weight", NOT_POSITIVE)
     def test_pos_weight_not_finite_positive_is_a_config_error(self, pos_weight):
-        with pytest.raises(ConfigError, match=f"pos_weight must be finite positive, "
-                                              f"got {re.escape(repr(pos_weight))}"):
+        with pytest.raises(ConfigError, match=f"^pos_weight must be float > 0 and finite, "
+                                              f"got {re.escape(repr(pos_weight))}$"):
             bce_loss([0.4, 0.5], [0, 1], pos_weight=pos_weight)
 
 
@@ -154,7 +154,7 @@ class TestSgd:
     def test_lr_not_finite_positive_is_a_config_error(self, lr):
         store, p = one_param([1.0])
         p.grad += 1.0
-        with pytest.raises(ConfigError, match="lr must be finite positive"):
+        with pytest.raises(ConfigError, match="^lr must be float > 0 and finite, got "):
             sgd_step(store, lr)
         assert p.value[0] == 1.0
 
@@ -193,26 +193,44 @@ class TestAdam:
         store, p = one_param([1.0])
         p.grad += 1.0
         state = AdamState()
-        with pytest.raises(ConfigError, match="lr must be finite positive"):
+        with pytest.raises(ConfigError, match="^lr must be float > 0 and finite, got "):
             adam_step(store, lr, state)
         assert p.value[0] == 1.0 and state.t == 0
+
+    def test_state_serves_the_store_it_was_sized_for(self):
+        """A state stepped on one store refuses another before it changes
+        anything: its counter, its moments and the other store's values."""
+        state = AdamState()
+        cnn = init_params(ModelConfig(n_features=10, variant="cnn_only"))
+        cnn.grads[:] = 0.5
+        adam_step(cnn, 1e-3, state)
+        logistic = init_params(ModelConfig(n_features=10, variant="logistic"))
+        logistic.grads[:] = 0.5
+        t, m, v = state.t, state.m.copy(), state.v.copy()
+        values = logistic.values.copy()
+        with pytest.raises(StateError, match=f"moments for {cnn.values.size} parameter "
+                                             f"values, the store has 11"):
+            adam_step(logistic, 1e-3, state)
+        assert state.t == t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert logistic.values.tobytes() == values.tobytes()
 
     def test_state_not_an_adam_state_is_a_config_error(self):
         store, p = one_param([1.0])
         p.grad += 1.0
-        with pytest.raises(ConfigError, match="adam_step state must be an AdamState, got None"):
+        with pytest.raises(ConfigError, match="^state must be AdamState, got None$"):
             adam_step(store, 0.01, None)
         assert p.value[0] == 1.0
 
     @pytest.mark.parametrize("kwargs, fragment", [
-        ({"beta1": "a"}, "beta1 must be in (0,1), got a"),
-        ({"beta2": 1.0}, "beta2 must be in (0,1), got 1.0"),
-        ({"beta1": np.nan}, "beta1 must be in (0,1), got nan"),
-        ({"eps": None}, "eps must be finite positive, got None"),
-        ({"eps": 0.0}, "eps must be finite positive, got 0.0"),
+        ({"beta1": "a"}, "beta1 must be float in (0, 1), got 'a'"),
+        ({"beta2": 1.0}, "beta2 must be float in (0, 1), got 1.0"),
+        ({"beta1": np.nan}, "beta1 must be float in (0, 1), got nan"),
+        ({"eps": None}, "eps must be float > 0 and finite, got None"),
+        ({"eps": 0.0}, "eps must be float > 0 and finite, got 0.0"),
     ])
     def test_state_with_a_bad_rate_is_a_config_error_when_built(self, kwargs, fragment):
-        with pytest.raises(ConfigError, match=re.escape(fragment)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(fragment)}$"):
             AdamState(**kwargs)
 
 
@@ -224,11 +242,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("name", ["learning_rate", "adam_eps", "pos_weight"])
     @pytest.mark.parametrize("value", NOT_POSITIVE)
     def test_rejects_scalar_not_finite_positive(self, name, value):
-        # a value that is no number fails the record's field type check first
-        expected = (f"TrainConfig key '{name}' must be float"
-                    if isinstance(value, (str, bool, type(None))) else
-                    f"{name} must be finite positive")
-        with pytest.raises(ConfigError, match=expected):
+        # a value that is no number and one out of range read alike
+        expected = f"TrainConfig key '{name}' must be float > 0 and finite, got "
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}"):
             TrainConfig(**{name: value})
 
     def test_rejects_bad_beta(self):
