@@ -3,7 +3,7 @@
 One merged JSON config file (``model`` / ``train`` / ``schema`` / ``split`` /
 ``winsorize`` / ``data`` sections) drives every subcommand; command-line
 flags override file values. Every run directory receives a ``manifest.json``
-with the fully resolved config, seeds, input hash, and package version.
+with the fully resolved config, seeds, input hash, package version and BLAS.
 
 Exit codes: 0 success, 1 usage/config error (or a model refusing its input),
 2 data/schema error, 3 numeric error (divergence or NaN).
@@ -21,7 +21,9 @@ import time
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from . import __version__
+import numpy as np
+
+from . import __version__, blas
 from .data import (
     SYNTH_PRESETS,
     FeatureFrame,
@@ -51,6 +53,7 @@ from .metrics import auc, evaluate_scores
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .records import check_arg, config_from_dict, make_record, read_json_object, record_to_dict
 from .training import (
+    FIT_THREADS,
     TrainConfig,
     ablate,
     bce_loss,
@@ -166,9 +169,20 @@ def write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+def blas_info() -> dict:
+    """The BLAS a run used, for its manifest: numpy's build name and version,
+    the caller's thread count and the count fits run at. Both counts are null
+    when the library has no thread calls that ``blas`` knows."""
+    build = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = blas.threads()
+    return {"name": build.get("name"), "version": build.get("version"), "threads": threads,
+            "fit_threads": None if threads is None else FIT_THREADS}
+
+
 def write_manifest(out_dir: Path, command: str, args, resolved: dict,
                    data_path: Path | None, t0: float) -> None:
     manifest = {
+        "blas": blas_info(),
         "command": command,
         "package_version": __version__,
         "resolved_config": resolved,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -20,8 +19,8 @@ from typing import Annotated, NamedTuple, NoReturn, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
-from .records import (Count, Rate, Seed, at_least, check_arg, check_path, read_json_object,
-                      record)
+from .records import (Count, Finite, Rate, Seed, at_least, check_arg, check_path,
+                      read_json_object, record)
 from .tensor_ops import as_f64, sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
@@ -92,24 +91,17 @@ class FeatureFrame:
         return replace(self, X=self.X[idx], y=self.y[idx], split_tag=split_tag)
 
 
-def _is_finite(value: float) -> bool:
-    """Finite as a float64; ``math.isfinite`` raises on an int beyond its range."""
-    return abs(value) <= sys.float_info.max
-
-
 @record
 class ConstantFill:
     """The constant imputation policy, ``{"kind": "constant", "value": v}`` in
     JSON: every missing cell becomes ``value``."""
 
-    value: float
+    value: Finite
     kind: str = "constant"
 
     def __post_init__(self):
         if self.kind != "constant":
             raise ConfigError(f"ConstantFill kind must be 'constant', got {self.kind!r}")
-        if not _is_finite(self.value):
-            raise ConfigError(f"ConstantFill value must be finite, got {self.value!r}")
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -573,14 +565,9 @@ class SynthSpec:
     the feature count.
     """
 
-    linear: tuple[float, ...] = ()
-    pairs: tuple[tuple[int, int, float], ...] = ()
-    motifs: tuple[tuple[int, int, float], ...] = ()  # (start, width, coeff)
-
-    def __post_init__(self):
-        coeffs = [*self.linear, *(coeff for *_, coeff in self.pairs + self.motifs)]
-        if not all(map(_is_finite, coeffs)):
-            raise ConfigError(f"SynthSpec coefficients must be finite, got {self!r}")
+    linear: tuple[Finite, ...] = ()
+    pairs: tuple[tuple[int, int, Finite], ...] = ()
+    motifs: tuple[tuple[int, int, Finite], ...] = ()  # (start, width, coeff)
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         n_features = X.shape[1]

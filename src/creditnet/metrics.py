@@ -14,14 +14,12 @@ those are swept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, UndefinedMetricError
-from .records import record
+from .errors import DataError, ShapeError, UndefinedMetricError
+from .records import FiniteReal, check_arg, record
 from .tensor_ops import as_f64
 
 
@@ -75,19 +73,13 @@ def _validate(scores, labels):
     return scores, labels.astype(np.int64)
 
 
-def _check_threshold(threshold) -> None:
-    if (isinstance(threshold, bool) or not isinstance(threshold, Real)
-            or not math.isfinite(threshold)):
-        raise ConfigError(f"threshold must be a finite real number, got {threshold!r}")
-
-
 def _accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
     return float(np.mean((scores >= threshold) == labels))
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
+def accuracy(scores, labels, threshold: FiniteReal = 0.5) -> float:
     """Fraction of samples where (score >= threshold) matches the label."""
-    _check_threshold(threshold)
+    check_arg("threshold", threshold, FiniteReal)
     return _accuracy(*_validate(scores, labels), threshold)
 
 
@@ -142,9 +134,9 @@ def roc_points(scores, labels) -> RocCurve:
     return RocCurve(fpr=np.append(0.0, fp / fp[-1]), tpr=np.append(0.0, tp / tp[-1]))
 
 
-def evaluate_scores(scores, labels, threshold: float = 0.5) -> MetricsRecord:
+def evaluate_scores(scores, labels, threshold: FiniteReal = 0.5) -> MetricsRecord:
     """Compute the full metric triple on one split: one validation, one sort."""
-    _check_threshold(threshold)
+    check_arg("threshold", threshold, FiniteReal)
     scores, labels = _validate(scores, labels)
     fp, tp = _sweep(scores, labels)
     return MetricsRecord(

@@ -10,11 +10,11 @@ dataclass with:
   records from objects and array fields from lists of numbers, then builds;
 - a construction check: every build, direct or from JSON, checks each field
   against its type hint, and against the range of a bounded number
-  (``Count``, ``Seed``, ``Positive``, ``Rate``: ``Annotated`` hints), before
-  the class's own ``__post_init__`` cross-field rules. A mistyped or
-  out-of-range value is a ``ConfigError`` naming class and field. A list
-  fitting a tuple hint is stored as a tuple, lists inside it too; an array
-  field takes arrays only. The hints are resolved once per class, since
+  (``Count``, ``Seed``, ``Positive``, ``Rate``, ``Finite``: ``Annotated``
+  hints), before the class's own ``__post_init__`` cross-field rules. A
+  mistyped or out-of-range value is a ``ConfigError`` naming class and field.
+  A list fitting a tuple hint is stored as a tuple, lists inside it too; an
+  array field takes arrays only. The hints are resolved once per class, since
   ``get_type_hints`` costs more than the check.
 
 ``check_arg`` gives a library argument the same check against the same hints.
@@ -25,12 +25,13 @@ This module imports only ``errors``, the standard library and numpy.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Annotated, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -60,10 +61,23 @@ def at_least(k: int) -> Bound:
     return Bound(lambda v: v >= k, f">= {k}")
 
 
+def _finite(value) -> bool:
+    """Finite as a float64; ``math.isfinite`` raises on an int beyond its range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_FINITE = Bound(_finite, "finite")
+
 Count = Annotated[int, at_least(1)]  # sizes, widths, counts
 Seed = Annotated[int, at_least(0)]  # what numpy's generators take
 Positive = Annotated[float, Bound(lambda v: 0 < v <= sys.float_info.max, "> 0 and finite")]
 Rate = Annotated[float, Bound(lambda v: 0 < v < 1, "in (0, 1)")]  # the open interval
+Finite = Annotated[float, _FINITE]
+# numpy scalars too, for a library argument that is used and not stored
+FiniteReal = Annotated[Real, _FINITE]
 
 
 def _alternatives(hint) -> tuple:
@@ -79,6 +93,8 @@ def _fits(hint):
         return lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     if hint is int:
         return is_integer
+    if hint is Real:
+        return lambda v: isinstance(v, Real) and not isinstance(v, bool)
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:
         fits, bound = _fits(args[0]), args[1]
@@ -100,9 +116,12 @@ def check_arg(name: str, value, hint) -> None:
     """Raise ``ConfigError`` naming ``name`` unless ``value`` fits ``hint``."""
     if not _fits(hint)(value):
         # "Optional[creditnet.training.EarlyStop]" -> "Optional[EarlyStop]",
-        # "tuple[typing.Annotated[int, >= 1], ...]" -> "tuple[int >= 1, ...]"
+        # "tuple[typing.Annotated[int, >= 1], ...]" -> "tuple[int >= 1, ...]",
+        # "typing.Annotated[float, finite]" -> "finite float"
         expected = re.sub(r"\w+\.", "", str(hint)) if get_origin(hint) else hint.__name__
-        expected = re.sub(r"Annotated\[(\w+), ([^]]+)\]", r"\1 \2", expected)
+        expected = re.sub(r"Annotated\[(\w+), ([^]]+)\]",
+                          lambda m: f"{m[2]} {m[1]}" if m[2].isalpha() else f"{m[1]} {m[2]}",
+                          expected)
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 

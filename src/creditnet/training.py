@@ -4,6 +4,11 @@
 a traced ``forward`` and a ``backward`` per batch, then one optimizer step
 over ``model.params``. Scoring calls ``forward`` with ``trace=False``. Runs
 are fully deterministic for fixed seeds and configs.
+
+Each fit, its val and test passes included, runs at ``FIT_THREADS`` BLAS
+threads and restores the caller's count after (``blas.limit``), so its bytes
+do not depend on ``OPENBLAS_NUM_THREADS``. Scoring outside a fit
+(``predict_probs``, ``evaluate``) runs at the caller's count.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import blas
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError, StateError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
@@ -26,6 +32,13 @@ PROB_EPS = 1e-12  # cross-entropy clamp
 ACC_THRESHOLD = 0.5
 
 OPTIMIZERS = ("sgd", "adam")
+
+# A fit's products are small (d_model 32, 10 tokens, batch 128). At two
+# threads, OpenBLAS's second thread spins between them: alone a fit burns
+# twice its wall time in CPU, and two `ablate` runs sharing a 2-CPU host
+# each ran 4.4x slower than at one thread. One thread also makes a fit's
+# bytes the same under every thread setting.
+FIT_THREADS = 1
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +262,12 @@ def evaluate(model: Model, frame: FeatureFrame, pos_weight: Positive = 1.0,
 # the fit loop
 # ---------------------------------------------------------------------------
 
+@blas.limit(FIT_THREADS)
 def _fit(model: Model, train_cfg: TrainConfig, splits: Splits) -> RunReport:
     """Fit ``model`` in place on ``splits.train``, restoring the best
     val-AUC epoch's parameters under early stopping; the report's
-    ``model_config`` is ``model.config.to_dict()``."""
+    ``model_config`` is ``model.config.to_dict()``. Runs at ``FIT_THREADS``
+    BLAS threads and restores the caller's count on exit, raise or not."""
     rng = np.random.default_rng(train_cfg.seed)
     step = make_optimizer(train_cfg)
     train, test = splits.train, splits.test

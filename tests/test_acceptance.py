@@ -307,13 +307,27 @@ CRITERION_8_CONFIGS = {
 }
 
 
+CRITERION_8_SYNTH = ["--n", "500", "--n-features", "6", "--spec", "strong-single"]
+
+# case -> (config, synth arguments), for the thread-count check only: a
+# default transformer_only on the `ablate` benchmark's kind of data. Before
+# fits ran at one BLAS thread, its bytes under OPENBLAS_NUM_THREADS=2 differed
+# from those under =1 (numpy 2.4.6, OpenBLAS 0.3.31, 2-CPU x86-64 host).
+CRITERION_8_THREAD_CASES = {
+    "transformer_only-local-and-long": (
+        {"model": {"variant": "transformer_only"},
+         "train": {"epochs": 1}, "split": {"fractions": [0.6, 0.1, 0.3]}},
+        ["--n", "1000", "--n-features", "10", "--spec", "local-and-long"]),
+}
+
+
 def _criterion_8_inputs(tmp_path, case):
+    config, synth = CRITERION_8_THREAD_CASES.get(
+        case, (CRITERION_8_CONFIGS.get(case), CRITERION_8_SYNTH))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(CRITERION_8_CONFIGS[case]))
+    cfg_path.write_text(json.dumps(config))
     csv = tmp_path / "synth.csv"
-    assert cli_run(["synth", "--n", "500", "--n-features", "6",
-                    "--spec", "strong-single", "--seed", "9",
-                    "--out", str(csv)]) == 0
+    assert cli_run(["synth", *synth, "--seed", "9", "--out", str(csv)]) == 0
     return cfg_path, csv
 
 
@@ -342,25 +356,27 @@ def test_criterion_8_cli_determinism(tmp_path, case):
            f"checkpoint.bin byte-identical: {same_ckpt}")
 
 
-@pytest.mark.parametrize("case", list(CRITERION_8_CONFIGS))
+@pytest.mark.parametrize("case", [*CRITERION_8_CONFIGS, *CRITERION_8_THREAD_CASES])
 def test_criterion_8_determinism_per_blas_thread_count(tmp_path, case):
     """Criterion 8's training, each run in a fresh process, twice with one
-    OpenBLAS thread and twice with two."""
+    OpenBLAS thread and twice with two: fits run at one thread, so all four
+    runs write the same bytes."""
     cfg_path, csv = _criterion_8_inputs(tmp_path, case)
     src = str(REPO_ROOT / "src")
-    results = {}
+    outs = {}
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        outs = [tmp_path / f"threads{threads}_{tag}" for tag in ("a", "b")]
-        for out in outs:
+        outs[threads] = [tmp_path / f"threads{threads}_{tag}" for tag in ("a", "b")]
+        for out in outs[threads]:
             subprocess.run([sys.executable, "-m", "creditnet.cli",
                             *_train_args(cfg_path, csv, out)], env=env, check=True)
-        results[threads] = _same_artifacts(*outs)
+    results = {f"OPENBLAS_NUM_THREADS={t}": _same_artifacts(*outs[t]) for t in outs}
+    results["=1 against =2"] = _same_artifacts(outs["1"][0], outs["2"][0])
     report(f"criterion-8 determinism per BLAS thread count ({case})",
            all(all(same) for same in results.values()),
-           "; ".join(f"OPENBLAS_NUM_THREADS={t}: report.json, checkpoint.bin "
-                     f"byte-identical {same}" for t, same in results.items()))
+           "; ".join(f"{what}: report.json, checkpoint.bin byte-identical {same}"
+                     for what, same in results.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import creditnet.blas as blas
 import creditnet.cli as cli
 import creditnet.training as training
 from creditnet.cli import run
@@ -82,6 +83,26 @@ class TestTrain:
         assert manifest["resolved_config"]["model"]["n_features"] == 6
         assert manifest["seed_override"] == 7
         assert "wall_clock_seconds" in manifest
+
+    def test_manifest_records_the_blas(self, trained):
+        info = json.loads((trained / "manifest.json").read_text())["blas"]
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (info["name"], info["version"]) == (build["name"], build["version"])
+        if blas.threads() is None:
+            assert info["threads"] is None and info["fit_threads"] is None
+        else:  # the caller's count, read after the fit restored it
+            assert info["threads"] == blas.threads() >= 1
+            assert info["fit_threads"] == training.FIT_THREADS == 1
+
+    def test_manifest_counts_are_null_without_the_thread_calls(self, workspace, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr(blas, "SYMBOLS", (("no_such_get", "no_such_set"),))
+        out = tmp_path / "run"
+        assert run(["train", "--config", workspace["config"], "--data", workspace["csv"],
+                    "--out", str(out), "--seed", "7"]) == 0
+        info = json.loads((out / "manifest.json").read_text())["blas"]
+        assert info["threads"] is None and info["fit_threads"] is None
+        assert info["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
 
     def test_byte_identical_rerun(self, trained, workspace):
         out2 = workspace["root"] / "run_again"
@@ -366,10 +387,10 @@ FAULTS = [
      1, "subsample seed must be int >= 0, got -1"),
     ("string-imputation-value", "config",
      {"schema": {"imputation": {"kind": "constant", "value": "abc"}}}, 1,
-     "ConstantFill key 'value' must be float, got 'abc'"),
+     "ConstantFill key 'value' must be finite float, got 'abc'"),
     ("nan-imputation-value", "config",
      {"schema": {"imputation": {"kind": "constant", "value": float("nan")}}}, 1,
-     "ConstantFill value must be finite, got nan"),
+     "ConstantFill key 'value' must be finite float, got nan"),
     ("imputation-object-key", "config",
      {"schema": {"imputation": {"kind": "constant", "valu": 5}}}, 1,
      "unknown ConstantFill key(s) ['valu']; allowed: value, kind"),

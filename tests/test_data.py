@@ -168,10 +168,11 @@ class TestSchemaConfig:
 
     @pytest.mark.parametrize("fill, message", [
         ({"kind": "constant", "value": float("inf")},
-         "^ConstantFill value must be finite, got inf"),
-        ({"kind": "constant", "value": 10 ** 400}, "^ConstantFill value must be finite"),
+         "^ConstantFill key 'value' must be finite float, got inf"),
+        ({"kind": "constant", "value": 10 ** 400},
+         "^ConstantFill key 'value' must be finite float, got 10{400}$"),
         ({"kind": "constant", "value": True},
-         "^ConstantFill key 'value' must be float, got True"),
+         "^ConstantFill key 'value' must be finite float, got True"),
     ], ids=["inf", "huge-int", "bool"])
     def test_bad_constant_fill_is_a_config_error(self, fill, message):
         with pytest.raises(ConfigError, match=message):
@@ -418,8 +419,11 @@ class TestSynth:
         ({"linear": (1.0, None)}, "^SynthSpec key 'linear' must be tuple"),
         ({"pairs": ((0, 1),)}, "^SynthSpec key 'pairs' must be tuple"),
         ({"motifs": ((0, 1.5, 2.0),)}, "^SynthSpec key 'motifs' must be tuple"),
-        ({"linear": (float("nan"),)}, "^SynthSpec coefficients must be finite"),
-        ({"pairs": ((0, 1, float("inf")),)}, "^SynthSpec coefficients must be finite"),
+        ({"linear": (float("nan"),)},
+         r"^SynthSpec key 'linear' must be tuple\[finite float, \.\.\.\], got \(nan,\)$"),
+        ({"pairs": ((0, 1, float("inf")),)},
+         r"^SynthSpec key 'pairs' must be tuple\[tuple\[int, int, finite float\], \.\.\.\], "
+         r"got \(\(0, 1, inf\),\)$"),
     ], ids=["none-weight", "short-pair", "float-width", "nan-weight", "inf-pair"])
     def test_bad_spec_is_a_config_error_where_it_is_built(self, fields, message):
         with pytest.raises(ConfigError, match=message):

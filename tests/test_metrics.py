@@ -310,7 +310,7 @@ def test_scores_and_labels_must_be_one_dimensional(fn, scores, labels):
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, "a", None, True])
 @pytest.mark.parametrize("fn", [accuracy, evaluate_scores])
 def test_threshold_must_be_a_finite_real(fn, threshold):
-    with pytest.raises(ConfigError, match="threshold must be a finite real number"):
+    with pytest.raises(ConfigError, match="^threshold must be finite Real, got "):
         fn([0.2, 0.7], [0, 1], threshold=threshold)
 
 

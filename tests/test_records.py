@@ -310,7 +310,9 @@ def test_every_hostile_argument_ends_as_a_creditnet_error(world, scratch_cwd, ca
 # ---------------------------------------------------------------------------
 
 COUNT, SEED, POSITIVE, RATE = "int >= 1", "int >= 0", "float > 0 and finite", "float in (0, 1)"
+FINITE, FINITE_REAL = "finite float", "finite Real"
 FRACTIONS = f"tuple[{RATE}, {RATE}, {RATE}]"
+COEFFS, TRIPLES = f"tuple[{FINITE}, ...]", f"tuple[tuple[int, int, {FINITE}], ...]"
 
 # (case, argument) -> the bound as messages spell it
 BOUNDED = {
@@ -345,10 +347,17 @@ BOUNDED = {
     ("synth_generate", "seed"): SEED,
     ("load_csv", "subsample"): "Optional[int >= 1]",
     ("load_csv", "seed"): SEED,
+    ("ConstantFill", "value"): FINITE,
+    ("SynthSpec", "linear"): COEFFS,
+    ("SynthSpec", "pairs"): TRIPLES,
+    ("SynthSpec", "motifs"): TRIPLES,
+    ("accuracy", "threshold"): FINITE_REAL,
+    ("evaluate_scores", "threshold"): FINITE_REAL,
 }
 
 # values at or past each bound's edges: k - 1, 0, -1, NaN, inf, 1 for the
-# open interval, and the bool that equals the edge
+# open interval, and the bool that equals the edge; a finite number's edges
+# are NaN, the infinities and an int beyond float64's range
 EDGES = {
     COUNT: [0, -1, math.nan, math.inf, True],
     SEED: [-1, math.nan, math.inf, False],
@@ -359,6 +368,10 @@ EDGES = {
     "tuple[int >= 1, ...]": [(0,), (32, -1), (math.nan,), (True,)],
     FRACTIONS: [(0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.5, -0.25, -0.25),
                 (math.nan, 0.5, 0.5), (0.5, math.inf, 0.5)],
+    FINITE: [math.nan, math.inf, -math.inf, 10**400, True],
+    FINITE_REAL: [math.nan, math.inf, -math.inf, 10**400, np.float32(math.nan), True],
+    COEFFS: [(math.nan,), (1.0, -math.inf), (10**400,), (True,)],
+    TRIPLES: [((0, 1, math.nan),), ((0, 1, 2.0), (1, 2, math.inf)), ((0, 1, True),)],
 }
 
 
