@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,15 +49,14 @@ from .errors import (
     UndefinedMetricError,
 )
 from .importance import permutation_importance
-from .metrics import auc, evaluate_scores
+from .metrics import auc
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .records import check_arg, config_from_dict, make_record, read_json_object, record_to_dict
 from .training import (
     FIT_THREADS,
     TrainConfig,
     ablate,
-    bce_loss,
-    predict_probs,
+    evaluate,
     stable_hash,
     sweep_lr,
     sweep_optimizer,
@@ -202,8 +201,9 @@ def prepare_out_dir(args) -> Path:
 
 
 def check_outputs(out: Path, names: tuple[str, ...]) -> None:
-    """Raise now, before training, the ``OSError`` that writing ``out/name``
-    would raise later: a directory in the file's place, or no write access."""
+    """Raise now, before any fit, scoring or generation, the ``OSError`` that
+    writing ``out/name`` would raise later: a directory in the file's place,
+    or no write access."""
     for name in names:
         path = out / name
         if path.is_dir():
@@ -213,27 +213,21 @@ def check_outputs(out: Path, names: tuple[str, ...]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the two command skeletons: train from a CSV, or score a checkpoint on one
+# run-directory commands: one skeleton, a table of inputs, outputs and runners
 # ---------------------------------------------------------------------------
 
 class TrainingInputs(NamedTuple):
-    t0: float
-    cfg: dict
-    out: Path
     data_path: Path
-    schema: SchemaConfig
-    split_spec: SplitSpec
+    resolved: dict  # the manifest's resolved config
     splits: Splits
     pre_stats: PreprocessStats
     model_cfg: ModelConfig
     train_cfg: TrainConfig
 
 
-def training_inputs(args) -> TrainingInputs:
-    """Config, out dir, prepared splits and seeded model/train configs."""
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
+def training_inputs(args, cfg: dict) -> TrainingInputs:
+    """Prepared splits and seeded model/train configs, resolved as every
+    section that decides a fit: model, train, schema, split, winsorize, data."""
     data_path = resolve_data_path(args)
     frame, schema = load_frame(data_path, cfg)
     split_spec = config_from_dict(SplitSpec, seeded_section(cfg, "split", args.seed))
@@ -241,16 +235,23 @@ def training_inputs(args) -> TrainingInputs:
     model_cfg = ModelConfig.from_dict({**seeded_section(cfg, "model", args.seed),
                                        "n_features": frame.n_features})
     train_cfg = TrainConfig.from_dict(seeded_section(cfg, "train", args.seed))
-    return TrainingInputs(t0, cfg, out, data_path, schema, split_spec, splits,
-                          pre_stats, model_cfg, train_cfg)
+    resolved = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
+                "schema": schema.to_dict(), "split": record_to_dict(split_spec),
+                "winsorize": cfg.get("winsorize"), "data": cfg.get("data") or {}}
+    return TrainingInputs(data_path, resolved, splits, pre_stats, model_cfg, train_cfg)
 
 
-def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, FeatureFrame]:
-    """Checkpoint model plus the CSV pushed through its preprocessing; the
-    checkpoint's schema applies unless the config names feature columns."""
-    t0 = time.perf_counter()
-    cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
+class CheckpointInputs(NamedTuple):
+    data_path: Path
+    resolved: dict  # the manifest's resolved config
+    model: Model
+    prepared: FeatureFrame
+
+
+def checkpoint_inputs(args, cfg: dict) -> CheckpointInputs:
+    """Checkpoint model plus the CSV pushed through its preprocessing, resolved
+    as model and schema; the checkpoint's schema applies unless the config
+    names feature columns."""
     model, header = load_checkpoint(args.checkpoint)
     if header["preprocess"] is None:
         raise ConfigError(f"checkpoint {args.checkpoint} lacks preprocessing statistics")
@@ -265,36 +266,9 @@ def checkpoint_inputs(args) -> tuple[float, Path, Model, Path, SchemaConfig, Fea
                           f"{n_stats} features, its model expects {model.config.n_features}")
     data_path = resolve_data_path(args)
     frame, schema = load_frame(data_path, cfg)
-    return t0, out, model, data_path, schema, apply_preprocess(frame, stats)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_train(args) -> int:
-    inputs = training_inputs(args)
-    check_outputs(inputs.out, ("report.json", "curves.csv", "checkpoint.bin", "manifest.json"))
-    model, report = train(inputs.model_cfg, inputs.train_cfg, inputs.splits)
-
-    write_json(inputs.out / "report.json", {"kind": "train", **report.to_dict()})
-    write_curves_csv(report, inputs.out / "curves.csv")
-    save_checkpoint(inputs.out / "checkpoint.bin", model,
-                    preprocess=inputs.pre_stats.to_dict(),
-                    extra={"schema": inputs.schema.to_dict()})
-    resolved = {
-        "model": inputs.model_cfg.to_dict(),
-        "train": inputs.train_cfg.to_dict(),
-        "schema": inputs.schema.to_dict(),
-        "split": record_to_dict(inputs.split_spec),
-        "winsorize": inputs.cfg.get("winsorize"),
-        "data": inputs.cfg.get("data") or {},
-    }
-    write_manifest(inputs.out, "train", args, resolved, inputs.data_path, inputs.t0)
-    test = report.final["test"]
-    print(f"train: done in {report.epochs_run} epochs; "
-          f"test acc={test.acc:.4f} auc={test.auc:.4f} ks={test.ks:.4f}")
-    return EXIT_OK
+    return CheckpointInputs(data_path, {"model": model.config.to_dict(),
+                                        "schema": schema.to_dict()},
+                            model, apply_preprocess(frame, stats))
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -307,81 +281,100 @@ def _parse_float_list(text: str, what: str) -> list[float]:
     return values
 
 
-def _lr_rows(args, model_cfg, train_cfg, splits):
+# A runner takes (args, inputs, out dir), writes the command's own outputs and
+# returns (report payload, its manifest settings, the lines to print).
+
+def _train(args, inputs: TrainingInputs, out: Path):
+    model, report = train(inputs.model_cfg, inputs.train_cfg, inputs.splits)
+    write_curves_csv(report, out / "curves.csv")
+    save_checkpoint(out / "checkpoint.bin", model, preprocess=inputs.pre_stats.to_dict(),
+                    extra={"schema": inputs.resolved["schema"]})
+    test = report.final["test"]
+    return report.to_dict(), {}, [f"train: done in {report.epochs_run} epochs; "
+                                  f"test acc={test.acc:.4f} auc={test.auc:.4f} ks={test.ks:.4f}"]
+
+
+def _rows(rows: list[dict], settings: dict):
+    return {"rows": rows}, settings, [_row_line(row) for row in rows]
+
+
+def _sweep_lr(args, inputs: TrainingInputs, out: Path):
     lrs = _parse_float_list(args.lrs, "learning-rate")
-    return sweep_lr(model_cfg, train_cfg, lrs, splits), {"lrs": lrs}
+    return _rows(sweep_lr(inputs.model_cfg, inputs.train_cfg, lrs, inputs.splits),
+                 {"lrs": lrs})
 
 
-def _opt_rows(args, model_cfg, train_cfg, splits):
+def _sweep_opt(args, inputs: TrainingInputs, out: Path):
     lrs = _parse_float_list(args.lrs, "learning-rate")
     optimizers = [tok.strip() for tok in args.optimizers.split(",") if tok.strip()]
-    rows = sweep_optimizer(model_cfg, train_cfg, lrs, splits, optimizers)
-    return rows, {"lrs": lrs, "optimizers": optimizers}
+    return _rows(sweep_optimizer(inputs.model_cfg, inputs.train_cfg, lrs, inputs.splits,
+                                 optimizers), {"lrs": lrs, "optimizers": optimizers})
 
 
-def _ablate_rows(args, model_cfg, train_cfg, splits):
-    return ablate(model_cfg, train_cfg, splits), {}
+def _ablate(args, inputs: TrainingInputs, out: Path):
+    return _rows(ablate(inputs.model_cfg, inputs.train_cfg, inputs.splits), {})
 
 
-# command -> runner returning (rows, extra manifest fields)
-ROW_COMMANDS = {"sweep-lr": _lr_rows, "sweep-opt": _opt_rows, "ablate": _ablate_rows}
+def _eval(args, inputs: CheckpointInputs, out: Path):
+    loss, metrics = evaluate(inputs.model, inputs.prepared)
+    n_rows = inputs.prepared.n_rows
+    return ({"checkpoint": str(args.checkpoint), "n_rows": n_rows, "loss": loss,
+             "metrics": metrics.to_dict()}, {},
+            [f"eval: n={n_rows} acc={metrics.acc:.4f} "
+             f"auc={metrics.auc:.4f} ks={metrics.ks:.4f}"])
 
 
-def cmd_rows(args) -> int:
-    """sweep-lr, sweep-opt and ablate: one training run per report row."""
-    inputs = training_inputs(args)
-    check_outputs(inputs.out, ("report.json", "manifest.json"))
-    rows, extra = ROW_COMMANDS[args.command](args, inputs.model_cfg,
-                                             inputs.train_cfg, inputs.splits)
-    write_json(inputs.out / "report.json", {"kind": args.command, "rows": rows})
-    write_manifest(inputs.out, args.command, args,
-                   {"model": inputs.model_cfg.to_dict(),
-                    "train": inputs.train_cfg.to_dict(), **extra},
-                   inputs.data_path, inputs.t0)
-    for row in rows:
-        print(_row_line(row))
-    return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    t0, out, model, data_path, schema, prepared = checkpoint_inputs(args)
-    probs = predict_probs(model, prepared.X)
-    loss, _ = bce_loss(probs, prepared.y)
-    metrics = evaluate_scores(probs, prepared.y)
-    write_json(out / "report.json", {
-        "kind": "eval",
-        "checkpoint": str(args.checkpoint),
-        "n_rows": prepared.n_rows,
-        "loss": loss,
-        "metrics": metrics.to_dict(),
-    })
-    write_manifest(out, "eval", args, {"model": model.config.to_dict(),
-                                       "schema": schema.to_dict()}, data_path, t0)
-    print(f"eval: n={prepared.n_rows} acc={metrics.acc:.4f} "
-          f"auc={metrics.auc:.4f} ks={metrics.ks:.4f}")
-    return EXIT_OK
-
-
-def cmd_importance(args) -> int:
-    t0, out, model, data_path, _, prepared = checkpoint_inputs(args)
-    report = permutation_importance(model, prepared, metric=args.metric,
+def _importance(args, inputs: CheckpointInputs, out: Path):
+    report = permutation_importance(inputs.model, inputs.prepared, metric=args.metric,
                                     repeats=args.repeats,
                                     seed=0 if args.seed is None else args.seed)
     (out / "importance.csv").write_text(report.to_csv(), encoding="utf-8")
-    write_json(out / "report.json", {"kind": "importance", **report.to_dict()})
-    write_manifest(out, "importance", args, {"model": model.config.to_dict(),
-                                             "metric": args.metric,
-                                             "repeats": args.repeats},
-                   data_path, t0)
     top = report.features[0]
-    print(f"importance: baseline {report.metric}={report.baseline:.4f}; "
-          f"top feature {top.feature} (drop {top.mean_drop:.4f})")
+    return (report.to_dict(), {"metric": args.metric, "repeats": args.repeats},
+            [f"importance: baseline {report.metric}={report.baseline:.4f}; "
+             f"top feature {top.feature} (drop {top.mean_drop:.4f})"])
+
+
+class RunCommand(NamedTuple):
+    inputs: Callable  # (args, config) -> TrainingInputs | CheckpointInputs
+    outputs: tuple[str, ...]  # files it writes besides report.json and manifest.json
+    runner: Callable
+
+
+RUN_COMMANDS = {
+    "train": RunCommand(training_inputs, ("curves.csv", "checkpoint.bin"), _train),
+    "sweep-lr": RunCommand(training_inputs, (), _sweep_lr),
+    "sweep-opt": RunCommand(training_inputs, (), _sweep_opt),
+    "ablate": RunCommand(training_inputs, (), _ablate),
+    "eval": RunCommand(checkpoint_inputs, (), _eval),
+    "importance": RunCommand(checkpoint_inputs, ("importance.csv",), _importance),
+}
+ROW_KINDS = ("sweep-lr", "sweep-opt", "ablate")  # commands whose report is one row per fit
+
+
+def cmd_run(args) -> int:
+    """Every run-directory command: read the inputs, check every output the
+    command writes, run, then write report.json and manifest.json and print."""
+    t0 = time.perf_counter()
+    command = RUN_COMMANDS[args.command]
+    cfg = read_config_file(args.config)
+    out = prepare_out_dir(args)
+    inputs = command.inputs(args, cfg)
+    check_outputs(out, ("report.json", *command.outputs, "manifest.json"))
+    report, settings, lines = command.runner(args, inputs, out)
+    write_json(out / "report.json", {"kind": args.command, **report})
+    write_manifest(out, args.command, args, {**inputs.resolved, **settings},
+                   inputs.data_path, t0)
+    for line in lines:
+        print(line)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    meta_path = Path(str(out_path) + ".meta.json")
+    check_outputs(out_path.parent, (out_path.name, meta_path.name))
     spec = synth_preset(args.spec, args.n_features)
     seed = 0 if args.seed is None else args.seed
     frame, bayes = synth_generate(args.n, args.n_features, seed, spec)
@@ -401,7 +394,7 @@ def cmd_synth(args) -> int:
         "bayes_auc": auc(bayes, frame.y) if 0 < frame.y.sum() < frame.n_rows else None,
         "positive_rate": float(frame.y.mean()),
     }
-    write_json(Path(str(out_path) + ".meta.json"), meta)
+    write_json(meta_path, meta)
     print(f"synth: wrote {frame.n_rows} rows to {out_path} "
           f"(bayes auc {meta['bayes_auc']})")
     return EXIT_OK
@@ -427,7 +420,7 @@ def report_lines(kind, payload: dict):
             yield (f"{split_name:6s} acc={m['acc']:.4f} auc={m['auc']:.4f} "
                    f"ks={m['ks']:.4f} (n_pos={m['n_pos']}, n_neg={m['n_neg']})")
         yield f"epochs_run={payload['epochs_run']} best_epoch={payload['best_epoch']}"
-    elif kind in ROW_COMMANDS:
+    elif kind in ROW_KINDS:
         yield from map(_row_line, payload["rows"])
     elif kind == "eval":
         m = payload["metrics"]
@@ -479,34 +472,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train one model")
     common(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep-lr", help="learning-rate sensitivity table")
     common(p)
     p.add_argument("--lrs", default=",".join(str(x) for x in DEFAULT_LR_GRID))
-    p.set_defaults(func=cmd_rows)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep-opt", help="optimizer x learning-rate grid")
     common(p)
     p.add_argument("--lrs", default=",".join(str(x) for x in DEFAULT_LR_GRID))
     p.add_argument("--optimizers", default="sgd,adam")
-    p.set_defaults(func=cmd_rows)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="cnn_only / transformer_only / hybrid table")
     common(p)
-    p.set_defaults(func=cmd_rows)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("importance", help="permutation feature importance")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--metric", default="auc", choices=("auc", "accuracy"))
     p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(func=cmd_importance)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic CSV with known Bayes score")
     p.add_argument("--n", type=int, required=True)

@@ -520,23 +520,14 @@ def split(frame: FeatureFrame, spec: SplitSpec) -> Splits:
         raise ConfigError(f"need at least 10 rows to split, got {n}")
     rng = np.random.default_rng(spec.seed)
 
+    groups = ([np.flatnonzero(frame.y == 0), np.flatnonzero(frame.y == 1)]
+              if spec.stratified else [np.arange(n)])
     buckets: list[list[np.ndarray]] = [[], [], []]
-    if spec.stratified:
-        for cls in (0, 1):
-            idx = np.flatnonzero(frame.y == cls)
-            idx = rng.permutation(idx)
-            sizes = _largest_remainder(idx.size, spec.fractions)
-            stops = np.cumsum(sizes)
-            buckets[0].append(idx[: stops[0]])
-            buckets[1].append(idx[stops[0]: stops[1]])
-            buckets[2].append(idx[stops[1]:])
-    else:
-        idx = rng.permutation(n)
-        sizes = _largest_remainder(n, spec.fractions)
-        stops = np.cumsum(sizes)
-        buckets[0].append(idx[: stops[0]])
-        buckets[1].append(idx[stops[0]: stops[1]])
-        buckets[2].append(idx[stops[1]:])
+    for idx in groups:
+        idx = rng.permutation(idx)
+        stops = np.cumsum(_largest_remainder(idx.size, spec.fractions))
+        for bucket, part in zip(buckets, np.split(idx, stops[:2])):
+            bucket.append(part)
 
     parts = [np.sort(np.concatenate(b)) for b in buckets]
     for name, p in zip(("train", "val", "test"), parts):

@@ -56,7 +56,7 @@ from .tensor_ops import (
     softmax_rows_backward,
 )
 
-VARIANTS = ("hybrid", "cnn_only", "transformer_only")  # what ``ablate`` trains
+VARIANTS = ("cnn_only", "transformer_only", "hybrid")  # what ``ablate`` trains, in row order
 BASELINE = "logistic"  # the linear floor, outside the ablation
 
 PROB_CLAMP = 1e-15  # keeps outputs strictly inside (0, 1)
@@ -127,13 +127,6 @@ class ModelConfig:
 
     def uses_transformer(self) -> bool:
         return self.variant in ("hybrid", "transformer_only")
-
-    def sequence_length(self) -> int:
-        """Token count entering the post-conv stage."""
-        if not self.uses_conv():
-            return self.n_features
-        l1 = conv_out_len(self.n_features, self.conv.kernel, self.conv.stride)
-        return conv_out_len(l1, self.conv.pool_window, self.conv.pool_stride)
 
 
 def conv_out_len(length: int, window: int, stride: int) -> int:

@@ -24,7 +24,7 @@ from . import blas
 from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError, StateError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
-from .model import BASELINE, Model, ModelConfig, ParamStore
+from .model import BASELINE, VARIANTS, Model, ModelConfig, ParamStore
 from .records import Count, Positive, Rate, Seed, check_arg, record, record_to_dict
 from .tensor_ops import as_f64
 
@@ -425,7 +425,7 @@ def ablate(model_cfg: ModelConfig, train_cfg: TrainConfig,
     """Train cnn_only / transformer_only / hybrid on shared data and seed."""
     _check_run(model_cfg, train_cfg, splits)
     rows = []
-    for variant in ("cnn_only", "transformer_only", "hybrid"):
+    for variant in VARIANTS:
         cfg = replace(model_cfg, variant=variant)
         rows.append(_run_row(cfg, train_cfg, splits, {"variant": variant}))
     return rows

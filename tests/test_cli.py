@@ -11,7 +11,9 @@ import creditnet.blas as blas
 import creditnet.cli as cli
 import creditnet.training as training
 from creditnet.cli import run
+from creditnet.data import SplitSpec, split
 from creditnet.errors import ShapeError, StateError
+from creditnet.model import Model
 
 
 FAST_CONFIG = {
@@ -47,6 +49,30 @@ def trained(workspace):
                 "--data", workspace["csv"], "--out", str(out), "--seed", "7"])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def runs(workspace, trained):
+    """One run directory per run-directory command, each made once."""
+    data = ["--config", workspace["config"], "--data", workspace["csv"]]
+    checkpoint = ["--checkpoint", str(trained / "checkpoint.bin"), "--data", workspace["csv"]]
+    argvs = {
+        "eval": ["eval", *checkpoint],
+        "sweep-lr": ["sweep-lr", *data, "--lrs", "0.01,0.001", "--seed", "3"],
+        "sweep-opt": ["sweep-opt", *data, "--lrs", "0.01", "--optimizers", "sgd,adam",
+                      "--seed", "3"],
+        "ablate": ["ablate", *data, "--seed", "3"],
+        "importance": ["importance", *checkpoint, "--repeats", "2", "--seed", "0"],
+    }
+    dirs = {"train": trained}
+    for kind, argv in argvs.items():
+        dirs[kind] = workspace["root"] / kind
+        assert run([*argv, "--out", str(dirs[kind])]) == 0
+    return dirs
+
+
+def _report(run_dir):
+    return json.loads((run_dir / "report.json").read_text())
 
 
 class TestSynth:
@@ -186,61 +212,102 @@ class TestSynthTrainBayesGap:
 
 
 class TestEval:
-    def test_eval_roundtrip(self, trained, workspace, tmp_path):
-        out = tmp_path / "eval"
-        code = run(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
-                    "--data", workspace["csv"], "--out", str(out)])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
+    def test_eval_roundtrip(self, runs):
+        report = _report(runs["eval"])
         assert report["kind"] == "eval"
         assert report["n_rows"] == 600
         assert 0.0 <= report["metrics"]["auc"] <= 1.0
 
+    def test_winsorized_mean_imputed_run_round_trips(self, workspace, tmp_path):
+        text = Path(workspace["csv"]).read_text()
+        for line in (3, 40, 200):
+            text = _set_cell(text, line, "f1", "NA")
+        data = tmp_path / "outlier.csv"
+        data.write_text(_set_cell(text, 9, "f2", "1e6"))
+        winsorize = {"lower_quantile": 0.05, "upper_quantile": 0.95}
+        cfg = {**FAST_CONFIG, "train": {"epochs": 1, "early_stop": None},
+               "schema": {"imputation": "mean"}, "winsorize": winsorize}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", str(config), "--data", str(data),
+                    "--out", str(run_dir)]) == 0
+        resolved = json.loads((run_dir / "manifest.json").read_text())["resolved_config"]
+        assert resolved["winsorize"] == winsorize
+        assert resolved["schema"]["imputation"] == "mean"
+
+        # the fill for f1 is the mean of its observed train-split cells
+        header_line, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        frame, _ = cli.load_frame(data, cfg)
+        f1 = split(frame, SplitSpec.from_dict(resolved["split"])).train.X[:, 1]
+        assert header["preprocess"]["impute"]["fill_values"][1] == np.mean(f1[~np.isnan(f1)])
+
+        # eval clips the outlier to the checkpoint's winsor bounds
+        unclipped = tmp_path / "unclipped.bin"
+        unclipped.write_bytes(json.dumps(_set_header(header, ("preprocess", "winsor"), None))
+                              .encode() + b"\n" + payload)
+        reports = []
+        for checkpoint in (run_dir / "checkpoint.bin", unclipped):
+            out = tmp_path / checkpoint.stem
+            assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                        "--out", str(out)]) == 0
+            reports.append(_report(out))
+        assert header["preprocess"]["winsor"]["upper"][2] < 1e6
+        assert reports[0]["n_rows"] == reports[1]["n_rows"] == 600
+        assert reports[0]["loss"] != reports[1]["loss"]
+
 
 class TestSweeps:
-    def test_sweep_lr_rows(self, workspace, tmp_path):
-        out = tmp_path / "sweep"
-        code = run(["sweep-lr", "--config", workspace["config"],
-                    "--data", workspace["csv"], "--out", str(out),
-                    "--lrs", "0.01,0.001", "--seed", "3"])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
+    def test_sweep_lr_rows(self, runs):
+        report = _report(runs["sweep-lr"])
         assert report["kind"] == "sweep-lr"
         assert [row["lr"] for row in report["rows"]] == [0.01, 0.001]
 
-    def test_sweep_opt_grid(self, workspace, tmp_path):
-        out = tmp_path / "sweepopt"
-        code = run(["sweep-opt", "--config", workspace["config"],
-                    "--data", workspace["csv"], "--out", str(out),
-                    "--lrs", "0.01", "--optimizers", "sgd,adam", "--seed", "3"])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        combos = {(r["optimizer"], r["lr"]) for r in report["rows"]}
+    def test_sweep_opt_grid(self, runs):
+        combos = {(r["optimizer"], r["lr"]) for r in _report(runs["sweep-opt"])["rows"]}
         assert combos == {("sgd", 0.01), ("adam", 0.01)}
+
+    def test_manifest_resolves_the_sections_that_decided_the_splits(self, runs):
+        resolved = json.loads((runs["sweep-lr"] / "manifest.json").read_text())[
+            "resolved_config"]
+        assert resolved["split"] == {"fractions": [0.7, 0.15, 0.15], "seed": 3,
+                                     "stratified": True}
+        assert resolved["schema"]["feature_columns"] == [f"f{i}" for i in range(6)]
+        assert resolved["winsorize"] is None and resolved["data"] == {}
+        assert resolved["model"]["seed"] == resolved["train"]["seed"] == 3
+        assert resolved["lrs"] == [0.01, 0.001]
+
+
+TRAINING_SECTIONS = {"model", "train", "schema", "split", "winsorize", "data"}
+
+
+@pytest.mark.parametrize("kind, sections", [
+    ("train", TRAINING_SECTIONS),
+    ("sweep-lr", TRAINING_SECTIONS | {"lrs"}),
+    ("sweep-opt", TRAINING_SECTIONS | {"lrs", "optimizers"}),
+    ("ablate", TRAINING_SECTIONS),
+    ("eval", {"model", "schema"}),
+    ("importance", {"model", "schema", "metric", "repeats"}),
+])
+def test_manifest_resolved_config_sections(kind, sections, runs):
+    manifest = json.loads((runs[kind] / "manifest.json").read_text())
+    assert manifest["command"] == kind
+    assert set(manifest["resolved_config"]) == sections
 
 
 class TestAblate:
-    def test_fixed_row_set(self, workspace, tmp_path):
-        out = tmp_path / "abl"
-        code = run(["ablate", "--config", workspace["config"],
-                    "--data", workspace["csv"], "--out", str(out), "--seed", "3"])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert [r["variant"] for r in report["rows"]] == [
+    def test_fixed_row_set(self, runs):
+        assert [r["variant"] for r in _report(runs["ablate"])["rows"]] == [
             "cnn_only", "transformer_only", "hybrid"]
 
 
 class TestImportance:
-    def test_artifacts(self, trained, workspace, tmp_path):
-        out = tmp_path / "imp"
-        code = run(["importance", "--checkpoint", str(trained / "checkpoint.bin"),
-                    "--data", workspace["csv"], "--out", str(out),
-                    "--repeats", "2", "--seed", "0"])
-        assert code == 0
-        csv_lines = (out / "importance.csv").read_text().strip().split("\n")
+    def test_artifacts(self, runs):
+        csv_lines = (runs["importance"] / "importance.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "feature,mean_drop,std_drop"
         assert len(csv_lines) == 7
-        report = json.loads((out / "report.json").read_text())
+        report = _report(runs["importance"])
         assert report["kind"] == "importance"
         assert len(report["features"]) == 6
 
@@ -250,6 +317,30 @@ class TestReportCommand:
         assert run(["report", "--run", str(trained)]) == 0
         out = capsys.readouterr().out
         assert "test" in out and "auc=" in out
+
+    @pytest.mark.parametrize("kind", ["eval", "sweep-lr", "sweep-opt", "ablate", "importance"])
+    def test_prints_each_run_kind(self, kind, runs, capsys):
+        assert run(["report", "--run", str(runs[kind])]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == f"# {kind} report ({runs[kind] / 'report.json'})"
+        prefixes = {
+            "eval": ["n=600 loss="],
+            "sweep-lr": ["lr=0.01: acc=", "lr=0.001: acc="],
+            "sweep-opt": ["optimizer=sgd lr=0.01: acc=", "optimizer=adam lr=0.01: acc="],
+            "ablate": ["cnn_only: acc=", "transformer_only: acc=", "hybrid: acc="],
+            "importance": [f"{entry['feature']:24s} "
+                           for entry in _report(runs["importance"])["features"]],
+        }[kind]
+        assert len(lines) == len(prefixes)
+        assert all(line.startswith(prefix) for line, prefix in zip(lines, prefixes)), lines
+
+    def test_prints_failed_rows(self, tmp_path, capsys):
+        rows = [{"lr": 0.5, "status": "failed", "error": "loss is nan"},
+                {"lr": 0.1, "status": "failed"}]
+        (tmp_path / "report.json").write_text(json.dumps({"kind": "sweep-lr", "rows": rows}))
+        assert run(["report", "--run", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "lr=0.5: FAILED (loss is nan)", "lr=0.1: FAILED (unknown)"]
 
     def test_missing_report_is_data_error(self, tmp_path):
         assert run(["report", "--run", str(tmp_path)]) == 2
@@ -337,7 +428,7 @@ FAULTS = [
     ("train-key", "config", {"train": {"epoch": 3}}, 1, "unknown TrainConfig key(s) ['epoch']"),
     ("model-key", "config", {"model": {"dembed": 3}}, 1, "unknown ModelConfig key(s) ['dembed']"),
     ("unknown-variant", "config", {"model": {"variant": "linear"}}, 1,
-     "unknown variant 'linear'; expected ('hybrid', 'cnn_only', 'transformer_only', "
+     "unknown variant 'linear'; expected ('cnn_only', 'transformer_only', 'hybrid', "
      "'logistic')"),
     ("conv-key", "config", {"model": {"conv": {"chanels": 4}}}, 1, "ConvSpec key(s) ['chanels']"),
     ("attn-key", "config", {"model": {"attn": {"heads": 2}}}, 1, "AttnSpec key(s) ['heads']"),
@@ -517,7 +608,7 @@ class TestFaults:
         def refuse(model, X):
             raise error("refused")
 
-        monkeypatch.setattr(cli, "predict_probs", refuse)
+        monkeypatch.setattr(training, "predict_probs", refuse)
         assert run(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
                     "--data", workspace["csv"], "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "model error: refused\n"
@@ -570,7 +661,8 @@ class TestFaults:
         assert err.startswith(f"config error: config file {config} is not valid JSON: ")
 
     @pytest.mark.parametrize("case", ["train-out-is-a-file", "checkpoint-is-a-directory",
-                                      "synth-out-is-a-directory"])
+                                      "synth-out-is-a-directory",
+                                      "synth-meta-is-a-directory"])
     def test_unwritable_output_path_exits_1_naming_it(self, case, workspace, tmp_path,
                                                       capsys):
         train = ["train", "--config", workspace["config"], "--data", workspace["csv"]]
@@ -582,12 +674,18 @@ class TestFaults:
             bad = tmp_path / "run" / "checkpoint.bin"
             bad.mkdir(parents=True)
             argv = [*train, "--out", str(bad.parent)]
-        else:
+        elif case == "synth-out-is-a-directory":
             bad = tmp_path
             argv = ["synth", "--n", "200", "--out", str(bad)]
+        else:
+            bad = tmp_path / "synth.csv.meta.json"
+            bad.mkdir()
+            argv = ["synth", "--n", "200", "--out", str(tmp_path / "synth.csv")]
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"path error: {bad}: ") and err.count("\n") == 1
+        if case == "synth-meta-is-a-directory":  # no CSV without the meta file
+            assert [p.name for p in tmp_path.iterdir()] == [bad.name]
 
     @pytest.mark.parametrize("name", ["report.json", "curves.csv", "checkpoint.bin",
                                       "manifest.json"])
@@ -616,5 +714,21 @@ class TestFaults:
         bad.mkdir(parents=True)
         assert run([command, "--config", workspace["config"], "--data", workspace["csv"],
                     "--out", str(bad.parent)]) == 1
+        assert capsys.readouterr().err == f"path error: {bad}: Is a directory\n"
+        assert [p.name for p in bad.parent.iterdir()] == [name]
+
+    @pytest.mark.parametrize("command, name", [
+        ("eval", "report.json"), ("eval", "manifest.json"), ("importance", "report.json"),
+        ("importance", "importance.csv"), ("importance", "manifest.json")])
+    def test_checkpoint_command_output_in_the_way_fails_before_scoring(
+            self, command, name, workspace, trained, tmp_path, capsys, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError(f"{command} scored although an output cannot be written")
+
+        monkeypatch.setattr(Model, "forward", no_scoring)
+        bad = tmp_path / "run" / name
+        bad.mkdir(parents=True)
+        assert run([command, "--checkpoint", str(trained / "checkpoint.bin"),
+                    "--data", workspace["csv"], "--out", str(bad.parent)]) == 1
         assert capsys.readouterr().err == f"path error: {bad}: Is a directory\n"
         assert [p.name for p in bad.parent.iterdir()] == [name]

@@ -345,6 +345,15 @@ class TestSplit:
         seen = np.concatenate([p.X[:, 0] for p in parts])
         assert sorted(seen.tolist()) == list(range(53))
 
+    @pytest.mark.parametrize("stratified, rows", [
+        (False, [[0, 2, 7, 9, 10, 11], [3, 5, 6], [1, 4, 8]]),
+        (True, [[1, 4, 5, 6, 9, 10], [0, 3, 7, 8], [2, 11]]),
+    ])
+    def test_rows_are_pinned_in_both_modes(self, stratified, rows):
+        frame = frame_of(np.arange(12.0)[:, None], [0, 1] * 6)
+        parts = split(frame, SplitSpec((0.5, 0.25, 0.25), seed=2, stratified=stratified))
+        assert [p.X[:, 0].tolist() for p in parts] == rows
+
     def test_tiny_frame_rejected(self):
         with pytest.raises(ConfigError):
             split(frame_of(np.zeros((5, 1)), [0, 1, 0, 1, 0]), SplitSpec())

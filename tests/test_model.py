@@ -59,9 +59,6 @@ class TestModelConfig:
         again = ModelConfig.from_dict(SMALL.to_dict())
         assert again == SMALL
 
-    def test_sequence_length(self):
-        assert SMALL.sequence_length() == 3  # (8-3)+1=6 conv, (6-2)//2+1=3 pool
-
 
 class TestInitParams:
     def test_deterministic(self):
