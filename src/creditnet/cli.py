@@ -15,6 +15,7 @@ import argparse
 import errno
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -54,6 +55,7 @@ from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .records import check_arg, config_from_dict, make_record, read_json_object, record_to_dict
 from .training import (
     FIT_THREADS,
+    OPTIMIZERS,
     TrainConfig,
     ablate,
     evaluate,
@@ -66,7 +68,6 @@ from .training import (
 
 DATA_DIR_ENV = "CREDITNET_DATA_DIR"
 DEFAULT_DATA_FILE = "cs-training.csv"
-DEFAULT_LR_GRID = (0.005, 0.003, 0.002, 0.001)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,15 +79,35 @@ class UsageError(Exception):
     pass
 
 
-def seed_arg(text: str) -> int:
-    """``--seed``: an integer >= 0, as numpy's generators require."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return seed
+def int_arg(name: str, low: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def list_arg(name: str, item: Callable, holds: Callable, want: str) -> Callable[[str], list]:
+    """An argparse ``type=`` for a non-empty comma-separated list of ``item``
+    values, each of which ``holds``; ``want`` spells them out in the error."""
+    def parse(text: str) -> list:
+        try:
+            values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            values = []
+        if not values or not all(map(holds, values)):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a comma-separated list of {want}, got {text!r}")
+        return values
+    return parse
+
+
+seed_arg = int_arg("seed", 0)  # what numpy's generators take
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,12 +215,6 @@ def write_manifest(out_dir: Path, command: str, args, resolved: dict,
     write_json(out_dir / "manifest.json", manifest)
 
 
-def prepare_out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def check_outputs(out: Path, names: tuple[str, ...]) -> None:
     """Raise now, before any fit, scoring or generation, the ``OSError`` that
     writing ``out/name`` would raise later: a directory in the file's place,
@@ -213,7 +228,8 @@ def check_outputs(out: Path, names: tuple[str, ...]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# run-directory commands: one skeleton, a table of inputs, outputs and runners
+# run-directory commands: one skeleton, and a table row per command that
+# declares its help, inputs, outputs, runner and own flags
 # ---------------------------------------------------------------------------
 
 class TrainingInputs(NamedTuple):
@@ -271,18 +287,8 @@ def checkpoint_inputs(args, cfg: dict) -> CheckpointInputs:
                             model, apply_preprocess(frame, stats))
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"bad {what} list: {text!r}") from None
-    if not values:
-        raise UsageError(f"empty {what} list")
-    return values
-
-
 # A runner takes (args, inputs, out dir), writes the command's own outputs and
-# returns (report payload, its manifest settings, the lines to print).
+# returns (report payload, the lines to print).
 
 def _train(args, inputs: TrainingInputs, out: Path):
     model, report = train(inputs.model_cfg, inputs.train_cfg, inputs.splits)
@@ -290,36 +296,24 @@ def _train(args, inputs: TrainingInputs, out: Path):
     save_checkpoint(out / "checkpoint.bin", model, preprocess=inputs.pre_stats.to_dict(),
                     extra={"schema": inputs.resolved["schema"]})
     test = report.final["test"]
-    return report.to_dict(), {}, [f"train: done in {report.epochs_run} epochs; "
-                                  f"test acc={test.acc:.4f} auc={test.auc:.4f} ks={test.ks:.4f}"]
+    return report.to_dict(), [f"train: done in {report.epochs_run} epochs; "
+                              f"test acc={test.acc:.4f} auc={test.auc:.4f} ks={test.ks:.4f}"]
 
 
-def _rows(rows: list[dict], settings: dict):
-    return {"rows": rows}, settings, [_row_line(row) for row in rows]
-
-
-def _sweep_lr(args, inputs: TrainingInputs, out: Path):
-    lrs = _parse_float_list(args.lrs, "learning-rate")
-    return _rows(sweep_lr(inputs.model_cfg, inputs.train_cfg, lrs, inputs.splits),
-                 {"lrs": lrs})
-
-
-def _sweep_opt(args, inputs: TrainingInputs, out: Path):
-    lrs = _parse_float_list(args.lrs, "learning-rate")
-    optimizers = [tok.strip() for tok in args.optimizers.split(",") if tok.strip()]
-    return _rows(sweep_optimizer(inputs.model_cfg, inputs.train_cfg, lrs, inputs.splits,
-                                 optimizers), {"lrs": lrs, "optimizers": optimizers})
-
-
-def _ablate(args, inputs: TrainingInputs, out: Path):
-    return _rows(ablate(inputs.model_cfg, inputs.train_cfg, inputs.splits), {})
+def _rows(grid: Callable) -> Callable:
+    """The runner of a command whose report is one row per fit: ``grid`` (a
+    ``training`` sweep) gets the inputs' configs and splits and the command's flags."""
+    def runner(args, inputs: TrainingInputs, out: Path):
+        rows = grid(inputs.model_cfg, inputs.train_cfg, splits=inputs.splits, **own_flags(args))
+        return {"rows": rows}, [_row_line(row) for row in rows]
+    return runner
 
 
 def _eval(args, inputs: CheckpointInputs, out: Path):
     loss, metrics = evaluate(inputs.model, inputs.prepared)
     n_rows = inputs.prepared.n_rows
     return ({"checkpoint": str(args.checkpoint), "n_rows": n_rows, "loss": loss,
-             "metrics": metrics.to_dict()}, {},
+             "metrics": metrics.to_dict()},
             [f"eval: n={n_rows} acc={metrics.acc:.4f} "
              f"auc={metrics.auc:.4f} ks={metrics.ks:.4f}"])
 
@@ -330,40 +324,65 @@ def _importance(args, inputs: CheckpointInputs, out: Path):
                                     seed=0 if args.seed is None else args.seed)
     (out / "importance.csv").write_text(report.to_csv(), encoding="utf-8")
     top = report.features[0]
-    return (report.to_dict(), {"metric": args.metric, "repeats": args.repeats},
+    return (report.to_dict(),
             [f"importance: baseline {report.metric}={report.baseline:.4f}; "
              f"top feature {top.feature} (drop {top.mean_drop:.4f})"])
 
 
 class RunCommand(NamedTuple):
+    help: str
     inputs: Callable  # (args, config) -> TrainingInputs | CheckpointInputs
     outputs: tuple[str, ...]  # files it writes besides report.json and manifest.json
     runner: Callable
+    flags: tuple = ()  # (name, add_argument keywords) per own flag; the manifest records each
 
 
+LRS_FLAG = ("lrs", {"type": list_arg("lrs", float, lambda lr: lr > 0 and math.isfinite(lr),
+                                     "numbers > 0 and finite"),
+                    "default": "0.005,0.003,0.002,0.001",
+                    "help": "comma-separated learning rates (default: %(default)s)"})
+OPTIMIZERS_FLAG = ("optimizers", {
+    "type": list_arg("optimizers", str, OPTIMIZERS.__contains__, f"names in {OPTIMIZERS}"),
+    "default": "sgd,adam", "help": "comma-separated optimizers (default: %(default)s)"})
 RUN_COMMANDS = {
-    "train": RunCommand(training_inputs, ("curves.csv", "checkpoint.bin"), _train),
-    "sweep-lr": RunCommand(training_inputs, (), _sweep_lr),
-    "sweep-opt": RunCommand(training_inputs, (), _sweep_opt),
-    "ablate": RunCommand(training_inputs, (), _ablate),
-    "eval": RunCommand(checkpoint_inputs, (), _eval),
-    "importance": RunCommand(checkpoint_inputs, ("importance.csv",), _importance),
+    "train": RunCommand("train one model", training_inputs,
+                        ("curves.csv", "checkpoint.bin"), _train),
+    "sweep-lr": RunCommand("learning-rate sensitivity table", training_inputs, (),
+                           _rows(sweep_lr), (LRS_FLAG,)),
+    "sweep-opt": RunCommand("optimizer x learning-rate grid", training_inputs, (),
+                            _rows(sweep_optimizer), (LRS_FLAG, OPTIMIZERS_FLAG)),
+    "ablate": RunCommand("cnn_only / transformer_only / hybrid table", training_inputs, (),
+                         _rows(ablate)),
+    "eval": RunCommand("evaluate a checkpoint on a CSV", checkpoint_inputs, (), _eval),
+    "importance": RunCommand(
+        "permutation feature importance", checkpoint_inputs, ("importance.csv",), _importance,
+        (("metric", {"default": "auc", "choices": ("auc", "accuracy"),
+                     "help": "score whose drop is measured (default: %(default)s)"}),
+         ("repeats", {"type": int_arg("repeats", 1), "default": 5,
+                      "help": "shuffles per feature (default: %(default)s)"}))),
 }
 ROW_KINDS = ("sweep-lr", "sweep-opt", "ablate")  # commands whose report is one row per fit
 
 
+def own_flags(args) -> dict:
+    """The values of the running command's own flags, by name."""
+    return {name: getattr(args, name) for name, _ in RUN_COMMANDS[args.command].flags}
+
+
 def cmd_run(args) -> int:
-    """Every run-directory command: read the inputs, check every output the
-    command writes, run, then write report.json and manifest.json and print."""
+    """Every run-directory command, its flags already parsed: read the inputs,
+    make ``--out`` and check every output the command writes, run, then write
+    report.json and manifest.json and print."""
     t0 = time.perf_counter()
     command = RUN_COMMANDS[args.command]
     cfg = read_config_file(args.config)
-    out = prepare_out_dir(args)
     inputs = command.inputs(args, cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     check_outputs(out, ("report.json", *command.outputs, "manifest.json"))
-    report, settings, lines = command.runner(args, inputs, out)
+    report, lines = command.runner(args, inputs, out)
     write_json(out / "report.json", {"kind": args.command, **report})
-    write_manifest(out, args.command, args, {**inputs.resolved, **settings},
+    write_manifest(out, args.command, args, {**inputs.resolved, **own_flags(args)},
                    inputs.data_path, t0)
     for line in lines:
         print(line)
@@ -461,45 +480,19 @@ def build_parser() -> _Parser:
                      description="Hybrid CNN+Transformer credit-default experiments")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def common(p, data=True):
+    for name, command in RUN_COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="merged JSON config file")
-        if data:
-            p.add_argument("--data", help=f"CSV path (default: ${DATA_DIR_ENV}/"
-                                          f"{DEFAULT_DATA_FILE})")
+        p.add_argument("--data", help=f"CSV path (default: ${DATA_DIR_ENV}/"
+                                      f"{DEFAULT_DATA_FILE})")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=seed_arg, default=None,
                        help="override every seed in the run")
-
-    p = sub.add_parser("train", help="train one model")
-    common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a CSV")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep-lr", help="learning-rate sensitivity table")
-    common(p)
-    p.add_argument("--lrs", default=",".join(str(x) for x in DEFAULT_LR_GRID))
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("sweep-opt", help="optimizer x learning-rate grid")
-    common(p)
-    p.add_argument("--lrs", default=",".join(str(x) for x in DEFAULT_LR_GRID))
-    p.add_argument("--optimizers", default="sgd,adam")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("ablate", help="cnn_only / transformer_only / hybrid table")
-    common(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("importance", help="permutation feature importance")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--metric", default="auc", choices=("auc", "accuracy"))
-    p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(func=cmd_run)
+        if command.inputs is checkpoint_inputs:
+            p.add_argument("--checkpoint", required=True, help="a train run's checkpoint.bin")
+        for flag, spec in command.flags:
+            p.add_argument(f"--{flag}", **spec)
+        p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic CSV with known Bayes score")
     p.add_argument("--n", type=int, required=True)

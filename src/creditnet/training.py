@@ -375,31 +375,38 @@ def train_baseline_logistic(train_cfg: TrainConfig,
 # experiment runners
 # ---------------------------------------------------------------------------
 
-def _run_row(model_cfg, train_cfg, splits, label: dict) -> dict:
-    row = dict(label)
-    try:
-        _, report = train(model_cfg, train_cfg, splits)
-        row["status"] = "ok"
-        row["metrics"] = {s: m.to_dict() for s, m in report.final.items()}
-        row["epochs_run"] = report.epochs_run
-    except (NumericError, ConfigError) as exc:
-        row["status"] = "failed"
-        row["error"] = str(exc)
-    return row
+def _run_rows(cells: list, splits: Splits) -> list[dict]:
+    """One row per ``(model config, train config, row label)`` cell. The
+    callers build every cell first, so a bad grid value raises before any fit."""
+    rows = []
+    for model_cfg, train_cfg, label in cells:
+        row = dict(label)
+        try:
+            _, report = train(model_cfg, train_cfg, splits)
+            row["status"] = "ok"
+            row["metrics"] = {s: m.to_dict() for s, m in report.final.items()}
+            row["epochs_run"] = report.epochs_run
+        except (NumericError, ConfigError) as exc:
+            row["status"] = "failed"
+            row["error"] = str(exc)
+        rows.append(row)
+    return rows
+
+
+def _check_grid(name: str, values, hint) -> None:
+    """Raise ``ConfigError`` unless the sweep axis ``values`` fits ``hint`` and is non-empty."""
+    check_arg(name, values, hint)
+    if not values:
+        raise ConfigError(f"a sweep needs a non-empty {name} grid")
 
 
 def sweep_lr(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
              lrs: Sequence[float], splits: Splits) -> list[dict]:
     """One seeded run per learning rate, identical otherwise."""
     _check_run(model_cfg, base_train_cfg, splits)
-    check_arg("lrs", lrs, tuple[float, ...])
-    if not lrs:
-        raise ConfigError("sweep_lr needs a non-empty learning-rate grid")
-    return [
-        _run_row(model_cfg, replace(base_train_cfg, learning_rate=float(lr)),
-                 splits, {"lr": float(lr)})
-        for lr in lrs
-    ]
+    _check_grid("lrs", lrs, tuple[float, ...])
+    return _run_rows([(model_cfg, replace(base_train_cfg, learning_rate=float(lr)),
+                       {"lr": float(lr)}) for lr in lrs], splits)
 
 
 def sweep_optimizer(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
@@ -407,25 +414,17 @@ def sweep_optimizer(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
                     optimizers: Sequence[str] = OPTIMIZERS) -> list[dict]:
     """Full {optimizer} x {learning rate} grid."""
     _check_run(model_cfg, base_train_cfg, splits)
-    check_arg("lrs", lrs, tuple[float, ...])
-    check_arg("optimizers", optimizers, tuple[str, ...])
-    if not lrs:
-        raise ConfigError("sweep_optimizer needs a non-empty learning-rate grid")
-    rows = []
-    for opt in optimizers:
-        for lr in lrs:
-            cfg = replace(base_train_cfg, optimizer=opt, learning_rate=float(lr))
-            rows.append(_run_row(model_cfg, cfg, splits,
-                                 {"optimizer": opt, "lr": float(lr)}))
-    return rows
+    _check_grid("lrs", lrs, tuple[float, ...])
+    _check_grid("optimizers", optimizers, tuple[str, ...])
+    return _run_rows([(model_cfg, replace(base_train_cfg, optimizer=opt,
+                                          learning_rate=float(lr)),
+                       {"optimizer": opt, "lr": float(lr)})
+                      for opt in optimizers for lr in lrs], splits)
 
 
 def ablate(model_cfg: ModelConfig, train_cfg: TrainConfig,
            splits: Splits) -> list[dict]:
     """Train cnn_only / transformer_only / hybrid on shared data and seed."""
     _check_run(model_cfg, train_cfg, splits)
-    rows = []
-    for variant in VARIANTS:
-        cfg = replace(model_cfg, variant=variant)
-        rows.append(_run_row(cfg, train_cfg, splits, {"variant": variant}))
-    return rows
+    return _run_rows([(replace(model_cfg, variant=variant), train_cfg, {"variant": variant})
+                      for variant in VARIANTS], splits)

@@ -357,6 +357,7 @@ class TestExitCodes:
         assert run(["train", "--config", workspace["config"],
                     "--data", "/no/such/file.csv",
                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()  # no run directory without inputs
 
     def test_no_data_source(self, workspace, tmp_path, monkeypatch):
         monkeypatch.delenv("CREDITNET_DATA_DIR", raising=False)
@@ -622,6 +623,27 @@ class TestFaults:
                                "--data", workspace["csv"]]}[command]
         assert run([command, *args, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
         assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["sweep-lr", "--lrs", "abc"], "argument --lrs: lrs must be a comma-separated list "
+                                       "of numbers > 0 and finite, got 'abc'"),
+        (["sweep-lr", "--lrs", "0.01,0"], "argument --lrs: "),
+        (["sweep-lr", "--lrs", "nan"], "argument --lrs: "),
+        (["sweep-opt", "--optimizers", "sgd,adamw"],
+         "argument --optimizers: optimizers must be a comma-separated list of names in "
+         "('sgd', 'adam'), got 'sgd,adamw'"),
+        (["sweep-opt", "--optimizers", ","], "argument --optimizers: "),
+        (["importance", "--checkpoint", "nope.bin", "--repeats", "0"],
+         "argument --repeats: repeats must be an integer >= 1, got '0'"),
+    ], ids=["lrs-abc", "lrs-zero", "lrs-nan", "optimizers-adamw", "optimizers-empty",
+            "repeats-zero"])
+    def test_bad_flag_is_a_usage_error_before_any_input(self, argv, fragment, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        assert run([*argv, "--data", str(tmp_path / "nope.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and fragment in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("where, change, code, fragment",
                              [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import creditnet.training as training
 from creditnet.data import SchemaConfig, SplitSpec, Splits, standardize_apply, \
     standardize_fit, synth_generate, synth_preset, prepare_splits
 from creditnet.errors import ConfigError, DataError, NumericError, ShapeError, StateError
@@ -456,6 +457,25 @@ class TestSweeps:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep_lr(SMALL_MODEL, TrainConfig(), [], small_splits(seed=18))
+
+    @pytest.mark.parametrize("sweep", [
+        lambda cfg, splits: sweep_lr(SMALL_MODEL, cfg, [0.01, 0.0], splits),
+        lambda cfg, splits: sweep_lr(SMALL_MODEL, cfg, [], splits),
+        lambda cfg, splits: sweep_optimizer(SMALL_MODEL, cfg, [0.01], splits, ("sgd", "adamw")),
+        lambda cfg, splits: sweep_optimizer(SMALL_MODEL, cfg, [0.01], splits, ()),
+        lambda cfg, splits: sweep_optimizer(SMALL_MODEL, cfg, [], splits),
+    ], ids=["zero-lr", "no-lrs", "unknown-optimizer", "no-optimizers", "opt-no-lrs"])
+    def test_bad_grid_raises_before_any_fit(self, sweep, monkeypatch):
+        fits = []
+
+        def spy(*args):  # a fit fails its row, so the sweep goes on to its ConfigError
+            fits.append(args)
+            raise NumericError("spy")
+
+        monkeypatch.setattr(training, "_fit", spy)
+        with pytest.raises(ConfigError):
+            sweep(TrainConfig(seed=2, epochs=2, early_stop=None), small_splits(seed=18))
+        assert fits == []
 
     def test_optimizer_grid_covers_both(self):
         splits = small_splits(seed=19)
