@@ -15,12 +15,11 @@ import argparse
 import errno
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, get_origin
 
 import numpy as np
 
@@ -32,7 +31,11 @@ from .data import (
     SchemaConfig,
     Splits,
     SplitSpec,
+    SynthPreset,
+    SynthRows,
     apply_preprocess,
+    check_quantiles,
+    column_indices,
     load_csv,
     prepare_splits,
     read_header,
@@ -49,13 +52,14 @@ from .errors import (
     StateError,
     UndefinedMetricError,
 )
-from .importance import permutation_importance
+from .importance import Metric, permutation_importance
 from .metrics import auc
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .records import check_arg, config_from_dict, make_record, read_json_object, record_to_dict
+from .records import (Count, Positive, Seed, check_arg, config_from_dict, make_record,
+                      read_json_object, record_to_dict)
 from .training import (
     FIT_THREADS,
-    OPTIMIZERS,
+    Optimizer,
     TrainConfig,
     ablate,
     evaluate,
@@ -79,35 +83,28 @@ class UsageError(Exception):
     pass
 
 
-def int_arg(name: str, low: int) -> Callable[[str], int]:
-    """An argparse ``type=`` for an integer >= ``low``."""
-    def parse(text: str) -> int:
+def flag_arg(name: str, hint, item: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse ``type=``: the flag's text parsed by ``item`` (for a tuple
+    ``hint``, each entry of a non-empty comma-separated list), then checked
+    against ``hint``, the hint of the record field or library argument it
+    feeds, by ``check_arg``. Text that does not parse is checked as itself."""
+    def parse(text: str):
         try:
-            value = int(text)
+            if get_origin(hint) is tuple:
+                value = tuple(item(tok.strip()) for tok in text.split(",") if tok.strip()) or text
+            else:
+                value = item(text)
         except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {low}, got {text!r}")
+            value = text
+        try:
+            check_arg(name, value, hint)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
 
 
-def list_arg(name: str, item: Callable, holds: Callable, want: str) -> Callable[[str], list]:
-    """An argparse ``type=`` for a non-empty comma-separated list of ``item``
-    values, each of which ``holds``; ``want`` spells them out in the error."""
-    def parse(text: str) -> list:
-        try:
-            values = [item(tok.strip()) for tok in text.split(",") if tok.strip()]
-        except ValueError:
-            values = []
-        if not values or not all(map(holds, values)):
-            raise argparse.ArgumentTypeError(
-                f"{name} must be a comma-separated list of {want}, got {text!r}")
-        return values
-    return parse
-
-
-seed_arg = int_arg("seed", 0)  # what numpy's generators take
+SEED_FLAG = flag_arg("seed", Seed, int)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,19 +143,24 @@ def resolve_data_path(args) -> Path:
     )
 
 
-def load_frame(path: Path, cfg: dict):
-    """Load a CSV with the config's schema; without feature columns, every
-    named non-label header column is a feature."""
+def read_schema(path: Path, cfg: dict) -> SchemaConfig:
+    """The config's schema, checked against the header of the CSV at ``path``;
+    without feature columns, every named non-label header column is a feature."""
     if not Path(path).is_file():
         raise DataError(f"no such data file: {path}")
-    data = config_from_dict(DataSection, cfg.get("data") or {})
     section = {"label_column": "label", **(cfg.get("schema") or {})}
     if not section.get("feature_columns"):
         label = section["label_column"]
         section["feature_columns"] = [c for c in read_header(path) if c and c != label]
     schema = SchemaConfig.from_dict(section)
-    frame = load_csv(path, schema, subsample=data.subsample, seed=data.subsample_seed)
-    return frame, schema
+    column_indices(path, schema)
+    return schema
+
+
+def load_frame(path: Path, cfg: dict, schema: SchemaConfig) -> FeatureFrame:
+    """The CSV at ``path``, loaded with ``schema`` and the config's data section."""
+    data = config_from_dict(DataSection, cfg.get("data") or {})
+    return load_csv(path, schema, subsample=data.subsample, seed=data.subsample_seed)
 
 
 def seeded_section(cfg: dict, name: str, seed_override) -> dict:
@@ -173,6 +175,7 @@ def winsor_quantiles(cfg: dict):
     if not cfg.get("winsorize"):
         return None
     section = config_from_dict(WinsorSection, cfg["winsorize"])
+    check_quantiles(section.lower_quantile, section.upper_quantile)
     return (float(section.lower_quantile), float(section.upper_quantile))
 
 
@@ -243,14 +246,18 @@ class TrainingInputs(NamedTuple):
 
 def training_inputs(args, cfg: dict) -> TrainingInputs:
     """Prepared splits and seeded model/train configs, resolved as every
-    section that decides a fit: model, train, schema, split, winsorize, data."""
-    data_path = resolve_data_path(args)
-    frame, schema = load_frame(data_path, cfg)
-    split_spec = config_from_dict(SplitSpec, seeded_section(cfg, "split", args.seed))
-    splits, pre_stats = prepare_splits(frame, schema, split_spec, winsor_quantiles(cfg))
-    model_cfg = ModelConfig.from_dict({**seeded_section(cfg, "model", args.seed),
-                                       "n_features": frame.n_features})
+    section that decides a fit: model, train, schema, split, winsorize, data,
+    each checked before the CSV body is read (the model once the schema gives
+    its width, the others before the data path)."""
     train_cfg = TrainConfig.from_dict(seeded_section(cfg, "train", args.seed))
+    split_spec = config_from_dict(SplitSpec, seeded_section(cfg, "split", args.seed))
+    quantiles = winsor_quantiles(cfg)
+    data_path = resolve_data_path(args)
+    schema = read_schema(data_path, cfg)
+    model_cfg = ModelConfig.from_dict({**seeded_section(cfg, "model", args.seed),
+                                       "n_features": len(schema.feature_columns)})
+    frame = load_frame(data_path, cfg, schema)
+    splits, pre_stats = prepare_splits(frame, schema, split_spec, quantiles)
     resolved = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
                 "schema": schema.to_dict(), "split": record_to_dict(split_spec),
                 "winsorize": cfg.get("winsorize"), "data": cfg.get("data") or {}}
@@ -281,10 +288,10 @@ def checkpoint_inputs(args, cfg: dict) -> CheckpointInputs:
         raise ConfigError(f"checkpoint {args.checkpoint} preprocessing statistics cover "
                           f"{n_stats} features, its model expects {model.config.n_features}")
     data_path = resolve_data_path(args)
-    frame, schema = load_frame(data_path, cfg)
+    schema = read_schema(data_path, cfg)
     return CheckpointInputs(data_path, {"model": model.config.to_dict(),
                                         "schema": schema.to_dict()},
-                            model, apply_preprocess(frame, stats))
+                            model, apply_preprocess(load_frame(data_path, cfg, schema), stats))
 
 
 # A runner takes (args, inputs, out dir), writes the command's own outputs and
@@ -337,12 +344,11 @@ class RunCommand(NamedTuple):
     flags: tuple = ()  # (name, add_argument keywords) per own flag; the manifest records each
 
 
-LRS_FLAG = ("lrs", {"type": list_arg("lrs", float, lambda lr: lr > 0 and math.isfinite(lr),
-                                     "numbers > 0 and finite"),
+LRS_FLAG = ("lrs", {"type": flag_arg("lrs", tuple[Positive, ...], float),
                     "default": "0.005,0.003,0.002,0.001",
                     "help": "comma-separated learning rates (default: %(default)s)"})
 OPTIMIZERS_FLAG = ("optimizers", {
-    "type": list_arg("optimizers", str, OPTIMIZERS.__contains__, f"names in {OPTIMIZERS}"),
+    "type": flag_arg("optimizers", tuple[Optimizer, ...], str),
     "default": "sgd,adam", "help": "comma-separated optimizers (default: %(default)s)"})
 RUN_COMMANDS = {
     "train": RunCommand("train one model", training_inputs,
@@ -356,9 +362,9 @@ RUN_COMMANDS = {
     "eval": RunCommand("evaluate a checkpoint on a CSV", checkpoint_inputs, (), _eval),
     "importance": RunCommand(
         "permutation feature importance", checkpoint_inputs, ("importance.csv",), _importance,
-        (("metric", {"default": "auc", "choices": ("auc", "accuracy"),
+        (("metric", {"type": flag_arg("metric", Metric, str), "default": "auc",
                      "help": "score whose drop is measured (default: %(default)s)"}),
-         ("repeats", {"type": int_arg("repeats", 1), "default": 5,
+         ("repeats", {"type": flag_arg("repeats", Count, int), "default": 5,
                       "help": "shuffles per feature (default: %(default)s)"}))),
 }
 ROW_KINDS = ("sweep-lr", "sweep-opt", "ablate")  # commands whose report is one row per fit
@@ -486,7 +492,7 @@ def build_parser() -> _Parser:
         p.add_argument("--data", help=f"CSV path (default: ${DATA_DIR_ENV}/"
                                       f"{DEFAULT_DATA_FILE})")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=seed_arg, default=None,
+        p.add_argument("--seed", type=SEED_FLAG, default=None,
                        help="override every seed in the run")
         if command.inputs is checkpoint_inputs:
             p.add_argument("--checkpoint", required=True, help="a train run's checkpoint.bin")
@@ -495,11 +501,11 @@ def build_parser() -> _Parser:
         p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a synthetic CSV with known Bayes score")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-features", type=int, default=10)
-    p.add_argument("--spec", default="strong-single",
+    p.add_argument("--n", type=flag_arg("n", SynthRows, int), required=True)
+    p.add_argument("--n-features", type=flag_arg("n_features", Count, int), default=10)
+    p.add_argument("--spec", type=flag_arg("spec", SynthPreset, str), default="strong-single",
                    help=f"one of {', '.join(SYNTH_PRESETS)}")
-    p.add_argument("--seed", type=seed_arg, default=None)
+    p.add_argument("--seed", type=SEED_FLAG, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_synth)
 

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import count, islice
 from pathlib import Path
-from typing import Annotated, NamedTuple, NoReturn, Optional, Sequence, Union
+from typing import Annotated, Literal, NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .tensor_ops import as_f64, sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
 SPLIT_TAGS = ("full", "train", "val", "test")
+SplitTag = Literal[SPLIT_TAGS]
 
 
 # ---------------------------------------------------------------------------
@@ -37,22 +38,19 @@ class FeatureFrame:
 
     Missing cells are NaN in ``X``, and NaN marks nothing else: ``load_csv``
     rejects every other non-finite cell. Imputation clears them.
-    ``split_tag`` is one of full/train/val/test. Another tag, names that are not
-    strings and a non-bool ``standardized`` are a ``ConfigError``; an ``X`` or
-    ``y`` that is not numeric, and a label other than 0 or 1, a ``DataError``.
+    ``split_tag`` is one of full/train/val/test. Another tag and names that
+    are not strings are a ``ConfigError``; an ``X`` or ``y`` that is not
+    numeric, and a label other than 0 or 1, a ``DataError``.
     """
 
     feature_names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray
-    standardized: bool = False
-    split_tag: str = "full"
+    split_tag: SplitTag = "full"
 
     def __post_init__(self):
         check_arg("feature_names", self.feature_names, tuple[str, ...])
-        check_arg("standardized", self.standardized, bool)
-        if self.split_tag not in SPLIT_TAGS:  # the leakage guard reads it
-            raise ConfigError(f"split_tag must be one of {SPLIT_TAGS}, got {self.split_tag!r}")
+        check_arg("split_tag", self.split_tag, SplitTag)  # the leakage guard reads it
         object.__setattr__(self, "X", as_f64(self.X))
         y = self.y
         if not (isinstance(y, np.ndarray) and y.dtype.kind in "biu"):  # integer labels stay uncopied
@@ -97,11 +95,9 @@ class ConstantFill:
     JSON: every missing cell becomes ``value``."""
 
     value: Finite
-    kind: str = "constant"
+    kind: Literal["constant"] = "constant"
 
     def __post_init__(self):
-        if self.kind != "constant":
-            raise ConfigError(f"ConstantFill kind must be 'constant', got {self.kind!r}")
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -113,7 +109,7 @@ class SchemaConfig:
     label_column: str
     feature_columns: tuple[str, ...] = ()
     missing_markers: Optional[tuple[str, ...]] = MISSING_DEFAULT
-    imputation: Union[str, ConstantFill] = "median"
+    imputation: Union[Literal["median", "mean", "constant"], ConstantFill] = "median"
 
     def __post_init__(self):
         if not self.feature_columns:
@@ -126,8 +122,6 @@ class SchemaConfig:
             object.__setattr__(self, "missing_markers", MISSING_DEFAULT)
         if self.imputation == "constant":
             object.__setattr__(self, "imputation", ConstantFill(0.0))
-        elif isinstance(self.imputation, str) and self.imputation not in ("median", "mean"):
-            raise ConfigError(f"unknown imputation policy {self.imputation!r}")
 
     @classmethod
     def from_json(cls, path) -> "SchemaConfig":
@@ -198,6 +192,19 @@ def read_header(path) -> list[str]:
     raise SchemaError(f"{path} is empty")
 
 
+def column_indices(path, schema: SchemaConfig) -> list[int]:
+    """The header index of the schema's label column, then of each feature
+    column, in the CSV at ``path``. A used column that the header lacks or
+    names more than once is a ``SchemaError``; other repeated names are not."""
+    header = read_header(path)
+    used = (schema.label_column, *schema.feature_columns)
+    for name in used:
+        if header.count(name) != 1:
+            where = "named more than once in" if name in header else "not found in"
+            raise SchemaError(f"column {name!r} {where} header of {path}")
+    return [header.index(name) for name in used]
+
+
 def load_csv(path, schema: SchemaConfig, subsample: Optional[Count] = None,
              seed: Seed = 0) -> FeatureFrame:
     """Parse a comma-separated UTF-8 file with a header row.
@@ -219,12 +226,7 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[Count] = None,
     if not path.exists():
         raise DataError(f"no such file: {path}")
     markers = frozenset(schema.missing_markers)
-    col_index = {name: i for i, name in enumerate(read_header(path))}
-    for needed in (schema.label_column, *schema.feature_columns):
-        if needed not in col_index:
-            raise SchemaError(f"column {needed!r} not found in header of {path}")
-    label_i = col_index[schema.label_column]
-    feat_is = [col_index[c] for c in schema.feature_columns]
+    label_i, *feat_is = column_indices(path, schema)
 
     def cell(text: str) -> float:
         text = text.strip()
@@ -398,15 +400,10 @@ def fit_imputer(frame: FeatureFrame, schema: SchemaConfig) -> ImputeStats:
     return ImputeStats(fill_values=fills, fitted_on=frame.split_tag)
 
 
-def impute(frame: FeatureFrame, schema: Optional[SchemaConfig] = None,
-           stats: Optional[ImputeStats] = None) -> FeatureFrame:
-    """Fill missing cells; fit values come from ``stats`` or from ``frame`` itself."""
+def impute(frame: FeatureFrame, stats: ImputeStats) -> FeatureFrame:
+    """Fill missing cells with ``stats``' values (``fit_imputer``'s, fitted on train)."""
     check_arg("frame", frame, FeatureFrame)
-    check_arg("stats", stats, Optional[ImputeStats])
-    if stats is None:
-        if schema is None:
-            raise ConfigError("impute needs a schema when no fitted stats are given")
-        stats = fit_imputer(frame, schema)
+    check_arg("stats", stats, ImputeStats)
     _guard_leakage(frame, stats.fitted_on, "imputation")
     if stats.fill_values.shape[0] != frame.n_features:
         raise SchemaError(
@@ -435,9 +432,14 @@ class WinsorStats:
                               f"but upper has shape {np.shape(self.upper)}")
 
 
-def winsorize_fit(frame: FeatureFrame, lower_q: float, upper_q: float) -> WinsorStats:
+def check_quantiles(lower_q: float, upper_q: float) -> None:
+    """Raise ``ConfigError`` unless ``0 <= lower_q < upper_q <= 1``."""
     if not (0.0 <= lower_q < upper_q <= 1.0):
         raise ConfigError(f"bad winsor quantiles ({lower_q}, {upper_q})")
+
+
+def winsorize_fit(frame: FeatureFrame, lower_q: float, upper_q: float) -> WinsorStats:
+    check_quantiles(lower_q, upper_q)
     lo = np.nanquantile(frame.X, lower_q, axis=0)
     hi = np.nanquantile(frame.X, upper_q, axis=0)
     return WinsorStats(lower=lo, upper=hi, fitted_on=frame.split_tag)
@@ -493,7 +495,7 @@ def standardize_apply(frame: FeatureFrame, stats: StandardizeStats) -> FeatureFr
     safe_std = np.where(stats.std == 0.0, 1.0, stats.std)
     Xs = (frame.X - stats.mean) / safe_std
     Xs[:, stats.std == 0.0] = 0.0
-    return replace(frame, X=Xs, standardized=True)
+    return replace(frame, X=Xs)
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +582,12 @@ class SynthSpec:
 
 SYNTH_PRESETS = ("noise", "strong-single", "linear", "long-range",
                  "local-motif", "local-and-long", "xor-pair")
+SynthPreset = Literal[SYNTH_PRESETS]
 
 
-def synth_preset(name: str, n_features: int) -> SynthSpec:
+def synth_preset(name: SynthPreset, n_features: int) -> SynthSpec:
     """Named generator recipes used by experiments and the CLI."""
-    check_arg("name", name, str)
+    check_arg("preset name", name, SynthPreset)
     check_arg("n_features", n_features, int)
     far = n_features - 1
     if name == "noise":
@@ -597,10 +600,8 @@ def synth_preset(name: str, n_features: int) -> SynthSpec:
         return SynthSpec(pairs=((0, far, 3.0),))
     if name == "local-motif":
         return SynthSpec(motifs=((1, 2, 3.0),))
-    if name == "local-and-long":
-        return SynthSpec(linear=(0.0, 0.5), pairs=((0, far, 2.0),),
-                         motifs=((2, 2, 2.0),))
-    raise ConfigError(f"unknown synth preset {name!r}; known: {SYNTH_PRESETS}")
+    return SynthSpec(linear=(0.0, 0.5), pairs=((0, far, 2.0),),  # "local-and-long"
+                     motifs=((2, 2, 2.0),))
 
 
 SynthRows = Annotated[int, at_least(100)]
@@ -642,7 +643,7 @@ def prepare_splits(frame: FeatureFrame, schema: SchemaConfig, spec: SplitSpec,
     check_arg("winsor_quantiles", winsor_quantiles, Optional[tuple[float, float]])
     raw = split(frame, spec)
     imp = fit_imputer(raw.train, schema)
-    parts = [impute(f, schema, imp) for f in raw]
+    parts = [impute(f, imp) for f in raw]
     win = None
     if winsor_quantiles is not None:
         win = winsorize_fit(parts[0], *winsor_quantiles)
@@ -655,7 +656,7 @@ def prepare_splits(frame: FeatureFrame, schema: SchemaConfig, spec: SplitSpec,
 def apply_preprocess(frame: FeatureFrame, stats: PreprocessStats) -> FeatureFrame:
     """Push a raw frame through train-fitted imputation/winsor/standardization."""
     check_arg("stats", stats, PreprocessStats)
-    out = impute(frame, stats=stats.impute)
+    out = impute(frame, stats.impute)
     if stats.winsor is not None:
         out = winsorize_apply(out, stats.winsor)
     return standardize_apply(out, stats.standardize)

@@ -8,11 +8,11 @@ Averaged over repeats; model parameters are never touched.
 from __future__ import annotations
 
 import json
+from typing import Literal
 
 import numpy as np
 
 from .data import FeatureFrame
-from .errors import ConfigError
 from .metrics import accuracy, auc
 from .records import Count, Seed, check_arg, record
 from .training import predict_probs, ACC_THRESHOLD
@@ -48,9 +48,10 @@ _METRICS = {
     "auc": lambda scores, labels: auc(scores, labels),
     "accuracy": lambda scores, labels: accuracy(scores, labels, ACC_THRESHOLD),
 }
+Metric = Literal[tuple(_METRICS)]
 
 
-def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
+def permutation_importance(model, frame: FeatureFrame, metric: Metric = "auc",
                            repeats: Count = 5, seed: Seed = 0) -> ImportanceReport:
     """Rank features by mean metric drop under per-column shuffling.
 
@@ -58,11 +59,9 @@ def permutation_importance(model, frame: FeatureFrame, metric: str = "auc",
     and each column's evaluation is independent of the others.
     """
     check_arg("frame", frame, FeatureFrame)
-    check_arg("metric", metric, str)
+    check_arg("metric", metric, Metric)
     check_arg("repeats", repeats, Count)
     check_arg("importance seed", seed, Seed)
-    if metric not in _METRICS:
-        raise ConfigError(f"unknown metric {metric!r}; expected one of {sorted(_METRICS)}")
     score = _METRICS[metric]
 
     baseline = score(predict_probs(model, frame.X), frame.y)

@@ -30,7 +30,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .tensor_ops import (
 
 VARIANTS = ("cnn_only", "transformer_only", "hybrid")  # what ``ablate`` trains, in row order
 BASELINE = "logistic"  # the linear floor, outside the ablation
+Variant = Literal[(*VARIANTS, BASELINE)]
 
 PROB_CLAMP = 1e-15  # keeps outputs strictly inside (0, 1)
 LN_EPS = 1e-5
@@ -87,24 +88,16 @@ class AttnSpec:
 @record
 class ModelConfig:
     n_features: Count
-    variant: str = "hybrid"
+    variant: Variant = "hybrid"
     d_embed: Count = 16
     conv: ConvSpec = field(default_factory=ConvSpec)
     attn: AttnSpec = field(default_factory=AttnSpec)
     ffn_dim: Count = 64
     mlp_hidden: tuple[Count, ...] = (32,)
-    activation: str = "relu"
+    activation: Literal[ACTIVATIONS] = "relu"
     seed: Seed = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if self.variant not in (*VARIANTS, BASELINE):
-            raise ConfigError(f"unknown variant {self.variant!r}; "
-                              f"expected {(*VARIANTS, BASELINE)}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.attn.d_model % self.attn.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.attn.d_model} not divisible by "

@@ -9,10 +9,11 @@ dataclass with:
   is not an object, an unknown key and a missing required key, reads nested
   records from objects and array fields from lists of numbers, then builds;
 - a construction check: every build, direct or from JSON, checks each field
-  against its type hint, and against the range of a bounded number
-  (``Count``, ``Seed``, ``Positive``, ``Rate``, ``Finite``: ``Annotated``
-  hints), before the class's own ``__post_init__`` cross-field rules. A
-  mistyped or out-of-range value is a ``ConfigError`` naming class and field.
+  against its type hint, against the range of a bounded number (``Count``,
+  ``Seed``, ``Positive``, ``Rate``, ``Finite``: ``Annotated`` hints) and
+  against a closed set of names (a ``Literal`` hint, e.g. the model variants),
+  before the class's own ``__post_init__`` cross-field rules. A mistyped,
+  out-of-range or unknown value is a ``ConfigError`` naming class and field.
   A list fitting a tuple hint is stored as a tuple, lists inside it too; an
   array field takes arrays only. The hints are resolved once per class, since
   ``get_type_hints`` costs more than the check.
@@ -32,7 +33,8 @@ import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
 from numbers import Integral, Real
-from typing import Annotated, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import (Annotated, Callable, Literal, NamedTuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -99,6 +101,8 @@ def _fits(hint):
     if origin is Annotated:
         fits, bound = _fits(args[0]), args[1]
         return lambda v: fits(v) and bound.holds(v)
+    if origin is Literal:  # a closed set of names
+        return lambda v: isinstance(v, str) and v in args
     if origin is Union:
         alternatives = [_fits(a) for a in args]
         return lambda v: any(fits(v) for fits in alternatives)
@@ -117,11 +121,13 @@ def check_arg(name: str, value, hint) -> None:
     if not _fits(hint)(value):
         # "Optional[creditnet.training.EarlyStop]" -> "Optional[EarlyStop]",
         # "tuple[typing.Annotated[int, >= 1], ...]" -> "tuple[int >= 1, ...]",
-        # "typing.Annotated[float, finite]" -> "finite float"
+        # "typing.Annotated[float, finite]" -> "finite float",
+        # "typing.Literal['sgd', 'adam']" -> "one of 'sgd', 'adam'"
         expected = re.sub(r"\w+\.", "", str(hint)) if get_origin(hint) else hint.__name__
         expected = re.sub(r"Annotated\[(\w+), ([^]]+)\]",
                           lambda m: f"{m[2]} {m[1]}" if m[2].isalpha() else f"{m[1]} {m[2]}",
                           expected)
+        expected = re.sub(r"^Literal\[(.*)\]$", r"one of \1", expected)
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 

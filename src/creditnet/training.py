@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ PROB_EPS = 1e-12  # cross-entropy clamp
 ACC_THRESHOLD = 0.5
 
 OPTIMIZERS = ("sgd", "adam")
+Optimizer = Literal[OPTIMIZERS]
 
 # A fit's products are small (d_model 32, 10 tokens, batch 128). At two
 # threads, OpenBLAS's second thread spins between them: alone a fit burns
@@ -47,17 +48,13 @@ FIT_THREADS = 1
 
 @record
 class EarlyStop:
-    metric: str = "val_auc"
+    metric: Literal["val_auc"] = "val_auc"
     patience: Count = 10
-
-    def __post_init__(self):
-        if self.metric != "val_auc":
-            raise ConfigError(f"unsupported early-stop metric {self.metric!r}")
 
 
 @record
 class TrainConfig:
-    optimizer: str = "adam"
+    optimizer: Optimizer = "adam"
     learning_rate: Positive = 1e-3
     batch_size: Count = 128
     epochs: Count = 100
@@ -68,10 +65,6 @@ class TrainConfig:
     shuffle: bool = True
     early_stop: Optional[EarlyStop] = field(default_factory=EarlyStop)
     pos_weight: Positive = 1.0
-
-    def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}; expected {OPTIMIZERS}")
 
 
 def canonical_json(obj) -> str:
@@ -401,21 +394,21 @@ def _check_grid(name: str, values, hint) -> None:
 
 
 def sweep_lr(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
-             lrs: Sequence[float], splits: Splits) -> list[dict]:
+             lrs: Sequence[Positive], splits: Splits) -> list[dict]:
     """One seeded run per learning rate, identical otherwise."""
     _check_run(model_cfg, base_train_cfg, splits)
-    _check_grid("lrs", lrs, tuple[float, ...])
+    _check_grid("lrs", lrs, tuple[Positive, ...])
     return _run_rows([(model_cfg, replace(base_train_cfg, learning_rate=float(lr)),
                        {"lr": float(lr)}) for lr in lrs], splits)
 
 
 def sweep_optimizer(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
-                    lrs: Sequence[float], splits: Splits,
-                    optimizers: Sequence[str] = OPTIMIZERS) -> list[dict]:
+                    lrs: Sequence[Positive], splits: Splits,
+                    optimizers: Sequence[Optimizer] = OPTIMIZERS) -> list[dict]:
     """Full {optimizer} x {learning rate} grid."""
     _check_run(model_cfg, base_train_cfg, splits)
-    _check_grid("lrs", lrs, tuple[float, ...])
-    _check_grid("optimizers", optimizers, tuple[str, ...])
+    _check_grid("lrs", lrs, tuple[Positive, ...])
+    _check_grid("optimizers", optimizers, tuple[Optimizer, ...])
     return _run_rows([(model_cfg, replace(base_train_cfg, optimizer=opt,
                                           learning_rate=float(lr)),
                        {"optimizer": opt, "lr": float(lr)})

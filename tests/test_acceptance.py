@@ -399,7 +399,7 @@ def test_criterion_9_leakage_guard():
     except LeakageError:
         raised += 1
     try:  # imputation stats fitted on val applied to test
-        impute(raw.test, schema, fit_imputer(raw.val, schema))
+        impute(raw.test, fit_imputer(raw.val, schema))
     except LeakageError:
         raised += 1
 

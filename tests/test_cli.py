@@ -85,9 +85,10 @@ class TestSynth:
         assert meta["bayes_auc"] > 0.9
         assert meta["spec"] == "strong-single"
 
-    def test_unknown_preset_is_usage_error(self, tmp_path):
+    def test_unknown_preset_is_usage_error(self, tmp_path, capsys):
         assert run(["synth", "--n", "200", "--spec", "nope",
                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "argument --spec: spec must be one of 'noise', " in capsys.readouterr().err
 
 
 class TestTrain:
@@ -239,7 +240,7 @@ class TestEval:
         # the fill for f1 is the mean of its observed train-split cells
         header_line, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        frame, _ = cli.load_frame(data, cfg)
+        frame = cli.load_frame(data, cfg, cli.read_schema(data, cfg))
         f1 = split(frame, SplitSpec.from_dict(resolved["split"])).train.X[:, 1]
         assert header["preprocess"]["impute"]["fill_values"][1] == np.mean(f1[~np.isnan(f1)])
 
@@ -429,8 +430,20 @@ FAULTS = [
     ("train-key", "config", {"train": {"epoch": 3}}, 1, "unknown TrainConfig key(s) ['epoch']"),
     ("model-key", "config", {"model": {"dembed": 3}}, 1, "unknown ModelConfig key(s) ['dembed']"),
     ("unknown-variant", "config", {"model": {"variant": "linear"}}, 1,
-     "unknown variant 'linear'; expected ('cnn_only', 'transformer_only', 'hybrid', "
-     "'logistic')"),
+     "ModelConfig key 'variant' must be one of 'cnn_only', 'transformer_only', 'hybrid', "
+     "'logistic', got 'linear'"),
+    ("unknown-activation", "config", {"model": {"activation": "gelu"}}, 1,
+     "ModelConfig key 'activation' must be one of 'relu', 'sigmoid', 'tanh', got 'gelu'"),
+    ("unknown-optimizer", "config", {"train": {"optimizer": "adamw"}}, 1,
+     "TrainConfig key 'optimizer' must be one of 'sgd', 'adam', got 'adamw'"),
+    ("unknown-early-stop-metric", "config", {"train": {"early_stop": {"metric": "val_loss"}}},
+     1, "EarlyStop key 'metric' must be one of 'val_auc', got 'val_loss'"),
+    ("unknown-imputation", "config", {"schema": {"imputation": "Median"}}, 1,
+     "SchemaConfig key 'imputation' must be Union[Literal['median', 'mean', 'constant'], "
+     "ConstantFill], got 'Median'"),
+    ("reversed-winsor-quantiles", "config",
+     {"winsorize": {"lower_quantile": 0.5, "upper_quantile": 0.1}}, 1,
+     "bad winsor quantiles (0.5, 0.1)"),
     ("conv-key", "config", {"model": {"conv": {"chanels": 4}}}, 1, "ConvSpec key(s) ['chanels']"),
     ("attn-key", "config", {"model": {"attn": {"heads": 2}}}, 1, "AttnSpec key(s) ['heads']"),
     ("early-stop-key", "config", {"train": {"early_stop": {"patiense": 3}}}, 1,
@@ -488,9 +501,10 @@ FAULTS = [
      "unknown ConstantFill key(s) ['valu']; allowed: value, kind"),
     ("imputation-object-kind", "config",
      {"schema": {"imputation": {"kind": "median", "value": 5}}}, 1,
-     "ConstantFill kind must be 'constant', got 'median'"),
+     "ConstantFill key 'kind' must be one of 'constant', got 'median'"),
     ("number-imputation", "config", {"schema": {"imputation": 5}}, 1,
-     "SchemaConfig key 'imputation' must be Union[str, ConstantFill], got 5"),
+     "SchemaConfig key 'imputation' must be Union[Literal['median', 'mean', 'constant'], "
+     "ConstantFill], got 5"),
     ("string-missing-markers", "config", {"schema": {"missing_markers": "NA"}}, 1,
      "SchemaConfig key 'missing_markers' must be Optional[tuple[str, ...]], got 'NA'"),
     ("string-feature-columns", "config", {"schema": {"feature_columns": "f0"}}, 1,
@@ -622,21 +636,25 @@ class TestFaults:
                 "importance": ["--checkpoint", str(trained / "checkpoint.bin"),
                                "--data", workspace["csv"]]}[command]
         assert run([command, *args, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 1
-        assert "seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert "argument --seed: seed must be int >= 0, got -1\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, fragment", [
-        (["sweep-lr", "--lrs", "abc"], "argument --lrs: lrs must be a comma-separated list "
-                                       "of numbers > 0 and finite, got 'abc'"),
-        (["sweep-lr", "--lrs", "0.01,0"], "argument --lrs: "),
+        (["sweep-lr", "--lrs", "abc"],
+         "argument --lrs: lrs must be tuple[float > 0 and finite, ...], got 'abc'"),
+        (["sweep-lr", "--lrs", "0.01,0"], "argument --lrs: lrs must be tuple[float > 0 and "
+                                          "finite, ...], got (0.01, 0.0)"),
         (["sweep-lr", "--lrs", "nan"], "argument --lrs: "),
         (["sweep-opt", "--optimizers", "sgd,adamw"],
-         "argument --optimizers: optimizers must be a comma-separated list of names in "
-         "('sgd', 'adam'), got 'sgd,adamw'"),
+         "argument --optimizers: optimizers must be tuple[Literal['sgd', 'adam'], ...], "
+         "got ('sgd', 'adamw')"),
         (["sweep-opt", "--optimizers", ","], "argument --optimizers: "),
         (["importance", "--checkpoint", "nope.bin", "--repeats", "0"],
-         "argument --repeats: repeats must be an integer >= 1, got '0'"),
+         "argument --repeats: repeats must be int >= 1, got 0"),
+        (["importance", "--checkpoint", "nope.bin", "--metric", "AUC"],
+         "argument --metric: metric must be one of 'auc', 'accuracy', got 'AUC'"),
+        (["train", "--seed", "1.5"], "argument --seed: seed must be int >= 0, got '1.5'"),
     ], ids=["lrs-abc", "lrs-zero", "lrs-nan", "optimizers-adamw", "optimizers-empty",
-            "repeats-zero"])
+            "repeats-zero", "metric-upper-case", "seed-fraction"])
     def test_bad_flag_is_a_usage_error_before_any_input(self, argv, fragment, tmp_path,
                                                         capsys):
         out = tmp_path / "out"
@@ -644,6 +662,53 @@ class TestFaults:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and fragment in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "99"], "argument --n: n must be int >= 100, got 99"),
+        (["--n", "2e3"], "argument --n: n must be int >= 100, got '2e3'"),
+        (["--n", "200", "--n-features", "0"],
+         "argument --n-features: n_features must be int >= 1, got 0"),
+        (["--n", "200", "--spec", "Linear"],
+         "argument --spec: spec must be one of 'noise', 'strong-single', 'linear', "
+         "'long-range', 'local-motif', 'local-and-long', 'xor-pair', got 'Linear'"),
+    ], ids=["n-99", "n-float-text", "n-features-zero", "spec-upper-case"])
+    def test_bad_synth_flag_is_a_usage_error_before_any_output(self, argv, message,
+                                                                tmp_path, capsys):
+        assert run(["synth", *argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    BAD_SECTIONS = {"train": {"train": {"optimizr": "adam"}},
+                    "model": {"model": {"variant": "cnn"}},
+                    "split": {"split": {"seed": -1}},
+                    "winsorize": {"winsorize": {"lower_quantile": 0.5, "upper_quantile": 0.1}}}
+
+    @pytest.mark.parametrize("section", list(BAD_SECTIONS))
+    def test_bad_section_fails_before_the_csv_is_read(self, section, workspace, tmp_path,
+                                                      monkeypatch, capsys):
+        """The model's width comes from the schema, so only its section waits
+        for the data file's header; the others are checked before its path."""
+        loads = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args, **kwargs: loads.append(args))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**FAST_CONFIG, **self.BAD_SECTIONS[section]}))
+        for data, code in ((workspace["csv"], 1), (tmp_path / "nope.csv",
+                                                   2 if section == "model" else 1)):
+            assert run(["train", "--config", str(config), "--data", str(data),
+                        "--out", str(tmp_path / "out")]) == code
+            assert capsys.readouterr().err.startswith("config error: " if code == 1
+                                                      else "data error: no such data file")
+        assert loads == []
+
+    def test_inferred_features_naming_a_header_column_twice_are_a_schema_error(
+            self, tmp_path, capsys):
+        """Every inferred feature is used, so a name the header repeats is
+        refused, not fed to the model twice."""
+        data = tmp_path / "dup.csv"
+        data.write_text(" a ,label,a\n" + "".join(f"{i},{i % 2},{-i}\n" for i in range(40)))
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: column 'a' named more than once in header of {data}\n")
 
     @pytest.mark.parametrize("where, change, code, fragment",
                              [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])

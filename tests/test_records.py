@@ -210,7 +210,7 @@ def world(tmp_path_factory):
         "MetricsRecord.to_dict": (metric.to_dict, {}),
         # data
         "apply_preprocess": (cn.apply_preprocess, dict(frame=frame, stats=stats)),
-        "impute": (cn.impute, dict(frame=frame, schema=schema, stats=None)),
+        "impute": (cn.impute, dict(frame=frame, stats=stats.impute)),
         "load_csv": (cn.load_csv, dict(path=csv, schema=schema, subsample=50, seed=0)),
         "prepare_splits": (cn.prepare_splits, dict(frame=frame, schema=schema, spec=spec,
                                                    winsor_quantiles=(0.01, 0.99))),
@@ -353,6 +353,8 @@ BOUNDED = {
     ("SynthSpec", "motifs"): TRIPLES,
     ("accuracy", "threshold"): FINITE_REAL,
     ("evaluate_scores", "threshold"): FINITE_REAL,
+    ("sweep_lr", "lrs"): f"tuple[{POSITIVE}, ...]",
+    ("sweep_optimizer", "lrs"): f"tuple[{POSITIVE}, ...]",
 }
 
 # values at or past each bound's edges: k - 1, 0, -1, NaN, inf, 1 for the
@@ -372,18 +374,21 @@ EDGES = {
     FINITE_REAL: [math.nan, math.inf, -math.inf, 10**400, np.float32(math.nan), True],
     COEFFS: [(math.nan,), (1.0, -math.inf), (10**400,), (True,)],
     TRIPLES: [((0, 1, math.nan),), ((0, 1, 2.0), (1, 2, math.inf)), ((0, 1, True),)],
+    f"tuple[{POSITIVE}, ...]": [(0,), (0.01, -1), (math.nan,), (math.inf,), (10**400,),
+                                (True,)],
 }
 
 
-def _bounded_arguments(fn) -> set:
-    """The arguments (fields) of ``fn`` whose type hint holds a range."""
+def _hinted_arguments(fn, form: str) -> set:
+    """The arguments (fields) of ``fn`` whose type hint holds a ``form`` hint."""
     target = fn.__init__ if isinstance(fn, type) and not is_dataclass(fn) else fn
     hints = get_type_hints(target, include_extras=True)
-    return {name for name, hint in hints.items() if "Annotated" in str(hint)}
+    return {name for name, hint in hints.items() if form in str(hint)}
 
 
 def test_the_bounded_arguments_are_the_ones_whose_hints_hold_a_range(world):
-    declared = {(case, arg) for case in CASES for arg in _bounded_arguments(world[case][0])}
+    declared = {(case, arg) for case in CASES
+                for arg in _hinted_arguments(world[case][0], "Annotated")}
     assert declared == set(BOUNDED)
 
 
@@ -407,3 +412,48 @@ def test_a_spec_built_on_its_own_checks_its_ranges(cls, kwargs, message):
     """``ModelConfig`` used to check these; a spec built alone took them."""
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# closed sets of names: every record field and library argument whose hint
+# holds a ``Literal`` refuses each near miss of a name
+# ---------------------------------------------------------------------------
+
+IMPUTATION = "Union[Literal['median', 'mean', 'constant'], ConstantFill]"
+
+# (case, argument) -> the choices as messages spell them
+CHOICES = {
+    ("ModelConfig", "variant"): "one of 'cnn_only', 'transformer_only', 'hybrid', 'logistic'",
+    ("ModelConfig", "activation"): "one of 'relu', 'sigmoid', 'tanh'",
+    ("TrainConfig", "optimizer"): "one of 'sgd', 'adam'",
+    ("EarlyStop", "metric"): "one of 'val_auc'",
+    ("ConstantFill", "kind"): "one of 'constant'",
+    ("SchemaConfig", "imputation"): IMPUTATION,
+    ("FeatureFrame", "split_tag"): "one of 'full', 'train', 'val', 'test'",
+    ("synth_preset", "name"): ("one of 'noise', 'strong-single', 'linear', 'long-range', "
+                               "'local-motif', 'local-and-long', 'xor-pair'"),
+    ("permutation_importance", "metric"): "one of 'auc', 'accuracy'",
+    ("sweep_optimizer", "optimizers"): "tuple[Literal['sgd', 'adam'], ...]",
+}
+
+# a name off by case, a blank or emptiness, and values that are not names;
+# an argument that takes a tuple of names gets each as its one entry
+NEAR_MISSES = ["Hybrid", " adam", "", None, 1, True]
+
+
+def test_the_choice_arguments_are_the_ones_whose_hints_hold_a_literal(world):
+    declared = {(case, arg) for case in CASES
+                for arg in _hinted_arguments(world[case][0], "Literal")}
+    assert declared == set(CHOICES)
+
+
+@pytest.mark.parametrize("case, arg", list(CHOICES), ids=[f"{c}-{a}" for c, a in CHOICES])
+def test_a_name_outside_its_set_is_a_config_error_naming_the_argument(world, case, arg):
+    fn, kwargs = world[case]
+    choices = CHOICES[case, arg]
+    for near_miss in NEAR_MISSES:
+        value = (near_miss,) if choices.startswith("tuple[") else near_miss
+        with pytest.raises(ConfigError) as info:
+            fn(**{**kwargs, arg: value})
+        assert re.fullmatch(rf"(\w+ key '{arg}'|(\w+ )?{arg}) must be {re.escape(choices)}, "
+                            rf"got {re.escape(repr(value))}", str(info.value)), str(info.value)
