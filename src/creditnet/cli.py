@@ -117,10 +117,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 # records for the config file's top level and its data and winsorize sections,
-# named for config_from_dict's messages; load_csv checks subsample itself
+# named for config_from_dict's messages
 ConfigFile = make_record("config", [(name, Optional[dict], None) for name in (
     "model", "train", "schema", "split", "winsorize", "data")])
-DataSection = make_record("data", [("subsample", object, None), ("subsample_seed", int, 0)])
+DataSection = make_record("data", [("subsample", Optional[Count], None),
+                                   ("subsample_seed", Seed, 0)])
 WinsorSection = make_record("winsorize", [("lower_quantile", float), ("upper_quantile", float)])
 
 
@@ -157,9 +158,13 @@ def read_schema(path: Path, cfg: dict) -> SchemaConfig:
     return schema
 
 
-def load_frame(path: Path, cfg: dict, schema: SchemaConfig) -> FeatureFrame:
+def data_section(cfg: dict) -> DataSection:
+    """The config's data section, checked."""
+    return config_from_dict(DataSection, cfg.get("data") or {})
+
+
+def load_frame(path: Path, schema: SchemaConfig, data: DataSection) -> FeatureFrame:
     """The CSV at ``path``, loaded with ``schema`` and the config's data section."""
-    data = config_from_dict(DataSection, cfg.get("data") or {})
     return load_csv(path, schema, subsample=data.subsample, seed=data.subsample_seed)
 
 
@@ -252,11 +257,12 @@ def training_inputs(args, cfg: dict) -> TrainingInputs:
     train_cfg = TrainConfig.from_dict(seeded_section(cfg, "train", args.seed))
     split_spec = config_from_dict(SplitSpec, seeded_section(cfg, "split", args.seed))
     quantiles = winsor_quantiles(cfg)
+    data = data_section(cfg)
     data_path = resolve_data_path(args)
     schema = read_schema(data_path, cfg)
     model_cfg = ModelConfig.from_dict({**seeded_section(cfg, "model", args.seed),
                                        "n_features": len(schema.feature_columns)})
-    frame = load_frame(data_path, cfg, schema)
+    frame = load_frame(data_path, schema, data)
     splits, pre_stats = prepare_splits(frame, schema, split_spec, quantiles)
     resolved = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
                 "schema": schema.to_dict(), "split": record_to_dict(split_spec),
@@ -283,15 +289,16 @@ def checkpoint_inputs(args, cfg: dict) -> CheckpointInputs:
     if schema_dict and not (cfg.get("schema") or {}).get("feature_columns"):
         cfg = {**cfg, "schema": schema_dict}
     stats = PreprocessStats.from_dict(header["preprocess"])
-    n_stats = len(stats.standardize.mean)  # apply_preprocess checks the others against it
+    n_stats = len(stats.standardize.mean)  # PreprocessStats holds its parts to one count
     if n_stats != model.config.n_features:
         raise ConfigError(f"checkpoint {args.checkpoint} preprocessing statistics cover "
                           f"{n_stats} features, its model expects {model.config.n_features}")
+    data = data_section(cfg)
     data_path = resolve_data_path(args)
     schema = read_schema(data_path, cfg)
     return CheckpointInputs(data_path, {"model": model.config.to_dict(),
                                         "schema": schema.to_dict()},
-                            model, apply_preprocess(load_frame(data_path, cfg, schema), stats))
+                            model, apply_preprocess(load_frame(data_path, schema, data), stats))
 
 
 # A runner takes (args, inputs, out dir), writes the command's own outputs and

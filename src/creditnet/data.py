@@ -19,7 +19,7 @@ from typing import Annotated, Literal, NamedTuple, NoReturn, Optional, Sequence,
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
-from .records import (Count, Finite, Rate, Seed, at_least, check_arg, check_path,
+from .records import (Count, Finite, Rate, Seed, at_least, check_arg, check_path, checked,
                       read_json_object, record)
 from .tensor_ops import as_f64, sigmoid
 
@@ -205,6 +205,7 @@ def column_indices(path, schema: SchemaConfig) -> list[int]:
     return [header.index(name) for name in used]
 
 
+@checked
 def load_csv(path, schema: SchemaConfig, subsample: Optional[Count] = None,
              seed: Seed = 0) -> FeatureFrame:
     """Parse a comma-separated UTF-8 file with a header row.
@@ -215,13 +216,9 @@ def load_csv(path, schema: SchemaConfig, subsample: Optional[Count] = None,
     mark of a missing cell. Any other unparseable or non-finite cell, and any
     label other than exactly 0 or 1, raises ``DataError`` naming its line (and
     column); so does a file that is not UTF-8 or cannot be opened.
-    ``subsample`` (None or an int >= 1) keeps a random subset of rows drawn
-    with ``seed`` (an int >= 0).
+    ``subsample`` keeps a random subset of rows drawn with ``seed``.
     """
     check_path(path, "CSV")
-    check_arg("schema", schema, SchemaConfig)
-    check_arg("subsample", subsample, Optional[Count])
-    check_arg("subsample seed", seed, Seed)
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
@@ -367,7 +364,7 @@ def _raise_first_fault(path: Path, schema: SchemaConfig, label_i: int,
 @record
 class ImputeStats:
     fill_values: np.ndarray
-    fitted_on: str
+    fitted_on: SplitTag
 
 
 def _guard_leakage(frame: FeatureFrame, fitted_on: str, what: str) -> None:
@@ -378,10 +375,9 @@ def _guard_leakage(frame: FeatureFrame, fitted_on: str, what: str) -> None:
         )
 
 
+@checked
 def fit_imputer(frame: FeatureFrame, schema: SchemaConfig) -> ImputeStats:
     """Per-column fill values from this frame (use the training split)."""
-    check_arg("frame", frame, FeatureFrame)
-    check_arg("schema", schema, SchemaConfig)
     fills = np.empty(frame.n_features)
     for j in range(frame.n_features):
         col = frame.X[:, j]
@@ -400,10 +396,9 @@ def fit_imputer(frame: FeatureFrame, schema: SchemaConfig) -> ImputeStats:
     return ImputeStats(fill_values=fills, fitted_on=frame.split_tag)
 
 
+@checked
 def impute(frame: FeatureFrame, stats: ImputeStats) -> FeatureFrame:
     """Fill missing cells with ``stats``' values (``fit_imputer``'s, fitted on train)."""
-    check_arg("frame", frame, FeatureFrame)
-    check_arg("stats", stats, ImputeStats)
     _guard_leakage(frame, stats.fitted_on, "imputation")
     if stats.fill_values.shape[0] != frame.n_features:
         raise SchemaError(
@@ -424,7 +419,7 @@ def impute(frame: FeatureFrame, stats: ImputeStats) -> FeatureFrame:
 class WinsorStats:
     lower: np.ndarray
     upper: np.ndarray
-    fitted_on: str
+    fitted_on: SplitTag
 
     def __post_init__(self):
         if np.shape(self.lower) != np.shape(self.upper):
@@ -438,6 +433,7 @@ def check_quantiles(lower_q: float, upper_q: float) -> None:
         raise ConfigError(f"bad winsor quantiles ({lower_q}, {upper_q})")
 
 
+@checked
 def winsorize_fit(frame: FeatureFrame, lower_q: float, upper_q: float) -> WinsorStats:
     check_quantiles(lower_q, upper_q)
     lo = np.nanquantile(frame.X, lower_q, axis=0)
@@ -445,6 +441,7 @@ def winsorize_fit(frame: FeatureFrame, lower_q: float, upper_q: float) -> Winsor
     return WinsorStats(lower=lo, upper=hi, fitted_on=frame.split_tag)
 
 
+@checked
 def winsorize_apply(frame: FeatureFrame, stats: WinsorStats) -> FeatureFrame:
     _guard_leakage(frame, stats.fitted_on, "winsorization")
     if stats.lower.shape[0] != frame.n_features:
@@ -463,17 +460,19 @@ STD_FLOOR = 1e-12
 class StandardizeStats:
     mean: np.ndarray
     std: np.ndarray  # population std; exact zeros mark constant columns
-    fitted_on: str
+    fitted_on: SplitTag
 
     def __post_init__(self):
         if np.shape(self.mean) != np.shape(self.std):
             raise ConfigError(f"StandardizeStats mean has shape {np.shape(self.mean)} "
                               f"but std has shape {np.shape(self.std)}")
+        if not np.all(self.std >= 0):
+            raise ConfigError(f"StandardizeStats std must be >= 0, got {self.std.tolist()}")
 
 
+@checked
 def standardize_fit(frame: FeatureFrame) -> StandardizeStats:
     """Per-column mean and population std from this frame (use the training split)."""
-    check_arg("frame", frame, FeatureFrame)
     if frame.n_missing_cells:
         raise DataError("standardize_fit requires an imputed frame (missing cells present)")
     mean = np.mean(frame.X, axis=0)
@@ -482,10 +481,9 @@ def standardize_fit(frame: FeatureFrame) -> StandardizeStats:
     return StandardizeStats(mean=mean, std=std, fitted_on=frame.split_tag)
 
 
+@checked
 def standardize_apply(frame: FeatureFrame, stats: StandardizeStats) -> FeatureFrame:
     """x' = (x - mean) / std per column; constant columns map to all zeros."""
-    check_arg("frame", frame, FeatureFrame)
-    check_arg("stats", stats, StandardizeStats)
     _guard_leakage(frame, stats.fitted_on, "standardization")
     if stats.mean.shape[0] != frame.n_features:
         raise SchemaError(
@@ -512,11 +510,10 @@ def _largest_remainder(n: int, fractions: Sequence[float]) -> list[int]:
     return sizes
 
 
+@checked
 def split(frame: FeatureFrame, spec: SplitSpec) -> Splits:
     """Deterministic seeded 3-way split; stratified mode preserves the label
     ratio within one sample per split."""
-    check_arg("frame", frame, FeatureFrame)
-    check_arg("spec", spec, SplitSpec)
     n = frame.n_rows
     if n < 10:
         raise ConfigError(f"need at least 10 rows to split, got {n}")
@@ -585,10 +582,9 @@ SYNTH_PRESETS = ("noise", "strong-single", "linear", "long-range",
 SynthPreset = Literal[SYNTH_PRESETS]
 
 
+@checked
 def synth_preset(name: SynthPreset, n_features: int) -> SynthSpec:
     """Named generator recipes used by experiments and the CLI."""
-    check_arg("preset name", name, SynthPreset)
-    check_arg("n_features", n_features, int)
     far = n_features - 1
     if name == "noise":
         return SynthSpec()
@@ -607,13 +603,10 @@ def synth_preset(name: SynthPreset, n_features: int) -> SynthSpec:
 SynthRows = Annotated[int, at_least(100)]
 
 
+@checked
 def synth_generate(n: SynthRows, n_features: Count, seed: Seed,
                    spec: SynthSpec) -> tuple[FeatureFrame, np.ndarray]:
     """Draw a synthetic frame plus its true logits (the Bayes-optimal scores)."""
-    check_arg("spec", spec, SynthSpec)
-    check_arg("synthetic n", n, SynthRows)
-    check_arg("synthetic n_features", n_features, Count)
-    check_arg("synthetic seed", seed, Seed)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, n_features))
     logit = spec.logits(X)
@@ -629,18 +622,28 @@ def synth_generate(n: SynthRows, n_features: Count, seed: Seed,
 
 @record
 class PreprocessStats:
-    """Everything fitted on train that eval-time data must be pushed through."""
+    """Everything fitted on train that eval-time data must be pushed through;
+    its parts cover one feature count."""
 
     impute: ImputeStats
     standardize: StandardizeStats
     winsor: Optional[WinsorStats] = None
 
+    def __post_init__(self):
+        counts = {"impute": self.impute.fill_values.size,
+                  "standardize": self.standardize.mean.size}
+        if self.winsor is not None:
+            counts["winsor"] = self.winsor.lower.size
+        if len(set(counts.values())) > 1:
+            raise ConfigError("PreprocessStats parts cover different feature counts: "
+                              + ", ".join(f"{part} {n}" for part, n in counts.items()))
 
+
+@checked
 def prepare_splits(frame: FeatureFrame, schema: SchemaConfig, spec: SplitSpec,
                    winsor_quantiles: Optional[tuple[float, float]] = None,
                    ) -> tuple[Splits, PreprocessStats]:
     """Split, then impute/winsorize/standardize every split with train-fitted stats."""
-    check_arg("winsor_quantiles", winsor_quantiles, Optional[tuple[float, float]])
     raw = split(frame, spec)
     imp = fit_imputer(raw.train, schema)
     parts = [impute(f, imp) for f in raw]
@@ -653,9 +656,9 @@ def prepare_splits(frame: FeatureFrame, schema: SchemaConfig, spec: SplitSpec,
     return Splits(*parts), PreprocessStats(impute=imp, standardize=std, winsor=win)
 
 
+@checked
 def apply_preprocess(frame: FeatureFrame, stats: PreprocessStats) -> FeatureFrame:
     """Push a raw frame through train-fitted imputation/winsor/standardization."""
-    check_arg("stats", stats, PreprocessStats)
     out = impute(frame, stats.impute)
     if stats.winsor is not None:
         out = winsorize_apply(out, stats.winsor)

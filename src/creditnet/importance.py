@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import FeatureFrame
 from .metrics import accuracy, auc
-from .records import Count, Seed, check_arg, record
+from .records import Count, Seed, checked, record
 from .training import predict_probs, ACC_THRESHOLD
 
 
@@ -51,6 +51,7 @@ _METRICS = {
 Metric = Literal[tuple(_METRICS)]
 
 
+@checked
 def permutation_importance(model, frame: FeatureFrame, metric: Metric = "auc",
                            repeats: Count = 5, seed: Seed = 0) -> ImportanceReport:
     """Rank features by mean metric drop under per-column shuffling.
@@ -58,10 +59,6 @@ def permutation_importance(model, frame: FeatureFrame, metric: Metric = "auc",
     Shuffles are seeded per (feature, repeat), so the report is deterministic
     and each column's evaluation is independent of the others.
     """
-    check_arg("frame", frame, FeatureFrame)
-    check_arg("metric", metric, Metric)
-    check_arg("repeats", repeats, Count)
-    check_arg("importance seed", seed, Seed)
     score = _METRICS[metric]
 
     baseline = score(predict_probs(model, frame.X), frame.y)

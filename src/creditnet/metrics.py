@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError, UndefinedMetricError
-from .records import FiniteReal, check_arg, record
+from .records import FiniteReal, checked, record
 from .tensor_ops import as_f64
 
 
@@ -77,9 +77,9 @@ def _accuracy(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float
     return float(np.mean((scores >= threshold) == labels))
 
 
+@checked
 def accuracy(scores, labels, threshold: FiniteReal = 0.5) -> float:
     """Fraction of samples where (score >= threshold) matches the label."""
-    check_arg("threshold", threshold, FiniteReal)
     return _accuracy(*_validate(scores, labels), threshold)
 
 
@@ -134,9 +134,9 @@ def roc_points(scores, labels) -> RocCurve:
     return RocCurve(fpr=np.append(0.0, fp / fp[-1]), tpr=np.append(0.0, tp / tp[-1]))
 
 
+@checked
 def evaluate_scores(scores, labels, threshold: FiniteReal = 0.5) -> MetricsRecord:
     """Compute the full metric triple on one split: one validation, one sort."""
-    check_arg("threshold", threshold, FiniteReal)
     scores, labels = _validate(scores, labels)
     fp, tp = _sweep(scores, labels)
     return MetricsRecord(

@@ -35,7 +35,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, StateError
-from .records import (Count, Seed, check_arg, check_path, config_from_dict, record,
+from .records import (Count, Seed, check_path, checked, config_from_dict, record,
                       record_to_dict)
 from .tensor_ops import (
     ACTIVATIONS,
@@ -151,8 +151,8 @@ class ParamStore:
         return (self.values[offset:end].reshape(shape),
                 self.grads[offset:end].reshape(shape))
 
-    def add(self, name: str, value: np.ndarray) -> Parameter:
-        check_arg("name", name, str)
+    @checked
+    def add(self, name: str, value) -> Parameter:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         value = as_f64(value)
@@ -315,6 +315,7 @@ def _qkv_views(qkv: np.ndarray) -> tuple:
     return tuple(np.swapaxes(qkv[..., i, :, :], -2, -3) for i in range(3))
 
 
+@checked
 def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: Count):
     """Self-attention with ``n_heads`` parallel heads, concatenated and
     recombined by the output projection ``wo``. Projections are bias-free;
@@ -323,7 +324,6 @@ def multi_head_attention(tokens: np.ndarray, wq, wk, wv, wo, n_heads: Count):
         raise ShapeError(f"multi_head_attention: tokens must be [..., s, d_model], "
                          f"got {tokens.shape}")
     d_model = tokens.shape[-1]
-    check_arg("n_heads", n_heads, Count)
     if d_model % n_heads != 0:
         raise ConfigError(f"d_model={d_model} not divisible by n_heads={n_heads}")
     for name, w in zip("QKVO", (wq, wk, wv, wo)):
@@ -481,6 +481,7 @@ class Activation(_Layer):
         return elementwise_backward(cache, g, out=g)
 
 
+@checked
 def build(config: ModelConfig) -> tuple[ParamStore, list]:
     """The parameters of ``config`` and the layer list that reads them.
 
@@ -490,7 +491,6 @@ def build(config: ModelConfig) -> tuple[ParamStore, list]:
     give bit-identical stores. The logistic baseline is one ``Linear`` with
     zero weights, so its seed is unused.
     """
-    check_arg("config", config, ModelConfig)
     rng = np.random.default_rng(config.seed)
     store = ParamStore()
     cv, at = config.conv, config.attn
@@ -628,7 +628,8 @@ class Model:
         # fitted model does not keep its last step's activations alive
         self._spent = None
 
-    def forward(self, batch: np.ndarray, *, trace: bool = True):
+    @checked
+    def forward(self, batch, *, trace: bool = True):
         """Default probabilities for a ``[B, n_features]`` batch.
 
         Returns ``(probs, trace)`` where ``probs`` is ``[B]`` with every
@@ -639,7 +640,6 @@ class Model:
         forward frees the caches of the trace the last backward consumed,
         each just before its layer allocates the replacement.
         """
-        check_arg("trace", trace, bool)
         h = check_batch(batch, self.config.n_features)
         if trace:
             spent = self._spent() if self._spent else None
@@ -652,7 +652,8 @@ class Model:
         check_finite(probs, "model probabilities")
         return probs, (ForwardTrace(probs, caches, self) if trace else None)
 
-    def backward(self, trace: ForwardTrace, grad_probs: np.ndarray,
+    @checked
+    def backward(self, trace: Optional[ForwardTrace], grad_probs,
                  want_input_grad: bool = False):
         """Accumulate d(loss)/d(param) into every parameter's grad.
 
@@ -662,7 +663,6 @@ class Model:
         ``grad_probs`` it rejects, or a trace another model made, leaves the
         trace unconsumed, for a retry.
         """
-        check_arg("want_input_grad", want_input_grad, bool)
         if trace is None:
             raise StateError("no ForwardTrace to run backward on: the forward ran "
                              "with trace=False")
@@ -707,6 +707,7 @@ class CheckpointHeader:
     extra: dict = field(default_factory=dict)  # the caller's own keys
 
 
+@checked
 def save_checkpoint(path, model: Model, preprocess: Optional[dict] = None,
                     extra: Optional[dict] = None) -> None:
     """Write the model's ``CheckpointHeader`` as one JSON line, then all
@@ -714,7 +715,6 @@ def save_checkpoint(path, model: Model, preprocess: Optional[dict] = None,
     A header that JSON cannot hold, or a file that cannot be written, is a
     ``ConfigError``."""
     check_path(path, "checkpoint")
-    check_arg("model", model, Model)
     params = tuple(ParamEntry(p.name, p.value.shape) for p in model.params)
     header = CheckpointHeader(CHECKPOINT_MAGIC, 1, model.config, params, preprocess,
                               {} if extra is None else extra)

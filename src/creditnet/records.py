@@ -7,7 +7,8 @@ dataclass with:
   records as objects, tuples and arrays as lists;
 - a reader, ``from_dict`` (``config_from_dict``), which rejects a value that
   is not an object, an unknown key and a missing required key, reads nested
-  records from objects and array fields from lists of numbers, then builds;
+  records from objects and array fields from lists of finite numbers, then
+  builds;
 - a construction check: every build, direct or from JSON, checks each field
   against its type hint, against the range of a bounded number (``Count``,
   ``Seed``, ``Positive``, ``Rate``, ``Finite``: ``Annotated`` hints) and
@@ -18,20 +19,21 @@ dataclass with:
   array field takes arrays only. The hints are resolved once per class, since
   ``get_type_hints`` costs more than the check.
 
-``check_arg`` gives a library argument the same check against the same hints.
+``checked`` gives each argument of a library call the same check by its own hint.
 
 This module imports only ``errors``, the standard library and numpy.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, wraps
 from numbers import Integral, Real
 from typing import (Annotated, Callable, Literal, NamedTuple, Union, get_args, get_origin,
                     get_type_hints)
@@ -131,6 +133,30 @@ def check_arg(name: str, value, hint) -> None:
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
+def checked(fn):
+    """``fn``, checking each argument a call passes against its parameter's
+    hint, as ``check_arg`` does, before the body runs; defaults and unhinted
+    parameters go unchecked. The first call resolves the hints (deferred by
+    ``from __future__ import annotations``) and positions: binding costs 8x."""
+    checks = None
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        nonlocal checks
+        if checks is None:  # (position, name, hint, fits) per checked parameter
+            hints = get_type_hints(fn, include_extras=True)
+            checks = [(sys.maxsize if p.kind is p.KEYWORD_ONLY else i, name, hint, _fits(hint))
+                      for i, (name, p) in enumerate(inspect.signature(fn).parameters.items())
+                      if (hint := hints.get(name)) is not None]
+        for i, name, hint, fits in checks:
+            value = args[i] if i < len(args) else kwargs.get(name, MISSING)
+            if value is not MISSING and not fits(value):
+                check_arg(name, value, hint)
+        return fn(*args, **kwargs)
+
+    return call
+
+
 @cache
 def _hints(cls) -> dict:
     """A record class's field type hints, bounds kept, resolved once."""
@@ -201,17 +227,15 @@ def record_to_dict(record):
 def _from_json(hint, value):
     """``value`` as decoded from JSON, read for a field typed ``hint`` (or
     ``Optional[hint]``): an object (a list's items) becomes the record (tuple of
-    records) it names, a list of numbers a float64 array; else it is unchanged."""
+    records) it names, a list of finite numbers a float64 array; else it is
+    unchanged, for the field check to refuse."""
     for h in _alternatives(hint):
         if is_dataclass(h) and isinstance(value, dict):
             return config_from_dict(h, value)
         if get_origin(h) is tuple and is_dataclass(get_args(h)[0]) and isinstance(value, list):
             return tuple(config_from_dict(get_args(h)[0], v) for v in value)
-        if h is np.ndarray and isinstance(value, list) and all(map(_fits(float), value)):
-            try:
-                return np.array(value, dtype=np.float64)
-            except OverflowError:  # an integer beyond float64's range
-                return value
+        if h is np.ndarray and isinstance(value, list) and all(map(_fits(Finite), value)):
+            return np.array(value, dtype=np.float64)
     return value
 
 
@@ -220,7 +244,7 @@ def config_from_dict(cls, d: dict):
 
     ``d`` must be an object holding every field without a default and no
     other key. Nested records are read from their dicts and array fields from
-    lists of numbers; building the record then checks every value's type.
+    lists of finite numbers; building the record then checks every value's type.
     Each fault is a ``ConfigError`` naming ``cls``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")

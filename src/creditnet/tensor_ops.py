@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
-from .records import Count, Positive, check_arg
+from .records import Count, Positive, checked
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
 
@@ -90,6 +90,7 @@ class OpCache:
 # conv1d (cross-correlation, valid padding)
 # ---------------------------------------------------------------------------
 
+@checked
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: Count = 1):
     """Valid cross-correlation over the last axis, as im2col plus one GEMM.
 
@@ -104,7 +105,6 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: Count = 1):
         ``L_out = (L - K) // stride + 1``; ``out`` is a channel-last array
         seen through a transposed view.
     """
-    check_arg("conv1d stride", stride, Count)
     if x.ndim < 2 or w.ndim != 3 or b.ndim != 1:
         raise ShapeError(
             f"conv1d expects x[..., c_in, L], w[c_out, c_in, K], b[c_out]; "
@@ -159,6 +159,7 @@ def conv1d_backward(cache: OpCache, g_out: np.ndarray):
 # maxpool1d
 # ---------------------------------------------------------------------------
 
+@checked
 def maxpool1d(x: np.ndarray, window: Count, stride: Count):
     """Max over sliding windows on the last axis.
 
@@ -168,8 +169,6 @@ def maxpool1d(x: np.ndarray, window: Count, stride: Count):
     to exactly one input position: the lowest index in its window holding
     the max.
     """
-    check_arg("pool window", window, Count)
-    check_arg("pool stride", stride, Count)
     length = x.shape[-1]
     if window > length:
         raise ShapeError(f"pool window {window} exceeds input length {length}")
@@ -277,10 +276,10 @@ def sigmoid(x: np.ndarray, *, out=None) -> np.ndarray:
 # layer normalization
 # ---------------------------------------------------------------------------
 
+@checked
 def layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, eps: Positive = 1e-5,
                *, out=None):
     """Normalize each row (last axis) to mean 0 / variance 1, then scale+shift."""
-    check_arg("layer_norm eps", eps, Positive)
     _check_rows("layer_norm", x)
     n = x.shape[-1]
     if gain.shape != (n,) or shift.shape != (n,):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .data import Splits, FeatureFrame
 from .errors import ConfigError, NumericError, ShapeError, StateError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
 from .model import BASELINE, VARIANTS, Model, ModelConfig, ParamStore
-from .records import Count, Positive, Rate, Seed, check_arg, record, record_to_dict
+from .records import Count, Positive, Rate, Seed, checked, record, record_to_dict
 from .tensor_ops import as_f64
 
 PROB_EPS = 1e-12  # cross-entropy clamp
@@ -106,6 +106,7 @@ def write_curves_csv(report: RunReport, path) -> None:
 # objective
 # ---------------------------------------------------------------------------
 
+@checked
 def bce_loss(probs, labels, pos_weight: Positive = 1.0):
     """Mean binary cross-entropy with probabilities clamped to
     ``[1e-12, 1 - 1e-12]``; returns ``(loss, d loss / d probs)``.
@@ -116,7 +117,6 @@ def bce_loss(probs, labels, pos_weight: Positive = 1.0):
     is not finite and > 0 a ``ConfigError``; probabilities are not checked,
     so a NaN from a diverged model reaches the loss.
     """
-    check_arg("pos_weight", pos_weight, Positive)
     probs = as_f64(probs).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if probs.shape != labels.shape:
@@ -136,15 +136,14 @@ def bce_loss(probs, labels, pos_weight: Positive = 1.0):
 # ---------------------------------------------------------------------------
 
 def _check_grads(params: ParamStore) -> None:
-    check_arg("params", params, ParamStore)
     if not np.all(np.isfinite(params.grads)):
         bad = next(p.name for p in params if not np.all(np.isfinite(p.grad)))
         raise NumericError(f"non-finite gradient in parameter {bad!r}")
 
 
+@checked
 def sgd_step(params: ParamStore, lr: Positive) -> None:
     """Vanilla gradient descent: values <- values - lr * grads."""
-    check_arg("lr", lr, Positive)
     _check_grads(params)
     params.values -= lr * params.grads
 
@@ -153,10 +152,8 @@ class AdamState:
     """First/second moment vectors, aligned with one ParamStore's flat
     buffers and allocated on the first step, plus the shared step counter."""
 
+    @checked
     def __init__(self, beta1: Rate = 0.9, beta2: Rate = 0.999, eps: Positive = 1e-8):
-        check_arg("beta1", beta1, Rate)
-        check_arg("beta2", beta2, Rate)
-        check_arg("eps", eps, Positive)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m: Optional[np.ndarray] = None
@@ -166,13 +163,12 @@ class AdamState:
         self._work: Optional[np.ndarray] = None
 
 
+@checked
 def adam_step(params: ParamStore, lr: Positive, state: AdamState) -> None:
     """Bias-corrected Adam update over the whole store; ``state`` persists
     across steps and serves the one store its first step sized it for.
     Every element sees the operations of
     ``value -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in the same order."""
-    check_arg("lr", lr, Positive)
-    check_arg("state", state, AdamState)
     _check_grads(params)
     g = params.grads
     if state.m is not None and state.m.shape != g.shape:
@@ -226,10 +222,10 @@ EVAL_BATCH = 2048
 SCORE_BLOCK = 256
 
 
-def predict_probs(model: Model, X: np.ndarray) -> np.ndarray:
+@checked
+def predict_probs(model: Model, X) -> np.ndarray:
     """Probabilities for every row of ``X``, one untraced ``model.forward``
     per ``SCORE_BLOCK`` rows, for a ``Model`` of any variant."""
-    check_arg("model", model, Model)
     X = as_f64(X)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-D [rows, n_features], got shape {X.shape}")
@@ -240,11 +236,11 @@ def predict_probs(model: Model, X: np.ndarray) -> np.ndarray:
     return out
 
 
+@checked
 def evaluate(model: Model, frame: FeatureFrame, pos_weight: Positive = 1.0,
-             probs: Optional[np.ndarray] = None):
+             probs=None):
     """``(bce loss, MetricsRecord)`` on one split: a fresh pass unless
     ``probs`` already holds the model's probabilities for ``frame``."""
-    check_arg("frame", frame, FeatureFrame)
     if probs is None:
         probs = predict_probs(model, frame.X)
     loss, _ = bce_loss(probs, frame.y, pos_weight)
@@ -339,28 +335,20 @@ def _fit(model: Model, train_cfg: TrainConfig, splits: Splits) -> RunReport:
     )
 
 
-def _check_run(model_cfg, train_cfg, splits) -> None:
-    """Raise ``ConfigError`` naming the first argument of a training run
-    that is not of its type."""
-    check_arg("model_cfg", model_cfg, ModelConfig)
-    check_arg("train_cfg", train_cfg, TrainConfig)
-    check_arg("splits", splits, Splits)
-
-
+@checked
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
           splits: Splits) -> tuple[Model, RunReport]:
     """Train the configured variant; returns the fitted model and its report."""
-    _check_run(model_cfg, train_cfg, splits)
     model = Model(model_cfg)
     report = _fit(model, train_cfg, splits)
     return model, report
 
 
+@checked
 def train_baseline_logistic(train_cfg: TrainConfig,
                             splits: Splits) -> tuple[Model, RunReport]:
     """Linear floor that any interaction-capable model should beat: the
     ``logistic`` variant, trained by ``train``."""
-    check_arg("splits", splits, Splits)
     return train(ModelConfig(splits.train.n_features, variant=BASELINE), train_cfg, splits)
 
 
@@ -386,38 +374,37 @@ def _run_rows(cells: list, splits: Splits) -> list[dict]:
     return rows
 
 
-def _check_grid(name: str, values, hint) -> None:
-    """Raise ``ConfigError`` unless the sweep axis ``values`` fits ``hint`` and is non-empty."""
-    check_arg(name, values, hint)
+def _check_grid(name: str, values: tuple) -> None:
+    """Raise ``ConfigError`` if the sweep axis ``values`` is empty."""
     if not values:
         raise ConfigError(f"a sweep needs a non-empty {name} grid")
 
 
+@checked
 def sweep_lr(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
-             lrs: Sequence[Positive], splits: Splits) -> list[dict]:
+             lrs: tuple[Positive, ...], splits: Splits) -> list[dict]:
     """One seeded run per learning rate, identical otherwise."""
-    _check_run(model_cfg, base_train_cfg, splits)
-    _check_grid("lrs", lrs, tuple[Positive, ...])
+    _check_grid("lrs", lrs)
     return _run_rows([(model_cfg, replace(base_train_cfg, learning_rate=float(lr)),
                        {"lr": float(lr)}) for lr in lrs], splits)
 
 
+@checked
 def sweep_optimizer(model_cfg: ModelConfig, base_train_cfg: TrainConfig,
-                    lrs: Sequence[Positive], splits: Splits,
-                    optimizers: Sequence[Optimizer] = OPTIMIZERS) -> list[dict]:
+                    lrs: tuple[Positive, ...], splits: Splits,
+                    optimizers: tuple[Optimizer, ...] = OPTIMIZERS) -> list[dict]:
     """Full {optimizer} x {learning rate} grid."""
-    _check_run(model_cfg, base_train_cfg, splits)
-    _check_grid("lrs", lrs, tuple[Positive, ...])
-    _check_grid("optimizers", optimizers, tuple[Optimizer, ...])
+    _check_grid("lrs", lrs)
+    _check_grid("optimizers", optimizers)
     return _run_rows([(model_cfg, replace(base_train_cfg, optimizer=opt,
                                           learning_rate=float(lr)),
                        {"optimizer": opt, "lr": float(lr)})
                       for opt in optimizers for lr in lrs], splits)
 
 
+@checked
 def ablate(model_cfg: ModelConfig, train_cfg: TrainConfig,
            splits: Splits) -> list[dict]:
     """Train cnn_only / transformer_only / hybrid on shared data and seed."""
-    _check_run(model_cfg, train_cfg, splits)
     return _run_rows([(replace(model_cfg, variant=variant), train_cfg, {"variant": variant})
                       for variant in VARIANTS], splits)

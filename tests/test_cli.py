@@ -240,7 +240,7 @@ class TestEval:
         # the fill for f1 is the mean of its observed train-split cells
         header_line, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        frame = cli.load_frame(data, cfg, cli.read_schema(data, cfg))
+        frame = cli.load_frame(data, cli.read_schema(data, cfg), cli.data_section(cfg))
         f1 = split(frame, SplitSpec.from_dict(resolved["split"])).train.X[:, 1]
         assert header["preprocess"]["impute"]["fill_values"][1] == np.mean(f1[~np.isnan(f1)])
 
@@ -457,13 +457,13 @@ FAULTS = [
     ("winsorize-key", "config", {"winsorize": {"lowr": 0.01, "upper_quantile": 0.99}}, 1,
      "unknown winsorize key(s) ['lowr']; allowed: lower_quantile, upper_quantile"),
     ("string-subsample", "config", {"data": {"subsample": "abc"}}, 1,
-     "subsample must be Optional[int >= 1], got 'abc'"),
+     "data key 'subsample' must be Optional[int >= 1], got 'abc'"),
     ("negative-subsample", "config", {"data": {"subsample": -5}}, 1,
-     "subsample must be Optional[int >= 1], got -5"),
+     "data key 'subsample' must be Optional[int >= 1], got -5"),
     ("fractional-subsample", "config", {"data": {"subsample": 2.5}}, 1,
-     "subsample must be Optional[int >= 1], got 2.5"),
+     "data key 'subsample' must be Optional[int >= 1], got 2.5"),
     ("string-subsample-seed", "config", {"data": {"subsample_seed": "x"}}, 1,
-     "data key 'subsample_seed' must be int, got 'x'"),
+     "data key 'subsample_seed' must be int >= 0, got 'x'"),
     ("string-quantile", "config",
      {"winsorize": {"lower_quantile": "abc", "upper_quantile": 0.99}}, 1,
      "winsorize key 'lower_quantile' must be float, got 'abc'"),
@@ -489,7 +489,7 @@ FAULTS = [
     ("negative-split-seed", "config", {"split": {"seed": -1}}, 1,
      "SplitSpec key 'seed' must be int >= 0, got -1"),
     ("negative-subsample-seed", "config", {"data": {"subsample": 100, "subsample_seed": -1}},
-     1, "subsample seed must be int >= 0, got -1"),
+     1, "data key 'subsample_seed' must be int >= 0, got -1"),
     ("string-imputation-value", "config",
      {"schema": {"imputation": {"kind": "constant", "value": "abc"}}}, 1,
      "ConstantFill key 'value' must be finite float, got 'abc'"),
@@ -582,6 +582,29 @@ FAULTS = [
      lambda h, p: (_set_header(h, ("preprocess", "standardize", "std"),
                                h["preprocess"]["standardize"]["std"][:-1]), p), 1,
      "config error: StandardizeStats mean has shape (6,) but std has shape (5,)"),
+    ("spliced-fill-values", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "impute", "fill_values"),
+                               h["preprocess"]["impute"]["fill_values"][:5]), p), 1,
+     "config error: PreprocessStats parts cover different feature counts: impute 5, "
+     "standardize 6"),
+    ("spliced-winsor", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "winsor"), {
+         "lower": [-1.0] * 5, "upper": [1.0] * 5, "fitted_on": "train"}), p), 1,
+     "config error: PreprocessStats parts cover different feature counts: impute 6, "
+     "standardize 6, winsor 5"),
+    ("nan-fill-value", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "impute", "fill_values"),
+                               [float("nan"), *h["preprocess"]["impute"]["fill_values"][1:]]),
+                   p), 1,
+     "config error: ImputeStats key 'fill_values' must be ndarray, got [nan, "),
+    ("negative-std", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "standardize", "std"),
+                               [-1.0, *h["preprocess"]["standardize"]["std"][1:]]), p), 1,
+     "config error: StandardizeStats std must be >= 0, got [-1.0, "),
+    ("unknown-fitted-on", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "impute", "fitted_on"), "bogus"), p), 1,
+     "config error: ImputeStats key 'fitted_on' must be one of 'full', 'train', 'val', "
+     "'test', got 'bogus'"),
     ("report-not-json", "report", '{"kind": "train"', 1, "report.json is not valid JSON: "),
     ("train-report-without-final", "report", '{"kind": "train"}', 1,
      "report.json has no key 'final'"),
@@ -681,7 +704,8 @@ class TestFaults:
     BAD_SECTIONS = {"train": {"train": {"optimizr": "adam"}},
                     "model": {"model": {"variant": "cnn"}},
                     "split": {"split": {"seed": -1}},
-                    "winsorize": {"winsorize": {"lower_quantile": 0.5, "upper_quantile": 0.1}}}
+                    "winsorize": {"winsorize": {"lower_quantile": 0.5, "upper_quantile": 0.1}},
+                    "data": {"data": {"subsample_seed": -1}}}
 
     @pytest.mark.parametrize("section", list(BAD_SECTIONS))
     def test_bad_section_fails_before_the_csv_is_read(self, section, workspace, tmp_path,

@@ -91,8 +91,8 @@ class TestLoadCsv:
     def test_non_integer_subsample_seed_is_a_config_error(self, tmp_path, seed):
         rows = "\n".join(f"{i % 2},{20 + i},{i / 10}" for i in range(50))
         path = write_csv(tmp_path, "default,age,debt\n" + rows + "\n")
-        with pytest.raises(ConfigError, match=re.escape(
-                f"subsample seed must be int >= 0, got {seed!r}")):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                f"seed must be int >= 0, got {seed!r}")):
             load_csv(path, SCHEMA, subsample=10, seed=seed)
 
     def test_missing_file(self):
@@ -416,22 +416,22 @@ class TestSynth:
             synth_generate(50, 3, 0, SynthSpec())
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigError, match="^synthetic seed must be int >= 0, got -1$"):
+        with pytest.raises(ConfigError, match="^seed must be int >= 0, got -1$"):
             synth_generate(200, 4, -1, synth_preset("linear", 4))
 
     @pytest.mark.parametrize("args, message", [
-        (("a", 3, 0), "synthetic n must be int >= 100, got 'a'"),
-        ((200.5, 3, 0), "synthetic n must be int >= 100, got 200.5"),
-        ((200, "a", 0), "synthetic n_features must be int >= 1, got 'a'"),
-        ((200, 3, "a"), "synthetic seed must be int >= 0, got 'a'"),
-        ((200, 3, True), "synthetic seed must be int >= 0, got True"),
+        (("a", 3, 0), "n must be int >= 100, got 'a'"),
+        ((200.5, 3, 0), "n must be int >= 100, got 200.5"),
+        ((200, "a", 0), "n_features must be int >= 1, got 'a'"),
+        ((200, 3, "a"), "seed must be int >= 0, got 'a'"),
+        ((200, 3, True), "seed must be int >= 0, got True"),
     ])
     def test_non_integer_argument_is_a_config_error(self, args, message):
-        with pytest.raises(ConfigError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
             synth_generate(*args, SynthSpec())
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="^preset name must be one of 'noise', "):
+        with pytest.raises(ConfigError, match="^name must be one of 'noise', "):
             synth_preset("nope", 10)
 
     @pytest.mark.parametrize("fields, message", [

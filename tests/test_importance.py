@@ -108,14 +108,14 @@ class TestPermutationImportance:
 
     def test_negative_seed(self, trained_on_dominant_feature):
         model, test = trained_on_dominant_feature
-        with pytest.raises(ConfigError, match="^importance seed must be int >= 0, got -1$"):
+        with pytest.raises(ConfigError, match="^seed must be int >= 0, got -1$"):
             permutation_importance(model, test, seed=-1)
 
     @pytest.mark.parametrize("seed", ["a", 1.5, True])
     def test_non_integer_seed_is_a_config_error(self, trained_on_dominant_feature, seed):
         model, test = trained_on_dominant_feature
         with pytest.raises(ConfigError,
-                           match=f"^importance seed must be int >= 0, got {seed!r}$"):
+                           match=f"^seed must be int >= 0, got {seed!r}$"):
             permutation_importance(model, test, seed=seed)
 
     def test_single_class_split_undefined(self, trained_on_dominant_feature):

@@ -320,19 +320,20 @@ def split_specs(draw):
 
 @st.composite
 def preprocess_stats(draw):
-    """Stats of every float64 bit pattern but NaN's, which JSON keeps only as one
-    value: signed zeros, subnormals, infinities and the extremes included."""
+    """Stats of every finite float64 bit pattern, the values the records reader
+    takes: signed zeros, subnormals and the extremes included, and no negative
+    std."""
     n = draw(st.integers(0, 6))
     tag = draw(st.sampled_from(["train", "full", "val"]))
 
-    def column():
-        return np.array(draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)),
-                        dtype=np.float64)
+    def column(min_value=None):
+        return np.array(draw(st.lists(st.floats(min_value, allow_nan=False, allow_infinity=False),
+                                      min_size=n, max_size=n)), dtype=np.float64)
 
     winsor = draw(st.booleans())
     return PreprocessStats(
         impute=ImputeStats(column(), tag),
-        standardize=StandardizeStats(column(), column(), tag),
+        standardize=StandardizeStats(column(), column(0.0), tag),
         winsor=WinsorStats(column(), column(), tag) if winsor else None)
 
 

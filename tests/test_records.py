@@ -188,6 +188,10 @@ def world(tmp_path_factory):
                                              seed=0)),
         "ModelConfig.from_dict": (cn.ModelConfig.from_dict, dict(d=model_cfg.to_dict())),
         "Model": (cn.Model, dict(config=model_cfg)),
+        "Model.forward": (model.forward, dict(batch=splits.test.X, trace=True)),
+        "Model.backward": (model.backward, dict(trace=model.forward(splits.test.X)[1],
+                                                grad_probs=np.ones_like(probs),
+                                                want_input_grad=False)),
         "ParamStore.add": (cn.ParamStore().add, dict(name="w", value=np.zeros(2))),
         "AdamState": (cn.AdamState, dict(beta1=0.9, beta2=0.999, eps=1e-8)),
         "EarlyStop": (cn.EarlyStop, dict(metric="val_auc", patience=2)),
@@ -251,13 +255,17 @@ def world(tmp_path_factory):
     }
     for name, (fn, kwargs) in cases.items():
         fn(**kwargs)  # every baseline call is valid
+    # a trace serves one backward: the walk gets one the baseline call left
+    # unconsumed, so the grad_probs it refuses meet the shape and value checks
+    cases["Model.backward"][1]["trace"] = model.forward(splits.test.X)[1]
     return cases
 
 
 CASES = [
     "AdamState", "AttnSpec", "ConstantFill", "ConvSpec", "EarlyStop", "FeatureFrame",
     "ImportanceReport",
-    "MetricsRecord", "MetricsRecord.to_dict", "Model", "ModelConfig", "ModelConfig.from_dict",
+    "MetricsRecord", "MetricsRecord.to_dict", "Model", "Model.backward", "Model.forward",
+    "ModelConfig", "ModelConfig.from_dict",
     "ParamStore.add", "PreprocessStats", "RocCurve", "RunReport", "SchemaConfig",
     "SchemaConfig.from_dict", "SchemaConfig.from_json", "SplitSpec", "Splits", "SynthSpec",
     "TrainConfig", "ablate", "accuracy", "adam_step", "apply_preprocess", "auc", "bce_loss",
@@ -302,6 +310,21 @@ def test_every_hostile_argument_ends_as_a_creditnet_error(world, scratch_cwd, ca
             except CreditNetError:
                 pass
     assert issubclass(DataError, ValueError)
+
+
+def test_every_hostile_argument_to_a_winsorize_step_is_a_config_error(world):
+    """``winsorize_fit`` and ``winsorize_apply`` are not exported, so the walk
+    does not reach them; each hostile value is refused by a hint or, for a
+    quantile of the right type, by the quantile rule."""
+    frame = world["standardize_fit"][1]["frame"]
+    stats = cn.data.winsorize_fit(frame, 0.01, 0.99)
+    for fn, kwargs in ((cn.data.winsorize_fit, dict(frame=frame, lower_q=0.01, upper_q=0.99)),
+                       (cn.data.winsorize_apply, dict(frame=frame, stats=stats))):
+        fn(**kwargs)
+        for arg in kwargs:
+            for value in HOSTILE:
+                with pytest.raises(ConfigError):
+                    fn(**{**kwargs, arg: value})
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +424,30 @@ def test_a_value_past_a_bound_is_a_config_error_naming_the_argument(world, case,
             fn(**{**kwargs, arg: value})
         assert re.fullmatch(rf"(\w+ key '{arg}'|(\w+ )?{arg}) must be {re.escape(bound)}, "
                             rf"got {re.escape(repr(value))}", str(info.value)), str(info.value)
+
+
+X3 = np.zeros((1, 2, 4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cn.tensor_ops.conv1d(X3, np.zeros((1, 2, 2)), np.zeros(1), 0),
+     "stride must be int >= 1, got 0"),
+    (lambda: cn.tensor_ops.conv1d(X3.tolist(), np.zeros((1, 2, 2)), np.zeros(1)),
+     "x must be ndarray, got [[[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]"),
+    (lambda: cn.tensor_ops.maxpool1d(X3, window=0, stride=1), "window must be int >= 1, got 0"),
+    (lambda: cn.tensor_ops.maxpool1d(X3, 2, stride=True), "stride must be int >= 1, got True"),
+    (lambda: cn.tensor_ops.layer_norm(X3, np.ones(4), np.zeros(4), eps=0.0),
+     "eps must be float > 0 and finite, got 0.0"),
+    (lambda: cn.sweep_lr(cn.ModelConfig(4), None, [1e-3], None),
+     "base_train_cfg must be TrainConfig, got None"),
+    (lambda: cn.Model(cn.ModelConfig(4)).backward("abc", np.ones(1)),
+     "trace must be Optional[ForwardTrace], got 'abc'"),
+], ids=["conv1d-stride", "conv1d-x", "pool-window", "pool-stride", "layer-norm-eps",
+        "sweep-base-train-cfg", "backward-trace"])
+def test_a_checked_argument_is_named_as_its_parameter(call, message):
+    """``records.checked`` names the parameter, positional or keyword."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("cls, kwargs, message", [
