@@ -158,14 +158,10 @@ def read_schema(path: Path, cfg: dict) -> SchemaConfig:
     return schema
 
 
-def data_section(cfg: dict) -> DataSection:
-    """The config's data section, checked."""
-    return config_from_dict(DataSection, cfg.get("data") or {})
-
-
-def load_frame(path: Path, schema: SchemaConfig, data: DataSection) -> FeatureFrame:
-    """The CSV at ``path``, loaded with ``schema`` and the config's data section."""
-    return load_csv(path, schema, subsample=data.subsample, seed=data.subsample_seed)
+def data_section(cfg: dict) -> dict:
+    """The config's data section, checked, as ``load_csv``'s keyword arguments."""
+    data = config_from_dict(DataSection, cfg.get("data") or {})
+    return {"subsample": data.subsample, "seed": data.subsample_seed}
 
 
 def seeded_section(cfg: dict, name: str, seed_override) -> dict:
@@ -262,7 +258,7 @@ def training_inputs(args, cfg: dict) -> TrainingInputs:
     schema = read_schema(data_path, cfg)
     model_cfg = ModelConfig.from_dict({**seeded_section(cfg, "model", args.seed),
                                        "n_features": len(schema.feature_columns)})
-    frame = load_frame(data_path, schema, data)
+    frame = load_csv(data_path, schema, **data)
     splits, pre_stats = prepare_splits(frame, schema, split_spec, quantiles)
     resolved = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
                 "schema": schema.to_dict(), "split": record_to_dict(split_spec),
@@ -298,7 +294,7 @@ def checkpoint_inputs(args, cfg: dict) -> CheckpointInputs:
     schema = read_schema(data_path, cfg)
     return CheckpointInputs(data_path, {"model": model.config.to_dict(),
                                         "schema": schema.to_dict()},
-                            model, apply_preprocess(load_frame(data_path, schema, data), stats))
+                            model, apply_preprocess(load_csv(data_path, schema, **data), stats))
 
 
 # A runner takes (args, inputs, out dir), writes the command's own outputs and

@@ -19,8 +19,8 @@ from typing import Annotated, Literal, NamedTuple, NoReturn, Optional, Sequence,
 import numpy as np
 
 from .errors import ConfigError, DataError, LeakageError, SchemaError, ShapeError
-from .records import (Count, Finite, Rate, Seed, at_least, check_arg, check_path, checked,
-                      read_json_object, record)
+from .records import (Count, Finite, FiniteArray, Rate, Seed, at_least, check_arg, check_path,
+                      checked, read_json_object, record)
 from .tensor_ops import as_f64, sigmoid
 
 MISSING_DEFAULT = ("", "NA", "NaN", "nan", "null", "NULL")
@@ -363,8 +363,23 @@ def _raise_first_fault(path: Path, schema: SchemaConfig, label_i: int,
 
 @record
 class ImputeStats:
-    fill_values: np.ndarray
+    fill_values: FiniteArray
     fitted_on: SplitTag
+
+
+# the fits overflow quietly; _check_fitted names the column instead
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def _check_fitted(frame: FeatureFrame, what: str, **stats: np.ndarray) -> None:
+    """Raise ``DataError`` naming the first column whose fitted statistic is
+    not finite: a stats record holds finite entries only, and statistics of
+    finite data can overflow float64 (the std of [1e200, -1e200])."""
+    for name, values in stats.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"{what} {name} of column {frame.feature_names[bad[0]]!r} is "
+                            f"{values[bad[0]]}, not a finite float64")
 
 
 def _guard_leakage(frame: FeatureFrame, fitted_on: str, what: str) -> None:
@@ -376,6 +391,7 @@ def _guard_leakage(frame: FeatureFrame, fitted_on: str, what: str) -> None:
 
 
 @checked
+@_quiet_overflow
 def fit_imputer(frame: FeatureFrame, schema: SchemaConfig) -> ImputeStats:
     """Per-column fill values from this frame (use the training split)."""
     fills = np.empty(frame.n_features)
@@ -393,6 +409,7 @@ def fit_imputer(frame: FeatureFrame, schema: SchemaConfig) -> ImputeStats:
             fills[j] = np.median(observed)
         else:
             fills[j] = np.mean(observed)
+    _check_fitted(frame, "imputation", fill_value=fills)
     return ImputeStats(fill_values=fills, fitted_on=frame.split_tag)
 
 
@@ -417,14 +434,17 @@ def impute(frame: FeatureFrame, stats: ImputeStats) -> FeatureFrame:
 
 @record
 class WinsorStats:
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: FiniteArray
+    upper: FiniteArray
     fitted_on: SplitTag
 
     def __post_init__(self):
         if np.shape(self.lower) != np.shape(self.upper):
             raise ConfigError(f"WinsorStats lower has shape {np.shape(self.lower)} "
                               f"but upper has shape {np.shape(self.upper)}")
+        if not np.all(self.lower <= self.upper):
+            raise ConfigError(f"WinsorStats lower must be <= upper, got {self.lower.tolist()} "
+                              f"and {self.upper.tolist()}")
 
 
 def check_quantiles(lower_q: float, upper_q: float) -> None:
@@ -434,10 +454,12 @@ def check_quantiles(lower_q: float, upper_q: float) -> None:
 
 
 @checked
+@_quiet_overflow
 def winsorize_fit(frame: FeatureFrame, lower_q: float, upper_q: float) -> WinsorStats:
     check_quantiles(lower_q, upper_q)
     lo = np.nanquantile(frame.X, lower_q, axis=0)
     hi = np.nanquantile(frame.X, upper_q, axis=0)
+    _check_fitted(frame, "winsorization", lower=lo, upper=hi)
     return WinsorStats(lower=lo, upper=hi, fitted_on=frame.split_tag)
 
 
@@ -458,8 +480,8 @@ STD_FLOOR = 1e-12
 
 @record
 class StandardizeStats:
-    mean: np.ndarray
-    std: np.ndarray  # population std; exact zeros mark constant columns
+    mean: FiniteArray
+    std: FiniteArray  # population std; exact zeros mark constant columns
     fitted_on: SplitTag
 
     def __post_init__(self):
@@ -471,6 +493,7 @@ class StandardizeStats:
 
 
 @checked
+@_quiet_overflow
 def standardize_fit(frame: FeatureFrame) -> StandardizeStats:
     """Per-column mean and population std from this frame (use the training split)."""
     if frame.n_missing_cells:
@@ -478,6 +501,7 @@ def standardize_fit(frame: FeatureFrame) -> StandardizeStats:
     mean = np.mean(frame.X, axis=0)
     std = np.std(frame.X, axis=0)  # ddof=0
     std = np.where(std < STD_FLOOR, 0.0, std)
+    _check_fitted(frame, "standardization", mean=mean, std=std)
     return StandardizeStats(mean=mean, std=std, fitted_on=frame.split_tag)
 
 

@@ -7,8 +7,8 @@ dataclass with:
   records as objects, tuples and arrays as lists;
 - a reader, ``from_dict`` (``config_from_dict``), which rejects a value that
   is not an object, an unknown key and a missing required key, reads nested
-  records from objects and array fields from lists of finite numbers, then
-  builds;
+  records from objects and array fields from lists of finite numbers (naming
+  the first entry that is not one), then builds;
 - a construction check: every build, direct or from JSON, checks each field
   against its type hint, against the range of a bounded number (``Count``,
   ``Seed``, ``Positive``, ``Rate``, ``Finite``: ``Annotated`` hints) and
@@ -16,8 +16,9 @@ dataclass with:
   before the class's own ``__post_init__`` cross-field rules. A mistyped,
   out-of-range or unknown value is a ``ConfigError`` naming class and field.
   A list fitting a tuple hint is stored as a tuple, lists inside it too; an
-  array field takes arrays only. The hints are resolved once per class, since
-  ``get_type_hints`` costs more than the check.
+  array field (``FiniteArray``) takes numeric arrays of finite entries only,
+  so every record that builds reads back from its JSON form. The hints are
+  resolved once per class, since ``get_type_hints`` costs more than the check.
 
 ``checked`` gives each argument of a library call the same check by its own hint.
 
@@ -82,6 +83,9 @@ Rate = Annotated[float, Bound(lambda v: 0 < v < 1, "in (0, 1)")]  # the open int
 Finite = Annotated[float, _FINITE]
 # numpy scalars too, for a library argument that is used and not stored
 FiniteReal = Annotated[Real, _FINITE]
+# a record's array field: JSON, and so a checkpoint, holds finite numbers only
+FiniteArray = Annotated[np.ndarray, Bound(lambda a: a.dtype.kind in "iuf"
+                                          and bool(np.isfinite(a).all()), "finite")]
 
 
 def _alternatives(hint) -> tuple:
@@ -224,17 +228,20 @@ def record_to_dict(record):
     return record.tolist() if isinstance(record, np.ndarray) else record
 
 
-def _from_json(hint, value):
-    """``value`` as decoded from JSON, read for a field typed ``hint`` (or
-    ``Optional[hint]``): an object (a list's items) becomes the record (tuple of
-    records) it names, a list of finite numbers a float64 array; else it is
-    unchanged, for the field check to refuse."""
+def _from_json(label: str, hint, value):
+    """``value`` as decoded from JSON, read for the field ``label`` typed
+    ``hint`` (or ``Optional[hint]``): an object (a list's items) becomes the
+    record (tuple of records) it names, a list a float64 array once each entry
+    is a finite number (else a ``ConfigError`` names the first that is not);
+    else it is unchanged, for the field check to refuse."""
     for h in _alternatives(hint):
         if is_dataclass(h) and isinstance(value, dict):
             return config_from_dict(h, value)
         if get_origin(h) is tuple and is_dataclass(get_args(h)[0]) and isinstance(value, list):
             return tuple(config_from_dict(get_args(h)[0], v) for v in value)
-        if h is np.ndarray and isinstance(value, list) and all(map(_fits(Finite), value)):
+        if h == FiniteArray and isinstance(value, list):
+            for i, v in enumerate(value):
+                check_arg(f"{label} entry {i}", v, Finite)
             return np.array(value, dtype=np.float64)
     return value
 
@@ -257,7 +264,8 @@ def config_from_dict(cls, d: dict):
     if missing:
         raise ConfigError(f"missing {cls.__name__} key(s) {missing}")
     hints = _hints(cls)
-    return cls(**{key: _from_json(hints[key], value) for key, value in d.items()})
+    return cls(**{key: _from_json(f"{cls.__name__} key {key!r}", hints[key], value)
+                  for key, value in d.items()})
 
 
 def check_path(path, what: str) -> None:

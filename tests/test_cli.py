@@ -11,7 +11,7 @@ import creditnet.blas as blas
 import creditnet.cli as cli
 import creditnet.training as training
 from creditnet.cli import run
-from creditnet.data import SplitSpec, split
+from creditnet.data import SplitSpec, load_csv, split
 from creditnet.errors import ShapeError, StateError
 from creditnet.model import Model
 
@@ -240,7 +240,7 @@ class TestEval:
         # the fill for f1 is the mean of its observed train-split cells
         header_line, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
-        frame = cli.load_frame(data, cli.read_schema(data, cfg), cli.data_section(cfg))
+        frame = load_csv(data, cli.read_schema(data, cfg), **cli.data_section(cfg))
         f1 = split(frame, SplitSpec.from_dict(resolved["split"])).train.X[:, 1]
         assert header["preprocess"]["impute"]["fill_values"][1] == np.mean(f1[~np.isnan(f1)])
 
@@ -560,7 +560,7 @@ FAULTS = [
      "config error: missing PreprocessStats key(s) ['impute']"),
     ("string-fill-values", "checkpoint",
      lambda h, p: (_set_header(h, ("preprocess", "impute", "fill_values"), "abc"), p), 1,
-     "config error: ImputeStats key 'fill_values' must be ndarray, got 'abc'"),
+     "config error: ImputeStats key 'fill_values' must be finite ndarray, got 'abc'"),
     ("preprocess-is-a-list", "checkpoint",
      lambda h, p: (_set_header(h, ("preprocess",), [1, 2]), p), 1,
      "config error: PreprocessStats must be a JSON object, got [1, 2]"),
@@ -596,7 +596,11 @@ FAULTS = [
      lambda h, p: (_set_header(h, ("preprocess", "impute", "fill_values"),
                                [float("nan"), *h["preprocess"]["impute"]["fill_values"][1:]]),
                    p), 1,
-     "config error: ImputeStats key 'fill_values' must be ndarray, got [nan, "),
+     "config error: ImputeStats key 'fill_values' entry 0 must be finite float, got nan\n"),
+    ("reversed-winsor", "checkpoint",
+     lambda h, p: (_set_header(h, ("preprocess", "winsor"), {
+         "lower": [1.0] * 6, "upper": [-1.0] * 6, "fitted_on": "train"}), p), 1,
+     "config error: WinsorStats lower must be <= upper, got [1.0, "),
     ("negative-std", "checkpoint",
      lambda h, p: (_set_header(h, ("preprocess", "standardize", "std"),
                                [-1.0, *h["preprocess"]["standardize"]["std"][1:]]), p), 1,
@@ -733,6 +737,19 @@ class TestFaults:
         assert run(["train", "--data", str(data), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             f"data error: column 'a' named more than once in header of {data}\n")
+
+    def test_column_whose_std_overflows_is_a_data_error_before_any_checkpoint(
+            self, tmp_path, capsys):
+        """The std of finite cells (+-1e200) can overflow float64; the fit
+        refuses it rather than write statistics that would not read back."""
+        data = tmp_path / "huge.csv"
+        data.write_text("a,label,b,c,d\n" + "".join(f"{(-1) ** i * 1e200},{i % 2},{i},1,2\n"
+                                                     for i in range(40)))
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("data error: standardization std of column 'a' "
+                                           "is inf, not a finite float64\n")
+        assert not (out / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize("where, change, code, fragment",
                              [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])

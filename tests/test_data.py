@@ -231,6 +231,13 @@ class TestImpute:
         with pytest.raises(LeakageError):
             impute(frame, fit_imputer(frame, SchemaConfig("y", ("f0",))))
 
+    def test_mean_fill_that_overflows_is_a_data_error_naming_its_column(self):
+        """The mean of finite cells can overflow float64; no stats record
+        holds it, so the fit names the column."""
+        frame = frame_of([[1.0, 1e308], [2.0, 1e308]], [0, 1], tag="train")
+        with pytest.raises(DataError, match="^imputation fill_value of column 'f1' is inf, "):
+            fit_imputer(frame, SchemaConfig("y", ("f0", "f1"), imputation="mean"))
+
 
 class TestStandardize:
     def test_definition_fixture(self):
@@ -299,6 +306,14 @@ class TestStandardize:
                                            "has shape (2,)")):
             StandardizeStats(np.zeros(3), np.ones(2), "train")
 
+    def test_std_that_overflows_is_a_data_error_naming_its_column(self):
+        """The std of [1e200, -1e200] overflows float64: the fit refuses it
+        where it would have written a checkpoint no reader takes back."""
+        frame = frame_of([[0.0, 1e200], [1.0, -1e200]], [0, 1], tag="train")
+        with pytest.raises(DataError,
+                           match="^standardization std of column 'f1' is inf, not a finite"):
+            standardize_fit(frame)
+
 
 class TestWinsorize:
     def test_bounds_of_unequal_shape_are_a_config_error(self):
@@ -306,6 +321,16 @@ class TestWinsorize:
                            match=re.escape("WinsorStats lower has shape (2,) but upper "
                                            "has shape (1,)")):
             WinsorStats(np.zeros(2), np.ones(1), "train")
+
+    def test_lower_bound_above_upper_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "WinsorStats lower must be <= upper, got [3.0, 0.0] and [1.0, 9.0]")):
+            WinsorStats(np.array([3.0, 0.0]), np.array([1.0, 9.0]), "train")
+
+    def test_bounds_that_overflow_are_a_data_error_naming_their_column(self):
+        frame = frame_of([[0.0, -1e308], [1.0, 1e308]], [0, 1], tag="train")
+        with pytest.raises(DataError, match="^winsorization (lower|upper) of column 'f1' is "):
+            winsorize_fit(frame, 0.25, 0.75)
 
     def test_clips_extremes(self):
         X = np.concatenate([np.arange(99.0), [1000.0]])[:, None]

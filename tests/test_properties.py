@@ -5,7 +5,7 @@ import json
 import math
 import re
 import tempfile
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -320,9 +320,9 @@ def split_specs(draw):
 
 @st.composite
 def preprocess_stats(draw):
-    """Stats of every finite float64 bit pattern, the values the records reader
-    takes: signed zeros, subnormals and the extremes included, and no negative
-    std."""
+    """Stats of every finite float64 bit pattern, the values a stats record
+    holds: signed zeros, subnormals and the extremes included, no negative std
+    and no lower winsor bound above its upper one."""
     n = draw(st.integers(0, 6))
     tag = draw(st.sampled_from(["train", "full", "val"]))
 
@@ -330,11 +330,14 @@ def preprocess_stats(draw):
         return np.array(draw(st.lists(st.floats(min_value, allow_nan=False, allow_infinity=False),
                                       min_size=n, max_size=n)), dtype=np.float64)
 
-    winsor = draw(st.booleans())
+    winsor = None
+    if draw(st.booleans()):
+        a, b = column(), column()
+        winsor = WinsorStats(np.minimum(a, b), np.maximum(a, b), tag)
     return PreprocessStats(
         impute=ImputeStats(column(), tag),
         standardize=StandardizeStats(column(), column(0.0), tag),
-        winsor=WinsorStats(column(), column(), tag) if winsor else None)
+        winsor=winsor)
 
 
 records = st.one_of(model_configs(), train_configs, split_specs(), preprocess_stats())
@@ -362,6 +365,31 @@ def test_record_round_trips_through_json(record):
     for got, want in zip(_arrays(again), _arrays(record), strict=True):
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(preprocess_stats(), st.data())
+def test_stats_with_a_non_finite_entry_neither_build_nor_read_back(stats, data):
+    """So every stats record that builds round-trips: one entry made NaN or
+    infinite is refused where the record is built, and in its JSON form
+    (``NaN``/``Infinity`` literals) where it is read, naming the entry."""
+    part = data.draw(st.sampled_from([p for p in (stats.impute, stats.standardize,
+                                                  stats.winsor) if p is not None]))
+    assume(getattr(part, fields(part)[0].name).size)  # an entry to spoil
+    name = data.draw(st.sampled_from([f.name for f in fields(part) if f.name != "fitted_on"]))
+    values = getattr(part, name)
+    i = data.draw(st.integers(0, len(values) - 1))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    cls = type(part).__name__
+    spoiled = values.copy()
+    spoiled[i] = bad
+    with pytest.raises(ConfigError, match=f"^{cls} key '{name}' must be finite ndarray, got "):
+        replace(part, **{name: spoiled})
+    d = record_to_dict(part)
+    d[name][i] = bad
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{cls} key '{name}' entry {i} must be finite float, got {bad!r}")):
+        config_from_dict(type(part), json.loads(json.dumps(d)))
 
 
 @settings(max_examples=50, deadline=None)

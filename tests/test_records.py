@@ -77,7 +77,7 @@ def test_record_stores_a_list_for_a_tuple_field_as_a_tuple(cls, fields):
 def test_array_field_given_a_list_directly_is_a_config_error():
     """``from_dict`` reads a JSON list of numbers as a float64 array; a list
     given to the constructor is rejected, not coerced."""
-    with pytest.raises(ConfigError, match="^ImputeStats key 'fill_values' must be ndarray"):
+    with pytest.raises(ConfigError, match="^ImputeStats key 'fill_values' must be finite ndarray"):
         cn.data.ImputeStats([0.0, 1.0], "train")
     stats = cn.data.ImputeStats.from_dict({"fill_values": [0.0, 1.0], "fitted_on": "train"})
     assert stats.fill_values.dtype == np.float64
