@@ -44,16 +44,14 @@ print("layer_norm [2 4 6]  ->", np.round(out[0], 4))
 p = Parameter("p", rng.standard_normal(6))
 
 def quadratic():
-    p.zero_grad()
-    p.grad += p.value
+    p.grad[...] = p.value
     return float(0.5 * np.sum(p.value ** 2))
 
 print("gradient_check on 0.5*||p||^2 :", gradient_check(quadratic, [p], seed=1))
 
 # a deliberately corrupted gradient is flagged loudly
 def corrupted():
-    p.zero_grad()
-    p.grad += 1.1 * p.value
+    p.grad[...] = 1.1 * p.value
     return float(0.5 * np.sum(p.value ** 2))
 
 print("gradient_check, grad off by 10%:", gradient_check(corrupted, [p], seed=1))
@@ -71,8 +69,7 @@ def conv_relu_objective():
     from creditnet import elementwise_backward
     g = elementwise_backward(act_cache, g_fixed)
     _, g_w, g_b = conv1d_backward(conv_cache, g)
-    w.zero_grad(); b.zero_grad()
-    w.grad += g_w; b.grad += g_b
+    w.grad[...] = g_w; b.grad[...] = g_b
     return loss
 
 err = gradient_check(conv_relu_objective, [w, b], seed=2)

@@ -7,7 +7,7 @@ import numpy as np
 from creditnet import (
     ModelConfig, TrainConfig, EarlyStop, SchemaConfig, SplitSpec,
     synth_generate, synth_preset, prepare_splits,
-    ablate, sweep_lr, sweep_optimizer, train_baseline_logistic, auc,
+    ablate, sweep_lr, sweep_optimizer, train, auc,
 )
 
 def splits_for(preset, seed, n=3000):
@@ -43,7 +43,7 @@ show(ablate(model_cfg, train_cfg, splits), "variant")
 
 # %% the logistic floor is blind to pure interactions
 logit_cfg = TrainConfig(seed=0, epochs=40, learning_rate=0.01, early_stop=None)
-_, rep = train_baseline_logistic(logit_cfg, splits)
+_, rep = train(ModelConfig(n_features=10, variant="logistic"), logit_cfg, splits)
 print(f"\nlogistic baseline on long-range data: "
       f"auc={rep.final['test'].auc:.4f} (chance is 0.5)")
 

@@ -52,7 +52,6 @@ from .model import (
     ModelConfig,
     ParamStore,
     attention,
-    init_params,
     load_checkpoint,
     multi_head_attention,
     save_checkpoint,
@@ -73,7 +72,6 @@ from .training import (
     sweep_lr,
     sweep_optimizer,
     train,
-    train_baseline_logistic,
 )
 from .importance import ImportanceReport, permutation_importance
 

@@ -39,10 +39,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
 
-    def trapezoid_area(self) -> float:
-        df = self.fpr[1:] - self.fpr[:-1]
-        return float(np.sum(0.5 * df * (self.tpr[1:] + self.tpr[:-1])))
-
     @property
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.fpr.tolist(), self.tpr.tolist()))

@@ -578,11 +578,6 @@ def transformer_block_backward(cache: OpCache, g_out: np.ndarray):
     return g_tokens, {key: p.grad for key, p in saved["params"].items()}
 
 
-def init_params(config: ModelConfig) -> ParamStore:
-    """The parameter store ``build(config)`` makes."""
-    return build(config)[0]
-
-
 # ---------------------------------------------------------------------------
 # full model
 # ---------------------------------------------------------------------------
@@ -653,15 +648,14 @@ class Model:
         return probs, (ForwardTrace(probs, caches, self) if trace else None)
 
     @checked
-    def backward(self, trace: Optional[ForwardTrace], grad_probs,
-                 want_input_grad: bool = False):
-        """Accumulate d(loss)/d(param) into every parameter's grad.
+    def backward(self, trace: Optional[ForwardTrace], grad_probs):
+        """Accumulate d(loss)/d(param) into every parameter's grad and return
+        d(loss)/d(batch), shape ``[B, n_features]``.
 
         ``grad_probs`` is d(loss)/d(probs), shape ``[B]``. Call
         ``params.zero_grads()`` first unless accumulation across batches is
-        intended. Returns d(loss)/d(batch) when ``want_input_grad``. A
-        ``grad_probs`` it rejects, or a trace another model made, leaves the
-        trace unconsumed, for a retry.
+        intended. A ``grad_probs`` it rejects, or a trace another model made,
+        leaves the trace unconsumed, for a retry.
         """
         if trace is None:
             raise StateError("no ForwardTrace to run backward on: the forward ran "
@@ -681,7 +675,7 @@ class Model:
         g = (grad_probs * trace.probs * (1.0 - trace.probs))[..., None]
         g = _walk_back(self.layers, trace.caches, g)
         self._spent = weakref.ref(trace)
-        return g if want_input_grad else None
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +731,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
 
     The header must be an object of this format and version 1 that reads as a
     ``CheckpointHeader`` and lists exactly the parameters, in order and shape,
-    that its config builds, and the payload must hold exactly their values;
-    anything else is a ``ConfigError``.
+    that its config builds, and the payload must hold exactly their values,
+    all finite; anything else is a ``ConfigError``.
     """
     check_path(path, "checkpoint")
     try:
@@ -769,4 +763,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise ConfigError(f"checkpoint {path} payload is {len(payload)} bytes, "
                           f"expected {n_bytes}")
     store.values[...] = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(store.values).all():
+        bad = next(p.name for p in store if not np.isfinite(p.value).all())
+        raise ConfigError(f"checkpoint {path} parameter {bad!r} holds a non-finite value")
     return model, record_to_dict(header)

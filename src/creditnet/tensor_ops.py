@@ -19,10 +19,11 @@ result there when it is given; ``out`` may be the input array itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
+from .errors import DataError, NumericError, ShapeError, StateError
 from .records import Count, Positive, checked
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh")
@@ -64,9 +65,6 @@ class Parameter:
                     f"grad shape {self.grad.shape} != value shape {self.value.shape} "
                     f"for parameter {self.name!r}"
                 )
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     @property
     def size(self) -> int:
@@ -234,19 +232,15 @@ def softmax_rows_backward(y: np.ndarray, g_out: np.ndarray, *, out=None) -> np.n
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
 
-def elementwise(kind: str, x: np.ndarray, *, out=None):
-    """Apply a pointwise nonlinearity; returns ``(out, cache)``.
-
-    ``kind`` is one of ``relu``, ``sigmoid``, ``tanh``.
-    """
+@checked
+def elementwise(kind: Literal[ACTIVATIONS], x: np.ndarray, *, out=None):
+    """Apply a pointwise nonlinearity; returns ``(out, cache)``."""
     if kind == "relu":
         out = np.maximum(x, 0.0, out=out)
     elif kind == "sigmoid":
         out = sigmoid(x, out=out)
-    elif kind == "tanh":
-        out = np.tanh(x, out=out)
     else:
-        raise ConfigError(f"unknown activation {kind!r}; expected one of {ACTIVATIONS}")
+        out = np.tanh(x, out=out)
     return out, OpCache("elementwise", {"kind": kind, "out": out})
 
 
@@ -345,6 +339,9 @@ def gradient_check(f, params, h: float = 1e-5, seed: int = 0,
     if not np.isfinite(loss):
         raise NumericError(f"objective is non-finite: {loss!r}")
     analytic = {p.name: p.grad.copy() for p in params}
+    bad = next((name for name, g in analytic.items() if not np.isfinite(g).all()), None)
+    if bad is not None:  # a NaN would compare as no error at all
+        raise NumericError(f"analytic gradient of {bad!r} is non-finite")
 
     rng = np.random.default_rng(seed)
     worst = 0.0

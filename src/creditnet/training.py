@@ -22,9 +22,9 @@ import numpy as np
 
 from . import blas
 from .data import Splits, FeatureFrame
-from .errors import ConfigError, NumericError, ShapeError, StateError
+from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
 from .metrics import MetricsRecord, accuracy, auc, check_labels, evaluate_scores
-from .model import BASELINE, VARIANTS, Model, ModelConfig, ParamStore
+from .model import VARIANTS, Model, ModelConfig, ParamStore
 from .records import Count, Positive, Rate, Seed, checked, record, record_to_dict
 from .tensor_ops import as_f64
 
@@ -113,14 +113,16 @@ def bce_loss(probs, labels, pos_weight: Positive = 1.0):
 
     The gradient is the exact derivative of the clamped mean: coordinates
     whose raw probability sits outside the clamp window get gradient zero.
-    A label other than 0 or 1 is a ``DataError`` and a ``pos_weight`` that
-    is not finite and > 0 a ``ConfigError``; probabilities are not checked,
-    so a NaN from a diverged model reaches the loss.
+    An empty batch or a label other than 0 or 1 is a ``DataError`` and a
+    ``pos_weight`` that is not finite and > 0 a ``ConfigError``; probabilities
+    are not checked, so a NaN from a diverged model reaches the loss.
     """
     probs = as_f64(probs).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if probs.shape != labels.shape:
         raise ShapeError(f"probs {probs.shape} and labels {labels.shape} differ")
+    if probs.size == 0:
+        raise DataError("empty input")
     check_labels(labels)
     labels = labels.astype(np.float64)
     n = probs.shape[0]
@@ -342,14 +344,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig,
     model = Model(model_cfg)
     report = _fit(model, train_cfg, splits)
     return model, report
-
-
-@checked
-def train_baseline_logistic(train_cfg: TrainConfig,
-                            splits: Splits) -> tuple[Model, RunReport]:
-    """Linear floor that any interaction-capable model should beat: the
-    ``logistic`` variant, trained by ``train``."""
-    return train(ModelConfig(splits.train.n_features, variant=BASELINE), train_cfg, splits)
 
 
 # ---------------------------------------------------------------------------

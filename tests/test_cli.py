@@ -548,6 +548,12 @@ FAULTS = [
     ("importance-missing-checkpoint", "no-checkpoint", "importance", 1,
      "cannot read checkpoint"),
     ("trailing-bytes", "checkpoint", lambda h, p: (h, p + bytes(16)), 1, "payload is"),
+    ("nan-first-weight", "checkpoint",
+     lambda h, p: (h, np.array([np.nan], "<f8").tobytes() + p[8:]), 1,
+     "parameter 'embed.weight' holds a non-finite value"),
+    ("inf-last-weight", "checkpoint",
+     lambda h, p: (h, p[:-8] + np.array([np.inf], "<f8").tobytes()), 1,
+     "parameter 'mlp.1.bias' holds a non-finite value"),
     ("version-99", "checkpoint", lambda h, p: ({**h, "version": 99}, p), 1,
      "unsupported checkpoint version 99"),
     ("dropped-parameter", "checkpoint", lambda h, p: ({**h, "params": h["params"][1:]}, p), 1,

@@ -17,7 +17,7 @@ from creditnet.model import (
     attention,
     attention_backward,
     block_layers,
-    init_params,
+    build,
     load_checkpoint,
     multi_head_attention,
     save_checkpoint,
@@ -62,26 +62,26 @@ class TestModelConfig:
 
 class TestInitParams:
     def test_deterministic(self):
-        a = init_params(SMALL)
-        b = init_params(SMALL)
+        a = build(SMALL)[0]
+        b = build(SMALL)[0]
         for pa, pb in zip(a, b):
             assert pa.name == pb.name
             assert np.array_equal(pa.value, pb.value)
 
     def test_biases_exactly_zero(self):
-        store = init_params(SMALL)
+        store = build(SMALL)[0]
         for p in store:
             if p.name.endswith(("bias", ".b1", ".b2", "shift")):
                 assert np.all(p.value == 0.0), p.name
 
     def test_layer_norm_gains_one(self):
-        store = init_params(SMALL)
+        store = build(SMALL)[0]
         for p in store:
             if p.name.endswith("gain"):
                 assert np.all(p.value == 1.0)
 
     def test_parameter_count_closed_form(self):
-        store = init_params(SMALL)
+        store = build(SMALL)[0]
         embed = 2 * 8 * 6
         conv = 8 * 6 * 3 + 8
         proj = 8 * 8 + 8
@@ -91,7 +91,7 @@ class TestInitParams:
 
     def test_cnn_only_has_no_transformer_params(self):
         from dataclasses import replace
-        store = init_params(replace(SMALL, variant="cnn_only"))
+        store = build(replace(SMALL, variant="cnn_only"))[0]
         assert not any(n.startswith(("block", "proj")) for n in store.names())
         embed = 2 * 8 * 6
         conv = 8 * 6 * 3 + 8
@@ -293,8 +293,7 @@ class TestMultiHead:
             out, cache = transformer_block(tokens, vals, 2, use_ln, "tanh")
             _, grads = transformer_block_backward(cache, g_up)
             for p in params:
-                p.zero_grad()
-                p.grad += grads[p.name]
+                p.grad[...] = grads[p.name]
             return float(np.sum(out * g_up))
 
         assert gradient_check(f, params, h=1e-5, seed=0) < 1e-4
@@ -490,10 +489,6 @@ class TestBackward:
         X = np.random.default_rng(16).standard_normal((4, 8))
         with pytest.raises(ConfigError, match="^trace must be bool"):
             model.forward(X, trace=flag)
-        probs, trace = model.forward(X)
-        with pytest.raises(ConfigError, match="^want_input_grad must be bool"):
-            model.backward(trace, np.ones_like(probs), want_input_grad=flag)
-        assert not trace.used
 
     @pytest.mark.parametrize("variant", ["hybrid", "cnn_only", "transformer_only"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -521,9 +516,29 @@ class TestBackward:
         X = rng.standard_normal((4, 8))
         probs, trace = model.forward(X)
         model.params.zero_grads()
-        g_x = model.backward(trace, np.ones_like(probs), want_input_grad=True)
+        g_x = model.backward(trace, np.ones_like(probs))
         assert g_x.shape == X.shape
         assert np.any(g_x != 0.0)
+
+    @pytest.mark.parametrize("variant", ["hybrid", "cnn_only", "transformer_only",
+                                         "logistic"])
+    def test_input_gradient_check(self, variant):
+        from dataclasses import replace
+        rng = np.random.default_rng(20)
+        model = Model(replace(SMALL, variant=variant))
+        # off their init, so the logistic's zero weights pass a gradient to the batch
+        model.params.values += 0.1 * rng.standard_normal(model.params.values.size)
+        batch = Parameter("batch", rng.standard_normal((4, 8)))
+        y = rng.integers(0, 2, 4)
+
+        def f():
+            probs, trace = model.forward(batch.value)
+            loss, g = bce_loss(probs, y)
+            model.params.zero_grads()
+            batch.grad[...] = model.backward(trace, g)
+            return loss
+
+        assert gradient_check(f, [batch], h=1e-5, seed=0) < 1e-4
 
     @pytest.mark.parametrize("bad", [np.ones(3), np.ones((4, 1)), "abc"])
     def test_rejected_gradient_leaves_the_trace_for_a_retry(self, bad):

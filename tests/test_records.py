@@ -190,8 +190,7 @@ def world(tmp_path_factory):
         "Model": (cn.Model, dict(config=model_cfg)),
         "Model.forward": (model.forward, dict(batch=splits.test.X, trace=True)),
         "Model.backward": (model.backward, dict(trace=model.forward(splits.test.X)[1],
-                                                grad_probs=np.ones_like(probs),
-                                                want_input_grad=False)),
+                                                grad_probs=np.ones_like(probs))),
         "ParamStore.add": (cn.ParamStore().add, dict(name="w", value=np.zeros(2))),
         "AdamState": (cn.AdamState, dict(beta1=0.9, beta2=0.999, eps=1e-8)),
         "EarlyStop": (cn.EarlyStop, dict(metric="val_auc", patience=2)),
@@ -226,28 +225,25 @@ def world(tmp_path_factory):
                                                    spec=cn.synth_preset("linear", 4))),
         "synth_preset": (cn.synth_preset, dict(name="local-and-long", n_features=4)),
         # model
-        "init_params": (cn.init_params, dict(config=model_cfg)),
         "load_checkpoint": (cn.load_checkpoint, dict(path=ckpt)),
         "save_checkpoint": (cn.save_checkpoint, dict(path=tmp / "out.ckpt", model=model,
                                                      preprocess=stats.to_dict(),
                                                      extra={"a": 1})),
         # training
         "ablate": (cn.ablate, dict(model_cfg=model_cfg, train_cfg=train_cfg, splits=splits)),
-        "adam_step": (cn.adam_step, dict(params=cn.init_params(model_cfg), lr=1e-3,
+        "adam_step": (cn.adam_step, dict(params=cn.model.build(model_cfg)[0], lr=1e-3,
                                          state=state)),
         "bce_loss": (cn.bce_loss, dict(probs=probs, labels=y, pos_weight=1.0)),
         "evaluate": (cn.evaluate, dict(model=model, frame=splits.test, pos_weight=1.0,
                                        probs=None)),
         "predict_probs": (cn.predict_probs, dict(model=model, X=splits.test.X)),
-        "sgd_step": (cn.sgd_step, dict(params=cn.init_params(model_cfg), lr=1e-3)),
+        "sgd_step": (cn.sgd_step, dict(params=cn.model.build(model_cfg)[0], lr=1e-3)),
         "sweep_lr": (cn.sweep_lr, dict(model_cfg=model_cfg, base_train_cfg=train_cfg,
                                        lrs=[1e-3], splits=splits)),
         "sweep_optimizer": (cn.sweep_optimizer, dict(model_cfg=model_cfg,
                                                      base_train_cfg=train_cfg, lrs=[1e-3],
                                                      splits=splits, optimizers=("sgd",))),
         "train": (cn.train, dict(model_cfg=model_cfg, train_cfg=train_cfg, splits=splits)),
-        "train_baseline_logistic": (cn.train_baseline_logistic,
-                                    dict(train_cfg=train_cfg, splits=splits)),
         # importance
         "permutation_importance": (cn.permutation_importance,
                                    dict(model=model, frame=splits.test, metric="auc",
@@ -269,11 +265,10 @@ CASES = [
     "ParamStore.add", "PreprocessStats", "RocCurve", "RunReport", "SchemaConfig",
     "SchemaConfig.from_dict", "SchemaConfig.from_json", "SplitSpec", "Splits", "SynthSpec",
     "TrainConfig", "ablate", "accuracy", "adam_step", "apply_preprocess", "auc", "bce_loss",
-    "evaluate", "evaluate_scores", "impute", "init_params", "ks", "load_checkpoint",
+    "evaluate", "evaluate_scores", "impute", "ks", "load_checkpoint",
     "load_csv", "permutation_importance", "predict_probs", "prepare_splits", "roc_points",
     "save_checkpoint", "sgd_step", "split", "standardize_apply", "standardize_fit",
     "sweep_lr", "sweep_optimizer", "synth_generate", "synth_preset", "train",
-    "train_baseline_logistic",
 ]
 
 

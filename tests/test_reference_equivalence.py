@@ -15,7 +15,7 @@ from creditnet.model import (
     Model,
     ModelConfig,
     ParamStore,
-    init_params,
+    build,
     linear,
     linear_backward,
     multi_head_attention,
@@ -193,7 +193,7 @@ class TestRowOps:
 
 def _twin_stores(seed):
     """A model's ParamStore and an identical list of standalone Parameters."""
-    store = init_params(ModelConfig(n_features=6, d_embed=4, seed=seed))
+    store = build(ModelConfig(n_features=6, d_embed=4, seed=seed))[0]
     return store, [Parameter(p.name, p.value.copy()) for p in store]
 
 

@@ -74,8 +74,6 @@ class TestParameter:
     def test_grad_allocated_and_zeroed(self):
         p = Parameter("w", np.arange(6.0).reshape(2, 3))
         assert p.grad.shape == (2, 3)
-        p.grad += 1.0
-        p.zero_grad()
         assert np.all(p.grad == 0.0)
 
     def test_grad_shape_mismatch(self):
@@ -333,7 +331,7 @@ class TestElementwise:
         assert np.array_equal(out, [0.0, 3.0])
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^kind must be one of"):
             elementwise("gelu", np.zeros(2))
 
     def test_sigmoid_extremes_finite(self):
@@ -479,8 +477,7 @@ class TestGradientCheckHarness:
         p = Parameter("p", np.array([1.0, -2.0, 3.0]))
 
         def f():
-            p.zero_grad()
-            p.grad += p.value
+            p.grad[...] = p.value
             return float(0.5 * np.sum(p.value ** 2))
 
         assert gradient_check(f, [p], h=1e-5, seed=0) < 1e-9
@@ -489,8 +486,7 @@ class TestGradientCheckHarness:
         p = Parameter("p", np.array([1.0, -2.0, 3.0]))
 
         def f():
-            p.zero_grad()
-            p.grad += 1.1 * p.value  # deliberately 10% off
+            p.grad[...] = 1.1 * p.value  # deliberately 10% off
             return float(0.5 * np.sum(p.value ** 2))
 
         assert gradient_check(f, [p], h=1e-5, seed=0) > 1e-2
@@ -502,6 +498,16 @@ class TestGradientCheckHarness:
             return float("nan")
 
         with pytest.raises(NumericError):
+            gradient_check(f, [p])
+
+    def test_nonfinite_analytic_gradient_raises(self):
+        p = Parameter("p", np.array([1.0, 2.0]))
+
+        def f():
+            p.grad[...] = np.nan
+            return float(0.5 * np.sum(p.value ** 2))
+
+        with pytest.raises(NumericError, match="^analytic gradient of 'p' is non-finite$"):
             gradient_check(f, [p])
 
 

@@ -9,7 +9,7 @@ import creditnet.training as training
 from creditnet.data import SchemaConfig, SplitSpec, Splits, standardize_apply, \
     standardize_fit, synth_generate, synth_preset, prepare_splits
 from creditnet.errors import ConfigError, DataError, NumericError, ShapeError, StateError
-from creditnet.model import Model, ModelConfig, AttnSpec, ConvSpec, ParamStore, init_params
+from creditnet.model import Model, ModelConfig, AttnSpec, ConvSpec, ParamStore, build
 from creditnet.training import (
     SCORE_BLOCK,
     AdamState,
@@ -25,7 +25,6 @@ from creditnet.training import (
     ablate,
     predict_probs,
     train,
-    train_baseline_logistic,
     write_curves_csv,
 )
 
@@ -102,6 +101,10 @@ class TestBceLoss:
         with pytest.raises(ShapeError):
             bce_loss([0.5], [1, 0])
 
+    def test_empty_batch_is_a_data_error(self):
+        with pytest.raises(DataError, match="^empty input$"):
+            bce_loss([], [])
+
     @pytest.mark.parametrize("labels", [[0, 2], [0, 0.5], [-1, 1], [0, np.nan]])
     def test_label_other_than_zero_or_one_is_a_data_error(self, labels):
         with pytest.raises(DataError, match="labels must be 0/1"):
@@ -140,7 +143,7 @@ class TestSgd:
         # f(p) = p^2/2, grad = p, lr = 0.1: p_k = 0.9^k
         store, p = one_param([1.0])
         for k in range(1, 11):
-            p.zero_grad()
+            store.zero_grads()
             p.grad += p.value
             sgd_step(store, 0.1)
             assert p.value[0] == pytest.approx(0.9 ** k, abs=1e-15)
@@ -174,7 +177,7 @@ class TestAdam:
         store, p = one_param([1.0])
         state = AdamState()
         for t in range(1, 4):
-            p.zero_grad()
+            store.zero_grads()
             p.grad += p.value
             adam_step(store, 0.01, state)
             assert state.t == t
@@ -184,7 +187,7 @@ class TestAdam:
         store, p = one_param([3.0])
         state = AdamState()
         for _ in range(2000):
-            p.zero_grad()
+            store.zero_grads()
             p.grad += p.value
             adam_step(store, 0.05, state)
         assert abs(p.value[0]) < 1e-3
@@ -202,10 +205,10 @@ class TestAdam:
         """A state stepped on one store refuses another before it changes
         anything: its counter, its moments and the other store's values."""
         state = AdamState()
-        cnn = init_params(ModelConfig(n_features=10, variant="cnn_only"))
+        cnn = build(ModelConfig(n_features=10, variant="cnn_only"))[0]
         cnn.grads[:] = 0.5
         adam_step(cnn, 1e-3, state)
-        logistic = init_params(ModelConfig(n_features=10, variant="logistic"))
+        logistic = build(ModelConfig(n_features=10, variant="logistic"))[0]
         logistic.grads[:] = 0.5
         t, m, v = state.t, state.m.copy(), state.v.copy()
         values = logistic.values.copy()
@@ -420,7 +423,7 @@ class TestLogisticBaseline:
     def test_high_auc_on_linearly_separable(self):
         splits = small_splits(seed=13, n=4000, preset="linear")
         cfg = TrainConfig(seed=0, epochs=60, learning_rate=0.01, early_stop=None)
-        _, report = train_baseline_logistic(cfg, splits)
+        _, report = train(ModelConfig(6, variant="logistic"), cfg, splits)
         assert report.final["test"].auc > 0.95
 
     def test_blind_to_pure_interaction(self):
@@ -428,14 +431,15 @@ class TestLogisticBaseline:
         splits, _ = prepare_splits(frame, SchemaConfig("y", tuple(frame.feature_names)),
                                    SplitSpec(seed=14))
         cfg = TrainConfig(seed=0, epochs=40, learning_rate=0.01, early_stop=None)
-        _, report = train_baseline_logistic(cfg, splits)
+        _, report = train(ModelConfig(6, variant="logistic"), cfg, splits)
         assert abs(report.final["test"].auc - 0.5) < 0.08
 
     def test_deterministic(self):
         splits = small_splits(seed=15)
         cfg = TrainConfig(seed=1, epochs=5, early_stop=None)
-        _, r1 = train_baseline_logistic(cfg, splits)
-        _, r2 = train_baseline_logistic(cfg, splits)
+        logistic = ModelConfig(6, variant="logistic")
+        _, r1 = train(logistic, cfg, splits)
+        _, r2 = train(logistic, cfg, splits)
         assert r1.to_json() == r2.to_json()
 
 
